@@ -13,7 +13,6 @@ from .equivalence import (
     INITIAL_ROW_MISMATCH,
     ONE_STEP_MISMATCH,
     EquivalenceVerdict,
-    cross_class_equivalence,
     test_equivalence,
     test_equivalence_pfa,
 )
@@ -48,6 +47,7 @@ from .representation import (
     LinearRepresentation,
     compile_hmm,
     compile_model,
+    compile_pfa,
     compile_qrw,
 )
 from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, ComplexScalar
@@ -83,9 +83,9 @@ __all__ = [
     "brute_equiv",
     "compile_hmm",
     "compile_model",
+    "compile_pfa",
     "compile_qrw",
     "compute_basis",
-    "cross_class_equivalence",
     "enumerate_probs",
     "hankel_rank",
     "parse_model",

@@ -45,11 +45,14 @@ class Basis:
 
 def row_generator(lr: LinearRepresentation,
                   tolerance: float = DEFAULT_TOLERANCE):
-    """Accepted row words with backward vectors, plus the candidate count."""
+    """Accepted row words with backward vectors, plus the candidate count.
+
+    A zero final vector yields no rows: the series is zero.
+    """
     tester = IndependenceTester(lr.dimension, lr.mode, tolerance)
     root = BackwardVector((), lr.fin)
     if not tester.try_insert(root.coords):
-        raise ArithmeticError("final vector is numerically zero")
+        return [], [], 0
     words: list[Word] = [()]
     backwards: list[BackwardVector] = [root]
     queue: deque[BackwardVector] = deque(
@@ -68,7 +71,10 @@ def row_generator(lr: LinearRepresentation,
 
 def column_basis(lr: LinearRepresentation, row_words, backwards,
                  tolerance: float = DEFAULT_TOLERANCE):
-    """Accepted column words with forward vectors, given the row scan output."""
+    """Accepted column words with forward vectors, given the row scan output.
+
+    A zero empty-word column yields no columns: the series is zero.
+    """
     tester = IndependenceTester(len(row_words), lr.mode, tolerance)
 
     def column(fv: ForwardVector) -> tuple:
@@ -76,7 +82,7 @@ def column_basis(lr: LinearRepresentation, row_words, backwards,
 
     root = ForwardVector((), lr.init)
     if not tester.try_insert(column(root)):
-        raise ArithmeticError("empty-word column is numerically zero")
+        return [], []
     words: list[Word] = [()]
     forwards: list[ForwardVector] = [root]
     queue: deque[ForwardVector] = deque(

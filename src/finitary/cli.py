@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (for ``equiv``: equivalent; for ``oracle`` with two
 models: agreement up to the length bound), 1 a established difference,
-2 usage, syntax, validation, or budget errors.  Output is deterministic;
-``--format json`` switches every command to a machine-readable report.
+2 usage, syntax, validation, or budget errors, and internal failures.
+Output is deterministic; ``--format json`` switches every command to a
+machine-readable report.
 """
 
 from __future__ import annotations
@@ -15,12 +16,7 @@ from pathlib import Path
 import click
 
 from .basis import compute_basis
-from .equivalence import (
-    DIMENSION_MISMATCH,
-    EquivalenceVerdict,
-    test_equivalence,
-    test_equivalence_pfa,
-)
+from .equivalence import EquivalenceVerdict, test_equivalence, test_equivalence_pfa
 from .model_io import ModelSyntaxError, ModelValidationError, parse_model
 from .models import PfaModel
 from .oracle import BudgetExceededError, DEFAULT_BUDGET, brute_equiv, enumerate_probs
@@ -68,7 +64,21 @@ def _format_value(x) -> str:
     return format_scalar(x)
 
 
-@click.group()
+class _Group(click.Group):
+    """Maps any exception a command leaves unhandled to ``error: ...`` and
+    exit 2, so that exit 1 keeps meaning "a difference was established"."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit,
+                click.exceptions.Abort):
+            raise  # click reports these itself; Exit and Abort are RuntimeErrors
+        except Exception as exc:
+            _fail(f"internal error: {type(exc).__name__}: {exc}")
+
+
+@click.group(cls=_Group)
 def main():
     """Equivalence testing for hidden Markov models, quantum random walks,
     and probabilistic automata."""
@@ -78,22 +88,20 @@ def main():
 @click.argument("model_a", type=click.Path())
 @click.argument("model_b", type=click.Path())
 @tolerance_option
-@click.option("--search-witness", is_flag=True,
-              help="On a dimension mismatch, brute-force a witness word.")
 @format_option
-def equiv(model_a, model_b, tolerance, search_witness, fmt):
-    """Decide whether two model files generate the same process."""
+def equiv(model_a, model_b, tolerance, fmt):
+    """Decide whether two model files generate the same process.
+
+    Two automata are compared by their acceptance probabilities.
+    """
     a = _load(model_a)
     b = _load(model_b)
     try:
         if isinstance(a, PfaModel) and isinstance(b, PfaModel):
-            click.echo("note: both automata reduced over their alphabet plus "
-                       "the stop symbol '$'", err=True)
-            verdict = test_equivalence_pfa(a, b, tolerance, search_witness)
+            verdict = test_equivalence_pfa(a, b, tolerance)
         else:
             verdict = test_equivalence(_compile(a, model_a),
-                                       _compile(b, model_b),
-                                       tolerance, search_witness)
+                                       _compile(b, model_b), tolerance)
     except (ValueError, ArithmeticError) as exc:
         _fail(str(exc))
     _report_verdict(verdict, fmt)
@@ -132,8 +140,6 @@ def _report_verdict(verdict: EquivalenceVerdict, fmt: str):
             click.echo(f"witness: {witness_text}")
             click.echo(f"left:  {values[0]}")
             click.echo(f"right: {values[1]}")
-        elif verdict.reason == DIMENSION_MISMATCH:
-            click.echo("witness: none computed (rerun with --search-witness)")
 
 
 @main.command()
@@ -214,8 +220,9 @@ def prob(model_file, word, decimal, fmt):
 
 @main.command()
 @click.argument("model_files", type=click.Path(), nargs=-1, required=True)
-@click.option("-L", "--length", "max_len", type=int, default=4,
-              show_default=True, help="Enumerate words up to this length.")
+@click.option("-L", "--length", "max_len", type=click.IntRange(min=0),
+              default=4, show_default=True,
+              help="Enumerate words up to this length.")
 @click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
               help="Refuse enumerations needing more table entries than this.")
 @tolerance_option

@@ -1,10 +1,18 @@
 """Decision procedure: do two parametrizations generate the same process?
 
-Two representations are compared through one of them's basis pair (I, J):
-equal dimensions, equal block entries p(w v), and equal one-step extensions
-p(w a v) together force the full processes to coincide.  The check runs in
-O(|alphabet| * n^4) overall; no word enumeration is involved except the
-optional witness search after a dimension mismatch.
+Two representations are compared through the basis pair (I, J) of the one
+with the larger dimension (x's on a tie): equal dimensions, equal block
+entries p(w v), and equal one-step extensions p(w a v) together force the
+full processes to coincide.  The check runs in O(|alphabet| * n^4) overall
+and enumerates no words.
+
+Every exact "not equivalent" verdict carries a witness word.  When the
+dimensions differ, the larger basis's block is invertible, of rank
+dim_big, while the other model's values on the same words form a submatrix
+of its Hankel array, of rank at most dim_small; so some block entry differs.
+Automata are compared through their acceptance series pi . M_v . F
+(Tzeng, SIAM J. Comput. 21(2), 1992), so a witness is a word whose
+acceptance probabilities differ.
 """
 
 from __future__ import annotations
@@ -13,10 +21,11 @@ from dataclasses import dataclass
 
 from .basis import compute_basis
 from .linalg import dot
-from .models import Alphabet, PfaModel, Word, acceptance_probability, pfa_to_hmm
-from .oracle import BudgetExceededError, brute_equiv
-from .representation import LinearRepresentation, compile_hmm
-from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, scalars_equal
+# pfa_to_hmm and compile_hmm are unused here; perfbench/tracing.py wraps them
+from .models import Alphabet, PfaModel, Word, pfa_to_hmm  # noqa: F401
+from .representation import (LinearRepresentation, compile_hmm,  # noqa: F401
+                             compile_pfa)
+from .scalars import DEFAULT_TOLERANCE, FLOAT, scalars_equal
 
 DIMENSION_MISMATCH = "dimension-mismatch"
 BASIC_MATRIX_MISMATCH = "basic-matrix-mismatch"
@@ -30,7 +39,7 @@ class EquivalenceVerdict:
     equivalent: bool
     reason: str
     witness: Word | None
-    details: tuple | None  # the two differing values, when a witness exists
+    details: tuple | None  # (p_x, p_y) at the witness, when one exists
     dim_x: int
     dim_y: int
     alphabet: Alphabet
@@ -44,12 +53,11 @@ class EquivalenceVerdict:
 
 
 def test_equivalence(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
-                     tolerance: float = DEFAULT_TOLERANCE,
-                     search_witness: bool = False) -> EquivalenceVerdict:
+                     tolerance: float = DEFAULT_TOLERANCE) -> EquivalenceVerdict:
     """Verdict for two representations over the same alphabet and mode.
 
-    On a dimension mismatch no witness is produced unless ``search_witness``
-    asks for the bounded brute-force search (words up to the dimension sum).
+    In float mode a dimension mismatch whose block entries all agree within
+    the tolerance is reported without a witness.
     """
     if lr_x.alphabet != lr_y.alphabet:
         raise ValueError("alphabet mismatch")
@@ -60,107 +68,59 @@ def test_equivalence(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
 
     basis_x = compute_basis(lr_x, tolerance)
     basis_y = compute_basis(lr_y, tolerance)
-    dims = (basis_x.dim, basis_y.dim)
+    same_dim = basis_x.dim == basis_y.dim
+    y_drives = basis_y.dim > basis_x.dim
+    big, lr_big, lr_small = ((basis_y, lr_y, lr_x) if y_drives
+                             else (basis_x, lr_x, lr_y))
 
-    def verdict(equivalent, reason, witness=None, details=None):
+    def verdict(equivalent, reason, witness=None, p_big=None, p_small=None):
+        details = None
+        if witness is not None:
+            details = (p_small, p_big) if y_drives else (p_big, p_small)
         return EquivalenceVerdict(equivalent, reason, witness, details,
-                                  dims[0], dims[1], lr_x.alphabet, mode,
-                                  reported_tol)
-
-    if basis_x.dim != basis_y.dim:
-        witness = details = None
-        if search_witness:
-            try:
-                found = brute_equiv(lr_x, lr_y, basis_x.dim + basis_y.dim,
-                                    tolerance if mode == FLOAT else 0.0)
-                witness, details = found.witness, found.values
-            except BudgetExceededError:
-                pass
-        return verdict(False, DIMENSION_MISMATCH, witness, details)
+                                  basis_x.dim, basis_y.dim, lr_x.alphabet,
+                                  mode, reported_tol)
 
     def eq(x, y):
         return scalars_equal(x, y, mode, tolerance)
 
-    forwards_y = [lr_y.forward(w) for w in basis_x.col_words]
-    backwards_y = [lr_y.backward(v) for v in basis_x.row_words]
+    forwards_small = [lr_small.forward(w) for w in big.col_words]
+    backwards_small = [lr_small.backward(v) for v in big.row_words]
 
-    for wi, w in enumerate(basis_x.col_words):
-        for vi, v in enumerate(basis_x.row_words):
-            px = basis_x.matrix[vi][wi]
-            py = dot(forwards_y[wi].coords, backwards_y[vi].coords)
-            if not eq(px, py):
-                reason = INITIAL_ROW_MISMATCH if w == () else BASIC_MATRIX_MISMATCH
-                return verdict(False, reason, w + v, (px, py))
+    for wi, w in enumerate(big.col_words):
+        for vi, v in enumerate(big.row_words):
+            p_big = big.matrix[vi][wi]
+            p_small = dot(forwards_small[wi].coords, backwards_small[vi].coords)
+            if not eq(p_big, p_small):
+                if not same_dim:
+                    reason = DIMENSION_MISMATCH
+                elif w == ():
+                    reason = INITIAL_ROW_MISMATCH
+                else:
+                    reason = BASIC_MATRIX_MISMATCH
+                return verdict(False, reason, w + v, p_big, p_small)
+    if not same_dim:
+        return verdict(False, DIMENSION_MISMATCH)
 
+    # T[a] . backward(v) does not depend on the column word: build it once
     num_symbols = len(lr_x.alphabet)
-    for wi, w in enumerate(basis_x.col_words):
+    steps_big = [[lr_big.extend_backward(a, bv).coords for bv in big.backwards]
+                 for a in range(num_symbols)]
+    steps_small = [[lr_small.extend_backward(a, bv).coords
+                    for bv in backwards_small] for a in range(num_symbols)]
+    for wi, w in enumerate(big.col_words):
         for a in range(num_symbols):
-            for vi, v in enumerate(basis_x.row_words):
-                px = lr_x.prob_bilinear(basis_x.forwards[wi], a,
-                                        basis_x.backwards[vi])
-                py = lr_y.prob_bilinear(forwards_y[wi], a, backwards_y[vi])
-                if not eq(px, py):
-                    return verdict(False, ONE_STEP_MISMATCH,
-                                   w + (a,) + v, (px, py))
+            for vi, v in enumerate(big.row_words):
+                p_big = dot(big.forwards[wi].coords, steps_big[a][vi])
+                p_small = dot(forwards_small[wi].coords, steps_small[a][vi])
+                if not eq(p_big, p_small):
+                    return verdict(False, ONE_STEP_MISMATCH, w + (a,) + v,
+                                   p_big, p_small)
 
     return verdict(True, ALL_CHECKS_PASSED)
 
 
-def cross_class_equivalence(lr_x: LinearRepresentation,
-                            lr_y: LinearRepresentation,
-                            tolerance: float = DEFAULT_TOLERANCE,
-                            search_witness: bool = False) -> EquivalenceVerdict:
-    """Same test; spelled out because mixing model classes is the point.
-
-    Any two compiled representations over one alphabet compare directly, so a
-    hidden Markov model can be tested against a quantum walk.
-    """
-    return test_equivalence(lr_x, lr_y, tolerance, search_witness)
-
-
-def _pfa_witness(pfa_x: PfaModel, pfa_y: PfaModel, max_len: int,
-                 mode: str, tolerance: float):
-    """Shortest word whose stopping probabilities differ, scanning
-    length-then-lexicographic up to ``max_len``."""
-    import itertools
-    ns = len(pfa_x.alphabet)
-    for t in range(max_len + 1):
-        for word in itertools.product(range(ns), repeat=t):
-            px = acceptance_probability(pfa_x, word)
-            py = acceptance_probability(pfa_y, word)
-            if not scalars_equal(px, py, mode, tolerance if mode == FLOAT else 0.0):
-                return word, (px, py)
-    return None, None
-
-
 def test_equivalence_pfa(pfa_x: PfaModel, pfa_y: PfaModel,
-                         tolerance: float = DEFAULT_TOLERANCE,
-                         search_witness: bool = False) -> EquivalenceVerdict:
-    """Automaton equivalence via the stop-symbol reduction.
-
-    The verdict's witness is a word over the original alphabet whose stopping
-    probabilities differ (the reduction's own witness may instead separate
-    prefix masses, which is not directly checkable against the automata, so
-    the witness is re-derived by a bounded scan of stopping probabilities).
-    """
-    if pfa_x.alphabet != pfa_y.alphabet:
-        raise ValueError("alphabet mismatch")
-    if pfa_x.mode != pfa_y.mode:
-        raise ValueError("scalar mode mismatch")
-    inner = test_equivalence(compile_hmm(pfa_to_hmm(pfa_x)),
-                             compile_hmm(pfa_to_hmm(pfa_y)),
-                             tolerance)
-    witness = details = None
-    if not inner.equivalent and (inner.witness is not None or search_witness):
-        # differing processes must differ on some stopping probability within
-        # the dimension sum; scan a little past it for numerical headroom
-        witness, details = _pfa_witness(pfa_x, pfa_y,
-                                        inner.dim_x + inner.dim_y + 1,
-                                        pfa_x.mode, tolerance)
-        if witness is None and inner.witness is not None:
-            raise AssertionError(
-                "reduction found a difference but no stopping probability "
-                "differs within the dimension bound")
-    return EquivalenceVerdict(inner.equivalent, inner.reason, witness, details,
-                              inner.dim_x, inner.dim_y, pfa_x.alphabet,
-                              inner.mode, inner.tolerance)
+                         tolerance: float = DEFAULT_TOLERANCE) -> EquivalenceVerdict:
+    """Automaton equivalence: equal acceptance probability on every word."""
+    return test_equivalence(compile_pfa(pfa_x), compile_pfa(pfa_y), tolerance)

@@ -1,4 +1,4 @@
-"""Incremental linear independence testing and small exact solvers.
+"""Incremental linear independence testing and small vector products.
 
 The equivalence machinery asks one question over and over: does this vector
 extend the span of the ones accepted so far?  ``IndependenceTester`` keeps the
@@ -122,65 +122,3 @@ def rank(matrix, mode: str = EXACT, tolerance: float = DEFAULT_TOLERANCE) -> int
     for r in rows:
         tester.try_insert(r)
     return tester.rank
-
-
-def solve_coefficients(basis_vectors, target, mode: str = EXACT,
-                       tolerance: float = DEFAULT_TOLERANCE):
-    """Coefficients expressing ``target`` over ``basis_vectors``, or None.
-
-    Free coefficients (when the given vectors are dependent) are set to zero.
-    """
-    vectors = [tuple(v) for v in basis_vectors]
-    goal = tuple(target)
-    n = len(goal)
-    if any(len(v) != n for v in vectors):
-        raise ValueError("basis vector length does not match target")
-    m = len(vectors)
-
-    def is_zero(x, scale):
-        if mode == EXACT:
-            return x == 0
-        return abs(x) <= tolerance * scale
-
-    if m == 0:
-        if all(is_zero(x, 1.0) for x in goal):
-            return ()
-        return None
-
-    # Augmented tableau [B | target], one row per coordinate.
-    rows = [[vectors[j][i] for j in range(m)] + [goal[i]] for i in range(n)]
-    scale = 1.0
-    if mode == FLOAT:
-        scale = max((abs(x) for row in rows for x in row), default=0.0) or 1.0
-
-    pivot_cols: list[int] = []
-    next_row = 0
-    for col in range(m):
-        if mode == EXACT:
-            found = next((k for k in range(next_row, n) if rows[k][col] != 0), None)
-        else:
-            found = None
-            if next_row < n:
-                best = max(range(next_row, n), key=lambda k: abs(rows[k][col]))
-                if abs(rows[best][col]) > tolerance * scale:
-                    found = best
-        if found is None:
-            continue
-        rows[next_row], rows[found] = rows[found], rows[next_row]
-        pivot = rows[next_row][col]
-        for k in range(n):
-            if k != next_row and rows[k][col]:
-                factor = rows[k][col] / pivot
-                rows[k] = [a - factor * b for a, b in zip(rows[k], rows[next_row])]
-        pivot_cols.append(col)
-        next_row += 1
-
-    for k in range(next_row, n):
-        if not is_zero(rows[k][m], scale):
-            return None
-
-    from .scalars import zero as scalar_zero
-    beta = [scalar_zero(mode)] * m
-    for row_idx, col in enumerate(pivot_cols):
-        beta[col] = rows[row_idx][m] / rows[row_idx][col]
-    return tuple(beta)

@@ -115,6 +115,13 @@ def compile_hmm(hmm: HmmModel) -> LinearRepresentation:
                                 hmm.initial, fin, hmm.mode)
 
 
+def compile_pfa(pfa: PfaModel) -> LinearRepresentation:
+    """The acceptance series pi . M_v . F: the probability of reading v and
+    then stopping.  Unlike ``compile_model``, no stop symbol is added."""
+    return LinearRepresentation(pfa.alphabet, pfa.transitions, pfa.initial,
+                                pfa.final, pfa.mode)
+
+
 def _coordinate_pairs(k: int):
     re_pairs = [(m1, m2) for m1 in range(k) for m2 in range(m1, k)]
     im_pairs = [(m1, m2) for m1 in range(k) for m2 in range(m1 + 1, k)]

@@ -349,26 +349,20 @@ def test_criterion_7_structural_invariants(hmm_results, qrw_results,
             assert lr.prob_bilinear(fv, word[cut], bv) == direct
         splits += 1
 
+    # every exact "not equivalent" verdict carries a certifying witness
     witnessed = 0
     for kind, lr_x, lr_y, verdict, _ in hmm_results[0] + qrw_results:
-        word = verdict.witness
-        if word is None:
+        if verdict.equivalent:
             continue
+        word = verdict.witness
+        assert word is not None, f"{kind} pair: {verdict.reason} without witness"
         px, py = lr_x.prob(word), lr_y.prob(word)
         assert px != py and (px, py) == verdict.details
         witnessed += 1
-    searched = 0
-    candidates = [r for r in hmm_results[0]
-                  if not r[3].equivalent and r[3].witness is None]
-    for kind, lr_x, lr_y, verdict, _ in candidates[:60]:
-        v = equivalence.test_equivalence(lr_x, lr_y, search_witness=True)
-        assert v.witness is not None
-        assert lr_x.prob(v.witness) != lr_y.prob(v.witness)
-        searched += 1
 
     _check("structural invariants", True,
            f"{len(reps)} representations, {splits} bilinear splits, "
-           f"{witnessed}+{searched} witnesses certified")
+           f"{witnessed} witnesses certified")
 
 
 def _assert_mass_splits(lr, depth: int):
@@ -399,7 +393,7 @@ def test_criterion_8_deterministic_output():
                         ("half_stop.pfa", "stop_now.pfa"),
                         ("hadamard.qrw", "hadamard.qrw")]:
         invocations.append(["equiv", str(CORPUS_DIR / left),
-                            str(CORPUS_DIR / right), "--search-witness"])
+                            str(CORPUS_DIR / right)])
     checked = 0
     for args in invocations:
         outputs = set()

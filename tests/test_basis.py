@@ -1,8 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from finitary.basis import compute_basis, reduce_rows, row_generator
 from finitary.linalg import dot, rank
 from finitary.representation import LinearRepresentation, compile_model
@@ -40,10 +38,21 @@ class TestRowGenerator:
             assert iterations <= len(lr.alphabet.symbols) * lr.dimension, name
 
     def test_zero_fin_rejected(self):
+        # the row scan rejects a zero final vector and the basis is empty:
+        # the zero series, e.g. of an automaton that never stops, has dim 0
         lr = LinearRepresentation(
             g.alphabet(1), (((F(1),),),), (F(1),), (F(0),), EXACT)
-        with pytest.raises(ArithmeticError, match="final vector"):
-            row_generator(lr)
+        assert row_generator(lr) == ([], [], 0)
+        basis = compute_basis(lr)
+        assert basis.dim == 0
+        assert basis.row_words == basis.col_words == basis.matrix == ()
+
+    def test_unreachable_fin_gives_dim_zero(self):
+        # final weight only on a state the initial vector never reaches
+        lr = LinearRepresentation(
+            g.alphabet(1), (((F(1), F(0)), (F(0), F(1))),),
+            (F(1), F(0)), (F(0), F(1)), EXACT)
+        assert compute_basis(lr).dim == 0
 
 
 class TestComputeBasis:

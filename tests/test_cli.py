@@ -3,7 +3,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from finitary import cli
 from finitary.cli import main
+from finitary.model_io import parse_model
+from finitary.models import acceptance_probability
 
 from conftest import CORPUS_DIR
 
@@ -39,19 +42,22 @@ class TestEquiv:
                               "left:  1/2\n"
                               "right: 1/3\n")
 
-    def test_dimension_mismatch_hints_at_search(self, runner):
+    def test_dimension_mismatch_prints_witness(self, runner):
         res = runner.invoke(main, ["equiv", corpus("swap.qrw"),
                                    corpus("identity.qrw")])
         assert res.exit_code == 1
-        assert "witness: none computed (rerun with --search-witness)" \
-            in res.stdout
+        assert res.stdout == ("not equivalent: dimension-mismatch\n"
+                              "dims: 2 vs 1\n"
+                              "witness: a\n"
+                              "left:  0\n"
+                              "right: 1\n")
 
     def test_search_witness_flag(self, runner):
+        # removed: every exact difference already comes with a witness
         res = runner.invoke(main, ["equiv", corpus("swap.qrw"),
                                    corpus("identity.qrw"), "--search-witness"])
-        assert res.exit_code == 1
-        assert "witness: a\n" in res.stdout
-        assert "left:  0\n" in res.stdout
+        assert res.exit_code == 2
+        assert "No such option" in res.stderr
 
     def test_json_schema(self, runner):
         res = runner.invoke(main, ["equiv", corpus("coin.hmm"),
@@ -71,15 +77,27 @@ class TestEquiv:
     def test_pfa_pair_notice_and_verdict(self, runner):
         res = runner.invoke(main, ["equiv", corpus("loop_ab.pfa"),
                                    corpus("loop_ab_swapped.pfa")])
+        # acceptance series are compared directly: no stop-symbol note
         assert res.exit_code == 0
-        assert "both automata reduced" in res.stderr
-        assert res.stdout.startswith("equivalent (exact)")
+        assert res.stderr == ""
+        assert res.stdout == "equivalent (exact)\ndim: 2\n"
 
     def test_mode_mismatch(self, runner):
         res = runner.invoke(main, ["equiv", corpus("coin.hmm"),
                                    corpus("hadamard.qrw")])
         assert res.exit_code == 2
         assert res.stderr == "error: scalar mode mismatch\n"
+
+    def test_internal_error_exits_2(self, runner, monkeypatch):
+        # exit 1 means "not equivalent"; a fault must not look like one
+        def broken(*args):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(cli, "test_equivalence", broken)
+        res = runner.invoke(main, ["equiv", corpus("coin.hmm"),
+                                   corpus("biased.hmm")])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: internal error: RuntimeError: boom\n"
 
     def test_missing_file(self, runner):
         res = runner.invoke(main, ["equiv", corpus("coin.hmm"), "no_such"])
@@ -106,6 +124,65 @@ class TestEquiv:
         res = runner.invoke(main, ["equiv", str(a), str(b)],
                             env={"FINITARY_TOLERANCE": "1e-3"})
         assert res.exit_code == 0
+
+
+def pfa_text(pi, final, moves):
+    """A two-symbol automaton file; ``moves`` maps a symbol to its rows."""
+    lines = ["kind: pfa", "mode: exact", "alphabet: a b",
+             f"n: {len(pi.split())}", f"pi: {pi}", f"F: {final}"]
+    for symbol in "ab":
+        lines.append(f"Ma {symbol}:")
+        lines.extend(moves[symbol])
+    return "\n".join(lines) + "\n"
+
+
+# never stop: the acceptance series of both is zero
+LOOP_A = pfa_text("1", "0", {"a": ["1"], "b": ["0"]})
+LOOP_B = pfa_text("1", "0", {"a": ["0"], "b": ["1"]})
+# both accept only the empty word, with probability 1/2; the non-accepting
+# halves emit different streams, so their stop-symbol processes differ
+HALF_LOOP_A = pfa_text("1/2 1/2", "1 0",
+                       {"a": ["0 0", "0 1"], "b": ["0 0", "0 0"]})
+HALF_CYCLE_AB = pfa_text("1/2 1/2 0", "1 0 0",
+                         {"a": ["0 0 0", "0 0 1", "0 0 0"],
+                          "b": ["0 0 0", "0 0 0", "0 1 0"]})
+# stop with 1/2 after any word of a's and b's, each read with 1/4 ...
+QUARTER_STEPS = pfa_text("1", "1/2", {"a": ["1/4"], "b": ["1/4"]})
+# ... but in the second, reading b also leads to a state that never stops
+QUARTER_THEN_TRAP = pfa_text("1 0", "1/2 0",
+                             {"a": ["1/4 0", "0 0"], "b": ["0 1/4", "0 1"]})
+
+
+class TestPfaAcceptance:
+    def equiv(self, runner, tmp_path, x_text, y_text):
+        x, y = tmp_path / "x.pfa", tmp_path / "y.pfa"
+        x.write_text(x_text)
+        y.write_text(y_text)
+        return runner.invoke(main, ["equiv", str(x), str(y),
+                                    "--format", "json"])
+
+    def test_never_stopping_pair_is_equivalent(self, runner, tmp_path):
+        res = self.equiv(runner, tmp_path, LOOP_A, LOOP_B)
+        assert res.exit_code == 0, res.output
+        payload = json.loads(res.stdout)
+        assert payload["equivalent"] is True
+        assert (payload["dim_x"], payload["dim_y"]) == (0, 0)
+
+    def test_equal_acceptance_with_different_streams(self, runner, tmp_path):
+        for x, y in ((HALF_LOOP_A, HALF_CYCLE_AB), (HALF_CYCLE_AB, HALF_LOOP_A)):
+            res = self.equiv(runner, tmp_path, x, y)
+            assert res.exit_code == 0, res.output
+            assert json.loads(res.stdout)["equivalent"] is True
+
+    def test_partially_stopping_witness_certifies(self, runner, tmp_path):
+        res = self.equiv(runner, tmp_path, QUARTER_STEPS, QUARTER_THEN_TRAP)
+        assert res.exit_code == 1, res.output
+        payload = json.loads(res.stdout)
+        x, y = parse_model(QUARTER_STEPS), parse_model(QUARTER_THEN_TRAP)
+        word = x.alphabet.parse_word(payload["witness"])
+        px, py = acceptance_probability(x, word), acceptance_probability(y, word)
+        assert px != py
+        assert payload["values"] == [str(px), str(py)]
 
 
 class TestDimAndBasis:
@@ -198,6 +275,11 @@ class TestOracle:
         assert res.exit_code == 2
         assert res.stderr.startswith("error:")
 
+    def test_negative_length_rejected(self, runner):
+        res = runner.invoke(main, ["oracle", corpus("coin.hmm"), "-L", "-1"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+
     def test_three_files_rejected(self, runner):
         res = runner.invoke(main, ["oracle", corpus("coin.hmm"),
                                    corpus("coin.hmm"), corpus("coin.hmm")])
@@ -240,7 +322,7 @@ def test_repeated_runs_are_byte_identical(runner):
     invocations = [
         ["equiv", corpus("coin.hmm"), corpus("biased.hmm")],
         ["equiv", corpus("swap.qrw"), corpus("identity.qrw"),
-         "--search-witness", "--format", "json"],
+         "--format", "json"],
         ["basis", corpus("loop_ab.pfa")],
         ["oracle", corpus("swap.qrw"), "-L", "3"],
     ]

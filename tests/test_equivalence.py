@@ -12,7 +12,6 @@ from finitary.equivalence import (
     DIMENSION_MISMATCH,
     INITIAL_ROW_MISMATCH,
     ONE_STEP_MISMATCH,
-    cross_class_equivalence,
 )
 from finitary.models import HmmModel, acceptance_probability
 from finitary.representation import compile_model
@@ -46,18 +45,26 @@ class TestVerdicts:
         assert v.witness == (0,)
         assert v.details == (F(1, 2), F(1, 3))
 
-    def test_dimension_mismatch_has_no_witness_by_default(self):
-        v = equivalence.test_equivalence(corpus_lr("swap.qrw"), corpus_lr("identity.qrw"))
+    def test_dimension_mismatch_witness_when_x_drives(self):
+        # the larger basis's block is invertible and the smaller model's
+        # entries are not, so one of them certifies the difference
+        x, y = corpus_lr("swap.qrw"), corpus_lr("identity.qrw")
+        v = equivalence.test_equivalence(x, y)
         assert not v.equivalent
         assert v.reason == DIMENSION_MISMATCH
         assert (v.dim_x, v.dim_y) == (2, 1)
-        assert v.witness is None
-
-    def test_dimension_mismatch_witness_on_request(self):
-        v = equivalence.test_equivalence(corpus_lr("swap.qrw"), corpus_lr("identity.qrw"),
-                             search_witness=True)
         assert v.witness == (0,)
-        assert v.details == (0, 1)
+        assert v.details == (x.prob(v.witness), y.prob(v.witness)) == (0, 1)
+
+    def test_dimension_mismatch_witness_when_y_drives(self):
+        # the larger basis is y's; details stay in (x, y) order
+        x, y = corpus_lr("identity.qrw"), corpus_lr("swap.qrw")
+        v = equivalence.test_equivalence(x, y)
+        assert not v.equivalent
+        assert v.reason == DIMENSION_MISMATCH
+        assert (v.dim_x, v.dim_y) == (1, 2)
+        assert v.witness == (0,)
+        assert v.details == (x.prob(v.witness), y.prob(v.witness)) == (1, 0)
 
     def test_reflexive_on_corpus(self):
         for name in corpus_names():
@@ -128,14 +135,13 @@ class TestReasonClassification:
         for _ in range(60):
             lr_x = compile_model(g.random_hmm(rng, rng.randint(1, 3), 2))
             lr_y = compile_model(g.random_hmm(rng, rng.randint(1, 3), 2))
-            v = equivalence.test_equivalence(lr_x, lr_y, search_witness=True)
+            v = equivalence.test_equivalence(lr_x, lr_y)
             if v.equivalent:
                 continue
             seen.add(v.reason)
-            if v.witness is not None:
-                px, py = lr_x.prob(v.witness), lr_y.prob(v.witness)
-                assert px != py
-                assert v.details == (px, py)
+            px, py = lr_x.prob(v.witness), lr_y.prob(v.witness)
+            assert px != py
+            assert v.details == (px, py)
         assert seen  # at least some non-equivalent pairs showed up
 
 
@@ -143,8 +149,8 @@ class TestCrossClass:
     def test_hmm_equals_qrw(self):
         # a one-state emit-a-forever chain and the identity walk generate
         # the same constant process
-        v = cross_class_equivalence(corpus_lr("constant_a_1state.hmm"),
-                                    corpus_lr("identity.qrw"))
+        v = equivalence.test_equivalence(corpus_lr("constant_a_1state.hmm"),
+                                         corpus_lr("identity.qrw"))
         assert v.equivalent
         assert (v.dim_x, v.dim_y) == (1, 1)
 
@@ -157,8 +163,8 @@ class TestCrossClass:
         # the float-mode walk is a fair coin; compare against a float coin
         coin = HmmModel(g.alphabet(2), (1.0,), ((1.0,),), ((0.5, 0.5),),
                         mode=FLOAT)
-        v = cross_class_equivalence(compile_model(coin),
-                                    corpus_lr("hadamard.qrw"))
+        v = equivalence.test_equivalence(compile_model(coin),
+                                         corpus_lr("hadamard.qrw"))
         assert v.equivalent
         assert v.within_tolerance
         assert v.tolerance == pytest.approx(1e-9)
@@ -190,17 +196,18 @@ class TestPfaVerdicts:
         v = equivalence.test_equivalence_pfa(load_corpus_model("loop_ab.pfa"),
                                  load_corpus_model("loop_ab_swapped.pfa"))
         assert v.equivalent
-        assert (v.dim_x, v.dim_y) == (3, 3)
+        # acceptance-series dimensions; the stop-symbol processes have 3
+        assert (v.dim_x, v.dim_y) == (2, 2)
 
     def test_witness_is_an_acceptance_word(self):
-        # the dimension mismatch itself separates prefix masses; the verdict
-        # re-derives a word whose stopping probabilities differ
+        # the acceptance series are compared directly, so the witness is a
+        # word whose stopping probabilities differ
         x = load_corpus_model("half_stop.pfa")
         y = load_corpus_model("stop_now.pfa")
-        v = equivalence.test_equivalence_pfa(x, y, search_witness=True)
+        v = equivalence.test_equivalence_pfa(x, y)
         assert not v.equivalent
-        assert v.reason == DIMENSION_MISMATCH
-        assert (v.dim_x, v.dim_y) == (2, 1)
+        assert v.reason == INITIAL_ROW_MISMATCH
+        assert (v.dim_x, v.dim_y) == (1, 1)
         assert v.witness == ()
         assert v.details == (F(1, 2), F(1))
         assert acceptance_probability(x, v.witness) != \
@@ -211,10 +218,11 @@ class TestPfaVerdicts:
         for _ in range(30):
             x = g.random_pfa(rng, rng.randint(1, 3), 2)
             y = g.random_pfa(rng, rng.randint(1, 3), 2)
-            v = equivalence.test_equivalence_pfa(x, y, search_witness=True)
-            if v.witness is not None:
-                assert acceptance_probability(x, v.witness) != \
-                    acceptance_probability(y, v.witness)
+            v = equivalence.test_equivalence_pfa(x, y)
+            if not v.equivalent:
+                assert v.details == (acceptance_probability(x, v.witness),
+                                     acceptance_probability(y, v.witness))
+                assert v.details[0] != v.details[1]
 
     def test_alphabet_mismatch_rejected(self):
         with pytest.raises(ValueError, match="alphabet"):

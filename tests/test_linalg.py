@@ -10,7 +10,6 @@ from finitary.linalg import (
     dot,
     mat_vec,
     rank,
-    solve_coefficients,
     vec_mat,
 )
 from finitary.scalars import EXACT, FLOAT
@@ -94,47 +93,3 @@ class TestRank:
         rng.shuffle(shuffled)
         assert rank(shuffled) == r
 
-
-class TestSolveCoefficients:
-    def test_reproduces_target(self):
-        basis = [(F(1), F(0), F(1)), (F(0), F(1), F(1))]
-        target = (F(2), F(3), F(5))
-        beta = solve_coefficients(basis, target)
-        assert beta is not None
-        recombined = [sum(b * v[i] for b, v in zip(beta, basis))
-                      for i in range(3)]
-        assert tuple(recombined) == target
-
-    def test_inconsistent_is_none(self):
-        assert solve_coefficients([(F(1), F(0))], (F(0), F(1))) is None
-
-    def test_empty_basis(self):
-        assert solve_coefficients([], (F(0), F(0))) == ()
-        assert solve_coefficients([], (F(1),)) is None
-
-    def test_dependent_basis_uses_zero_free_coefficients(self):
-        basis = [(F(1), F(1)), (F(2), F(2))]
-        beta = solve_coefficients(basis, (F(3), F(3)))
-        assert beta == (F(3), F(0))
-
-    def test_float_mode(self):
-        beta = solve_coefficients([(1.0, 0.0), (0.0, 1.0)], (0.25, 0.75),
-                                  mode=FLOAT)
-        assert beta == (0.25, 0.75)
-
-    @settings(deadline=None, max_examples=60)
-    @given(st.integers(0, 2**32 - 1))
-    def test_membership_round_trip(self, seed):
-        # any combination of the basis must be recognized and reproduced
-        rng = random.Random(seed)
-        n, m = rng.randint(1, 4), rng.randint(1, 4)
-        basis = [tuple(F(rng.randint(-3, 3)) for _ in range(n))
-                 for _ in range(m)]
-        coeffs = [F(rng.randint(-3, 3)) for _ in range(m)]
-        target = tuple(sum(c * v[i] for c, v in zip(coeffs, basis))
-                       for i in range(n))
-        beta = solve_coefficients(basis, target)
-        assert beta is not None
-        recombined = tuple(sum(b * v[i] for b, v in zip(beta, basis))
-                           for i in range(n))
-        assert recombined == target
