@@ -19,6 +19,15 @@ Candidates are processed first-in-first-out, created in alphabet order, and
 carry their backward/forward vectors so each extension costs one
 matrix-vector product.  The total number of row candidates examined is at
 most |alphabet| times the representation dimension.
+
+The scans carry each vector as ``scale * coords`` (``ScaledVector``); in
+exact mode the coordinates are coprime integers.  Step 2's column entries
+and step 3's block are the integer products dot(coords_w, coords_v), which
+differ from p(w v) by one nonzero factor per row and one per column, so
+every independence test runs on integers with the same outcome.  The
+accepted columns are the block, so step 3 computes no further products.
+``Basis`` reports true values: scale_w * scale_v * dot for the block, and
+scale * coords for the cached vectors.
 """
 
 from __future__ import annotations
@@ -26,9 +35,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .linalg import IndependenceTester, dot
+from .linalg import IndependenceTester, dot, scaled
 from .models import Word
-from .representation import BackwardVector, ForwardVector, LinearRepresentation
+from .representation import (BackwardVector, ForwardVector,
+                             LinearRepresentation, ScaledVector)
 from .scalars import DEFAULT_TOLERANCE, EXACT
 
 
@@ -45,18 +55,19 @@ class Basis:
 
 def row_generator(lr: LinearRepresentation,
                   tolerance: float = DEFAULT_TOLERANCE):
-    """Accepted row words with backward vectors, plus the candidate count.
+    """Accepted row words with scaled backward vectors, plus the candidate
+    count.
 
     A zero final vector yields no rows: the series is zero.
     """
     tester = IndependenceTester(lr.dimension, lr.mode, tolerance)
-    root = BackwardVector((), lr.fin)
+    root = lr.scaled_backward(())
     if not tester.try_insert(root.coords):
         return [], [], 0
     words: list[Word] = [()]
-    backwards: list[BackwardVector] = [root]
-    queue: deque[BackwardVector] = deque(
-        lr.extend_backward(a, root) for a in range(len(lr.alphabet)))
+    backwards: list[ScaledVector] = [root]
+    queue: deque[ScaledVector] = deque(
+        lr.step_backward(a, root) for a in range(len(lr.alphabet)))
     iterations = 0
     while queue:
         iterations += 1
@@ -64,37 +75,40 @@ def row_generator(lr: LinearRepresentation,
         if tester.try_insert(candidate.coords):
             words.append(candidate.word)
             backwards.append(candidate)
-            queue.extend(lr.extend_backward(a, candidate)
+            queue.extend(lr.step_backward(a, candidate)
                          for a in range(len(lr.alphabet)))
     return words, backwards, iterations
 
 
 def column_basis(lr: LinearRepresentation, row_words, backwards,
                  tolerance: float = DEFAULT_TOLERANCE):
-    """Accepted column words with forward vectors, given the row scan output.
+    """Accepted column words with scaled forward vectors and their columns,
+    given the row scan output.
 
-    A zero empty-word column yields no columns: the series is zero.
+    Column j holds dot(forward coords, backward coords) for every row: the
+    values p(w v) up to one nonzero factor per row and one per column, which
+    leaves the independence of columns (and of rows) unchanged.  A zero
+    empty-word column yields no columns: the series is zero.
     """
     tester = IndependenceTester(len(row_words), lr.mode, tolerance)
 
-    def column(fv: ForwardVector) -> tuple:
+    def column(fv: ScaledVector) -> tuple:
         return tuple(dot(fv.coords, bv.coords) for bv in backwards)
 
-    root = ForwardVector((), lr.init)
-    if not tester.try_insert(column(root)):
-        return [], []
-    words: list[Word] = [()]
-    forwards: list[ForwardVector] = [root]
-    queue: deque[ForwardVector] = deque(
-        lr.extend_forward(root, a) for a in range(len(lr.alphabet)))
+    words: list[Word] = []
+    forwards: list[ScaledVector] = []
+    columns: list[tuple] = []
+    queue: deque[ScaledVector] = deque([lr.scaled_forward(())])
     while queue:
         candidate = queue.popleft()
-        if tester.try_insert(column(candidate)):
+        candidate_column = column(candidate)
+        if tester.try_insert(candidate_column):
             words.append(candidate.word)
             forwards.append(candidate)
-            queue.extend(lr.extend_forward(candidate, a)
+            columns.append(candidate_column)
+            queue.extend(lr.step_forward(candidate, a)
                          for a in range(len(lr.alphabet)))
-    return words, forwards
+    return words, forwards, columns
 
 
 def reduce_rows(matrix, mode: str = EXACT,
@@ -108,22 +122,31 @@ def reduce_rows(matrix, mode: str = EXACT,
 
 def compute_basis(lr: LinearRepresentation,
                   tolerance: float = DEFAULT_TOLERANCE) -> Basis:
+    mode = lr.mode
     row_words, backwards, iterations = row_generator(lr, tolerance)
-    col_words, forwards = column_basis(lr, row_words, backwards, tolerance)
-    raw = [[dot(fv.coords, bv.coords) for fv in forwards] for bv in backwards]
-    keep = reduce_rows(raw, lr.mode, tolerance)
+    col_words, forwards, columns = column_basis(lr, row_words, backwards,
+                                                tolerance)
+    raw = list(zip(*columns))  # raw[i][j] = dot(coords_w_j, coords_v_i)
+    keep = reduce_rows(raw, mode, tolerance)
     if len(keep) != len(col_words):
         # cannot happen in exact mode; a float tolerance judged the same
         # entries inconsistently between the column and row passes
         raise ArithmeticError(
             "row reduction disagrees with column count; "
             "adjust the tolerance for this model")
+
+    def values(sv: ScaledVector) -> tuple:
+        return tuple(scaled(sv.scale, x, mode) for x in sv.coords)
+
     return Basis(
         row_words=tuple(row_words[i] for i in keep),
         col_words=tuple(col_words),
-        matrix=tuple(tuple(raw[i]) for i in keep),
-        backwards=tuple(backwards[i] for i in keep),
-        forwards=tuple(forwards),
+        matrix=tuple(tuple(scaled(backwards[i].scale * fv.scale, x, mode)
+                           for fv, x in zip(forwards, raw[i]))
+                     for i in keep),
+        backwards=tuple(BackwardVector(backwards[i].word, values(backwards[i]))
+                        for i in keep),
+        forwards=tuple(ForwardVector(fv.word, values(fv)) for fv in forwards),
         dim=len(col_words),
         row_iterations=iterations,
     )

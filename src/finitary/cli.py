@@ -53,6 +53,14 @@ def _load(path: str):
         _fail(f"{path}: {exc}")
 
 
+def _check_same_class(models):
+    """Automata are compared by acceptance, other models by their process:
+    a pair with exactly one automaton has no common notion of equivalence."""
+    if len({isinstance(m, PfaModel) for m in models}) > 1:
+        _fail("cannot compare an automaton with a hidden Markov model or "
+              "quantum walk")
+
+
 def _compile(model, path: str):
     if isinstance(model, PfaModel):
         click.echo(f"note: {path} reduced over its alphabet plus the stop "
@@ -96,12 +104,13 @@ def equiv(model_a, model_b, tolerance, fmt):
     """
     a = _load(model_a)
     b = _load(model_b)
+    _check_same_class((a, b))
     try:
-        if isinstance(a, PfaModel) and isinstance(b, PfaModel):
+        if isinstance(a, PfaModel):
             verdict = test_equivalence_pfa(a, b, tolerance)
         else:
-            verdict = test_equivalence(_compile(a, model_a),
-                                       _compile(b, model_b), tolerance)
+            verdict = test_equivalence(compile_model(a), compile_model(b),
+                                       tolerance)
     except (ValueError, ArithmeticError) as exc:
         _fail(str(exc))
     _report_verdict(verdict, fmt)
@@ -232,6 +241,7 @@ def oracle(model_files, max_len, budget, tolerance, fmt):
     if len(model_files) not in (1, 2):
         _fail("oracle takes one or two model files")
     models = [_load(p) for p in model_files]
+    _check_same_class(models)
     lrs = [_compile(m, p) for m, p in zip(models, model_files)]
     try:
         if len(lrs) == 1:

@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .basis import compute_basis
-from .linalg import dot
+from .linalg import dot, integral, scaled
 # pfa_to_hmm and compile_hmm are unused here; perfbench/tracing.py wraps them
 from .models import Alphabet, PfaModel, Word, pfa_to_hmm  # noqa: F401
-from .representation import (LinearRepresentation, compile_hmm,  # noqa: F401
-                             compile_pfa)
+from .representation import (LinearRepresentation, ScaledVector,  # noqa: F401
+                             compile_hmm, compile_pfa)
 from .scalars import DEFAULT_TOLERANCE, FLOAT, scalars_equal
 
 DIMENSION_MISMATCH = "dimension-mismatch"
@@ -84,13 +84,18 @@ def test_equivalence(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
     def eq(x, y):
         return scalars_equal(x, y, mode, tolerance)
 
-    forwards_small = [lr_small.forward(w) for w in big.col_words]
-    backwards_small = [lr_small.backward(v) for v in big.row_words]
+    # every vector is scale * coords, every value
+    # scale_w * scale_v * dot(coords_w, coords_v)
+    forwards_small = [lr_small.scaled_forward(w) for w in big.col_words]
+    backwards_small = [lr_small.scaled_backward(v) for v in big.row_words]
 
     for wi, w in enumerate(big.col_words):
+        fs = forwards_small[wi]
         for vi, v in enumerate(big.row_words):
+            bs = backwards_small[vi]
             p_big = big.matrix[vi][wi]
-            p_small = dot(forwards_small[wi].coords, backwards_small[vi].coords)
+            p_small = scaled(fs.scale * bs.scale, dot(fs.coords, bs.coords),
+                             mode)
             if not eq(p_big, p_small):
                 if not same_dim:
                     reason = DIMENSION_MISMATCH
@@ -102,17 +107,25 @@ def test_equivalence(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
     if not same_dim:
         return verdict(False, DIMENSION_MISMATCH)
 
+    forwards_big = [ScaledVector(fv.word, *integral(fv.coords, mode))
+                    for fv in big.forwards]
+    backwards_big = [ScaledVector(bv.word, *integral(bv.coords, mode))
+                     for bv in big.backwards]
     # T[a] . backward(v) does not depend on the column word: build it once
     num_symbols = len(lr_x.alphabet)
-    steps_big = [[lr_big.extend_backward(a, bv).coords for bv in big.backwards]
+    steps_big = [[lr_big.step_backward(a, bv) for bv in backwards_big]
                  for a in range(num_symbols)]
-    steps_small = [[lr_small.extend_backward(a, bv).coords
-                    for bv in backwards_small] for a in range(num_symbols)]
+    steps_small = [[lr_small.step_backward(a, bv) for bv in backwards_small]
+                   for a in range(num_symbols)]
     for wi, w in enumerate(big.col_words):
+        fb, fs = forwards_big[wi], forwards_small[wi]
         for a in range(num_symbols):
             for vi, v in enumerate(big.row_words):
-                p_big = dot(big.forwards[wi].coords, steps_big[a][vi])
-                p_small = dot(forwards_small[wi].coords, steps_small[a][vi])
+                sb, ss = steps_big[a][vi], steps_small[a][vi]
+                p_big = scaled(fb.scale * sb.scale, dot(fb.coords, sb.coords),
+                               mode)
+                p_small = scaled(fs.scale * ss.scale,
+                                 dot(fs.coords, ss.coords), mode)
                 if not eq(p_big, p_small):
                     return verdict(False, ONE_STEP_MISMATCH, w + (a,) + v,
                                    p_big, p_small)

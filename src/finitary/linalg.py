@@ -5,14 +5,45 @@ extend the span of the ones accepted so far?  ``IndependenceTester`` keeps the
 accepted vectors in row-echelon form so each query costs one elimination pass,
 O(n * rank), instead of refactoring the whole collection.
 
-Exact mode decides zero by literal equality.  Float mode treats an entry as
-zero when it is negligible relative to the largest pivot accepted so far
+Exact mode works on integers.  Independence does not change when a vector
+is scaled by a nonzero number, so ``integral`` splits an exact vector into
+one rational scale and coprime integer coordinates.  The tester eliminates
+fraction-free (Bareiss, Math. Comp. 22, 1968), dividing out the content of
+the candidate after every step, and builds no ``Fraction`` while it reduces
+a candidate; zero is literal equality.  Float mode treats an entry as zero
+when it is negligible relative to the largest pivot accepted so far
 (relative tolerance, default 1e-9).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+
 from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, MODES
+
+
+def integral(vector, mode: str):
+    """``(scale, coords)`` with ``vector == scale * coords``.
+
+    In exact mode ``coords`` are coprime integers and ``scale`` a
+    ``Fraction`` (0 for the zero vector); entries may be ``int`` or
+    ``Fraction``.  A float vector comes back unchanged with scale 1.0.
+    """
+    if mode != EXACT:
+        return 1.0, vector
+    den = lcm(*(x.denominator for x in vector))
+    ints = [x.numerator * (den // x.denominator) for x in vector]
+    content = gcd(*ints)
+    if content > 1:
+        ints = [x // content for x in ints]
+    return Fraction(content, den), tuple(ints)
+
+
+def scaled(scale, x, mode: str):
+    """``scale * x``.  Float values carry scale 1.0 and come back as they
+    are, so float arithmetic is the same as on unscaled vectors."""
+    return scale * x if mode == EXACT else x
 
 
 def dot(u, v):
@@ -74,7 +105,25 @@ class IndependenceTester:
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduced(self, vector) -> list:
+    def _reduced_exact(self, vector) -> list:
+        r = list(integral(vector, EXACT)[1])
+        for row, p in zip(self._rows, self._pivots):
+            x = r[p]
+            if x:
+                # r <- y*r - x*row with x/y in lowest terms, then divide
+                # out the content of r, keeping its entries coprime
+                y = row[p]
+                g = gcd(x, y)
+                if g > 1:
+                    x //= g
+                    y //= g
+                r = [y * a - x * b if b else y * a for a, b in zip(r, row)]
+                content = gcd(*r)
+                if content > 1:
+                    r = [a // content for a in r]
+        return r
+
+    def _reduced_float(self, vector) -> list:
         r = list(vector)
         for row, p in zip(self._rows, self._pivots):
             factor = r[p] / row[p]
@@ -89,10 +138,11 @@ class IndependenceTester:
         if len(vector) != self.dimension:
             raise ValueError(
                 f"vector has length {len(vector)}, expected {self.dimension}")
-        r = self._reduced(vector)
         if self.mode == EXACT:
+            r = self._reduced_exact(vector)
             pivot = next((i for i, x in enumerate(r) if x != 0), None)
         else:
+            r = self._reduced_float(vector)
             pivot = None
             if r:
                 best = max(range(len(r)), key=lambda i: abs(r[i]))

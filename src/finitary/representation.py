@@ -22,13 +22,20 @@ Hidden Markov models land here directly.  Quantum walks need two twists:
 Forward vectors (init times a prefix product) and backward vectors (a suffix
 product times fin) extend by one symbol in O(n^2) and pair up via
 p(w a v) = forward(w) . T[a] . backward(v).
+
+``prob``, ``forward``, ``backward`` and their extensions compute in the
+model's scalars and are the reference.  The basis scans use the scaled form
+instead: a ``ScaledVector`` is ``scale * coords`` with coprime integer
+coordinates in exact mode, extended through one integer matrix per symbol,
+T[a] = scale[a] * M[a].  Float vectors carry scale 1.0 and T[a] itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .linalg import dot, mat_vec, vec_mat
+from .linalg import dot, integral, mat_vec, vec_mat
 from .models import HmmModel, Model, PfaModel, QrwModel, Word, pfa_to_hmm
 from .scalars import ComplexScalar, complex_i, one, zero
 
@@ -46,6 +53,14 @@ class BackwardVector:
 
 
 @dataclass(frozen=True)
+class ScaledVector:
+    """A forward or backward vector equal to ``scale * coords``."""
+    word: Word
+    scale: object
+    coords: tuple
+
+
+@dataclass(frozen=True)
 class LinearRepresentation:
     alphabet: object
     matrices: tuple  # one n x n step matrix per symbol, alphabet order
@@ -57,10 +72,13 @@ class LinearRepresentation:
     def dimension(self) -> int:
         return len(self.init)
 
-    def _matrix(self, a: int):
+    def _symbol(self, a: int) -> int:
         if not 0 <= a < len(self.matrices):
             raise ValueError(f"symbol index out of range: {a}")
-        return self.matrices[a]
+        return a
+
+    def _matrix(self, a: int):
+        return self.matrices[self._symbol(a)]
 
     def prob(self, word: Word):
         row = self.init
@@ -87,6 +105,44 @@ class LinearRepresentation:
     def extend_backward(self, a: int, bv: BackwardVector) -> BackwardVector:
         self._check(bv.coords)
         return BackwardVector((a,) + bv.word, mat_vec(self._matrix(a), bv.coords))
+
+    @cached_property
+    def integer_steps(self) -> tuple:
+        """Per symbol ``(scale, M)`` with T[a] == scale * M, M integral in
+        exact mode; ``(1.0, T[a])`` in float mode."""
+        n = self.dimension
+        steps = []
+        for m in self.matrices:
+            scale, flat = integral([x for row in m for x in row], self.mode)
+            steps.append((scale, tuple(tuple(flat[i * n:(i + 1) * n])
+                                       for i in range(n))))
+        return tuple(steps)
+
+    def scaled_forward(self, word: Word) -> ScaledVector:
+        sv = ScaledVector((), *integral(self.init, self.mode))
+        for a in word:
+            sv = self.step_forward(sv, a)
+        return sv
+
+    def scaled_backward(self, word: Word) -> ScaledVector:
+        sv = ScaledVector((), *integral(self.fin, self.mode))
+        for a in reversed(word):
+            sv = self.step_backward(a, sv)
+        return sv
+
+    def step_forward(self, sv: ScaledVector, a: int) -> ScaledVector:
+        self._check(sv.coords)
+        step_scale, m = self.integer_steps[self._symbol(a)]
+        content, coords = integral(vec_mat(sv.coords, m), self.mode)
+        return ScaledVector(sv.word + (a,), sv.scale * step_scale * content,
+                            coords)
+
+    def step_backward(self, a: int, sv: ScaledVector) -> ScaledVector:
+        self._check(sv.coords)
+        step_scale, m = self.integer_steps[self._symbol(a)]
+        content, coords = integral(mat_vec(m, sv.coords), self.mode)
+        return ScaledVector((a,) + sv.word, sv.scale * step_scale * content,
+                            coords)
 
     def prob_bilinear(self, fv: ForwardVector, a: int | None, bv: BackwardVector):
         """p(w a v) from cached ends, or p(w v) when no middle symbol."""

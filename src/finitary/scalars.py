@@ -1,9 +1,12 @@
 """Scalar handling: exact rationals by default, tolerance-based floats on request.
 
 Every model fixes one scalar mode at load time.  Exact mode stores
-``fractions.Fraction`` everywhere and all comparisons are literal equality.
-Float mode stores machine floats and defers to a tolerance, which callers
-thread through explicitly.  The two modes are never mixed inside one model.
+``fractions.Fraction`` in models, representations and reported values, and
+all comparisons are literal equality; the basis scans and the equivalence
+check compute on integer vectors with one ``Fraction`` scale each (see
+``linalg.integral``).  Float mode stores machine floats and defers to a
+tolerance, which callers thread through explicitly.  The two modes are
+never mixed inside one model.
 """
 
 from __future__ import annotations

@@ -82,6 +82,17 @@ class TestEquiv:
         assert res.stderr == ""
         assert res.stdout == "equivalent (exact)\ndim: 2\n"
 
+    def test_automaton_against_other_class_rejected(self, runner):
+        # a reduced automaton reads the stop symbol '$', which no model
+        # file may use, so such a pair never had a common alphabet
+        for pair in (("half_stop.pfa", "coin.hmm"), ("coin.hmm", "half_stop.pfa"),
+                     ("swap.qrw", "loop_ab.pfa")):
+            res = runner.invoke(main, ["equiv", *map(corpus, pair)])
+            assert res.exit_code == 2, pair
+            assert res.stdout == ""
+            assert res.stderr == ("error: cannot compare an automaton with a "
+                                  "hidden Markov model or quantum walk\n")
+
     def test_mode_mismatch(self, runner):
         res = runner.invoke(main, ["equiv", corpus("coin.hmm"),
                                    corpus("hadamard.qrw")])
@@ -268,6 +279,14 @@ class TestOracle:
                                    corpus("biased.hmm")])
         assert res.exit_code == 1
         assert res.stdout == "differs at a: 1/2 vs 1/3\n"
+
+    def test_automaton_against_other_class_rejected(self, runner):
+        for pair in (("half_stop.pfa", "coin.hmm"), ("coin.hmm", "half_stop.pfa")):
+            res = runner.invoke(main, ["oracle", *map(corpus, pair)])
+            assert res.exit_code == 2, pair
+            assert res.stdout == ""
+            assert res.stderr == ("error: cannot compare an automaton with a "
+                                  "hidden Markov model or quantum walk\n")
 
     def test_budget_error(self, runner):
         res = runner.invoke(main, ["oracle", corpus("coin.hmm"),

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from finitary.linalg import (
     IndependenceTester,
     dot,
+    integral,
     mat_vec,
     rank,
     vec_mat,
@@ -93,3 +95,70 @@ class TestRank:
         rng.shuffle(shuffled)
         assert rank(shuffled) == r
 
+
+class TestIntegral:
+    def test_zero_vector(self):
+        assert integral((F(0), F(0)), EXACT) == (0, (0, 0))
+        assert integral((), EXACT) == (0, ())
+
+    def test_negative_entries(self):
+        scale, coords = integral((F(-2, 3), F(4, 9), F(0)), EXACT)
+        assert (scale, coords) == (F(2, 9), (-3, 2, 0))
+
+    def test_mixed_int_and_fraction_entries(self):
+        scale, coords = integral((6, F(3, 2), 0, -9), EXACT)
+        assert (scale, coords) == (F(3, 2), (4, 1, 0, -6))
+        assert all(type(c) is int for c in coords)
+
+    def test_float_vector_unchanged(self):
+        vector = (0.25, -1.5, 0)
+        scale, coords = integral(vector, FLOAT)
+        assert scale == 1.0 and isinstance(scale, float)
+        assert coords is vector
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(st.fractions(max_denominator=10**6), max_size=6))
+    def test_scale_times_coords_is_the_vector(self, entries):
+        scale, coords = integral(entries, EXACT)
+        assert [scale * c for c in coords] == entries
+        assert gcd(*coords) == (1 if any(entries) else 0)
+
+    def test_exact_elimination_divides_no_fraction(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("Fraction division during elimination")
+
+        monkeypatch.setattr(Fraction, "__truediv__", refuse)
+        monkeypatch.setattr(Fraction, "__rtruediv__", refuse)
+        rows = [(F(1, 3), F(2, 7), F(0)), (F(5, 6), F(1, 9), F(3, 11)),
+                (F(7, 6), F(25, 63), F(3, 11))]  # third = first + second
+        assert rank(rows) == 2
+
+
+def _dependent_rows(rng, rows, cols, rank_cap):
+    """A rows x cols rational matrix of rank at most ``rank_cap`` with large,
+    mixed denominators: later rows mix the first ``rank_cap`` ones."""
+    def entry():
+        return F(rng.randint(-10**9, 10**9), rng.randint(1, 10**9))
+
+    base = [[entry() for _ in range(cols)] for _ in range(rank_cap)]
+    out = [row[:] for row in base]
+    while len(out) < rows:
+        weights = [entry() if rng.random() < 0.7 else F(0) for _ in base]
+        out.append([sum((w * row[j] for w, row in zip(weights, base)), F(0))
+                    for j in range(cols)])
+    rng.shuffle(out)
+    return out
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1))
+def test_rank_equals_sympy_rank(seed):
+    import sympy
+
+    rng = random.Random(seed)
+    rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+    m = _dependent_rows(rng, rows, cols, rng.randint(0, min(rows, cols)))
+    expected = sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row]
+         for row in m]).rank()
+    assert rank(m) == expected

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -140,6 +141,24 @@ class TestVectorAlgebra:
     def test_symbol_out_of_range(self, lr):
         with pytest.raises(ValueError, match="out of range"):
             lr.prob((7,))
+
+    def test_scaled_vectors_match_reference(self, lr):
+        for t in range(4):
+            for w in itertools.product(range(2), repeat=t):
+                for sv, ref in ((lr.scaled_forward(w), lr.forward(w)),
+                                (lr.scaled_backward(w), lr.backward(w))):
+                    assert sv.word == ref.word == w
+                    assert all(type(c) is int for c in sv.coords)
+                    assert math.gcd(*sv.coords) == 1
+                    assert tuple(sv.scale * c for c in sv.coords) == ref.coords
+
+    def test_scaled_step_symbol_checked(self, lr):
+        root = lr.scaled_forward(())
+        for a in (2, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                lr.step_forward(root, a)
+            with pytest.raises(ValueError, match="out of range"):
+                lr.step_backward(a, lr.scaled_backward(()))
 
     def test_vector_length_checked(self, lr):
         from finitary.representation import ForwardVector
