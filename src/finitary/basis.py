@@ -12,8 +12,14 @@ rank.  It is found in three steps:
 2. Column candidates grow by appending one symbol.  A word w is accepted when
    the column (p(w v)) over the accepted rows is independent.  The number of
    accepted columns is exactly the process dimension.
-3. Rows whose restriction to the accepted columns is dependent on earlier
-   rows are dropped, leaving a square invertible block.
+3. The rows kept are the pivot rows of step 2's echelon form, in scan order,
+   leaving a square invertible block.  In exact mode a pivot is the first
+   nonzero entry of a reduced column, and each reduced column is zero at the
+   pivots found before it, so the number of pivots up to row i is the rank
+   of rows 0..i of the accepted columns: the pivot rows are exactly the rows
+   independent of their predecessors (``reduce_rows``).  In float mode the
+   pivots come from partial pivoting; there are always ``dim`` of them, and
+   the tolerance judges the block's entries once, in step 2.
 
 Candidates are processed first-in-first-out, created in alphabet order, and
 carry their backward/forward vectors so each extension costs one
@@ -22,12 +28,11 @@ most |alphabet| times the representation dimension.
 
 The scans carry each vector as ``scale * coords`` (``ScaledVector``); in
 exact mode the coordinates are coprime integers.  Step 2's column entries
-and step 3's block are the integer products dot(coords_w, coords_v), which
-differ from p(w v) by one nonzero factor per row and one per column, so
-every independence test runs on integers with the same outcome.  The
-accepted columns are the block, so step 3 computes no further products.
-``Basis`` reports true values: scale_w * scale_v * dot for the block, and
-scale * coords for the cached vectors.
+are the integer products dot(coords_w, coords_v), which differ from p(w v)
+by one nonzero factor per row and one per column, so every independence
+test runs on integers with the same outcome.  The accepted columns are the
+block; ``Basis`` reports its true values, scale_w * scale_v * dot, and
+keeps the scan's own scaled vectors.
 """
 
 from __future__ import annotations
@@ -37,8 +42,7 @@ from dataclasses import dataclass
 
 from .linalg import IndependenceTester, dot, scaled
 from .models import Word
-from .representation import (BackwardVector, ForwardVector,
-                             LinearRepresentation, ScaledVector)
+from .representation import LinearRepresentation, ScaledVector
 from .scalars import DEFAULT_TOLERANCE, EXACT
 
 
@@ -47,8 +51,8 @@ class Basis:
     row_words: tuple[Word, ...]
     col_words: tuple[Word, ...]
     matrix: tuple  # entry [i][j] = p(col_words[j] + row_words[i]), square
-    backwards: tuple[BackwardVector, ...]  # per row word
-    forwards: tuple[ForwardVector, ...]  # per column word
+    backwards: tuple[ScaledVector, ...]  # scan vector of each row word
+    forwards: tuple[ScaledVector, ...]  # scan vector of each column word
     dim: int
     row_iterations: int  # candidates examined by the row scan
 
@@ -82,8 +86,8 @@ def row_generator(lr: LinearRepresentation,
 
 def column_basis(lr: LinearRepresentation, row_words, backwards,
                  tolerance: float = DEFAULT_TOLERANCE):
-    """Accepted column words with scaled forward vectors and their columns,
-    given the row scan output.
+    """Accepted column words with scaled forward vectors, their columns
+    and the pivot row of each, given the row scan output.
 
     Column j holds dot(forward coords, backward coords) for every row: the
     values p(w v) up to one nonzero factor per row and one per column, which
@@ -108,12 +112,16 @@ def column_basis(lr: LinearRepresentation, row_words, backwards,
             columns.append(candidate_column)
             queue.extend(lr.step_forward(candidate, a)
                          for a in range(len(lr.alphabet)))
-    return words, forwards, columns
+    return words, forwards, columns, tester.pivots
 
 
 def reduce_rows(matrix, mode: str = EXACT,
                 tolerance: float = DEFAULT_TOLERANCE) -> list[int]:
-    """Indices of rows independent of their predecessors, in scan order."""
+    """Indices of rows independent of their predecessors, in scan order.
+
+    In exact mode these are the pivot rows ``compute_basis`` keeps; this
+    separate elimination is the reference for that choice.
+    """
     if not matrix:
         return []
     tester = IndependenceTester(len(matrix[0]), mode, tolerance)
@@ -122,31 +130,19 @@ def reduce_rows(matrix, mode: str = EXACT,
 
 def compute_basis(lr: LinearRepresentation,
                   tolerance: float = DEFAULT_TOLERANCE) -> Basis:
-    mode = lr.mode
     row_words, backwards, iterations = row_generator(lr, tolerance)
-    col_words, forwards, columns = column_basis(lr, row_words, backwards,
-                                                tolerance)
-    raw = list(zip(*columns))  # raw[i][j] = dot(coords_w_j, coords_v_i)
-    keep = reduce_rows(raw, mode, tolerance)
-    if len(keep) != len(col_words):
-        # cannot happen in exact mode; a float tolerance judged the same
-        # entries inconsistently between the column and row passes
-        raise ArithmeticError(
-            "row reduction disagrees with column count; "
-            "adjust the tolerance for this model")
-
-    def values(sv: ScaledVector) -> tuple:
-        return tuple(scaled(sv.scale, x, mode) for x in sv.coords)
-
+    col_words, forwards, columns, pivots = column_basis(
+        lr, row_words, backwards, tolerance)
+    keep = sorted(pivots)
     return Basis(
         row_words=tuple(row_words[i] for i in keep),
         col_words=tuple(col_words),
-        matrix=tuple(tuple(scaled(backwards[i].scale * fv.scale, x, mode)
-                           for fv, x in zip(forwards, raw[i]))
+        matrix=tuple(tuple(scaled(backwards[i].scale * fv.scale, column[i],
+                                  lr.mode)
+                           for fv, column in zip(forwards, columns))
                      for i in keep),
-        backwards=tuple(BackwardVector(backwards[i].word, values(backwards[i]))
-                        for i in keep),
-        forwards=tuple(ForwardVector(fv.word, values(fv)) for fv in forwards),
+        backwards=tuple(backwards[i] for i in keep),
+        forwards=tuple(forwards),
         dim=len(col_words),
         row_iterations=iterations,
     )

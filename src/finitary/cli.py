@@ -20,7 +20,7 @@ from .equivalence import EquivalenceVerdict, test_equivalence, test_equivalence_
 from .model_io import ModelSyntaxError, ModelValidationError, parse_model
 from .models import PfaModel
 from .oracle import BudgetExceededError, DEFAULT_BUDGET, brute_equiv, enumerate_probs
-from .representation import compile_model
+from .representation import compile_model, compile_pfa
 from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, format_scalar
 
 _TOLERANCE_ENV = "FINITARY_TOLERANCE"
@@ -68,10 +68,6 @@ def _compile(model, path: str):
     return compile_model(model)
 
 
-def _format_value(x) -> str:
-    return format_scalar(x)
-
-
 class _Group(click.Group):
     """Maps any exception a command leaves unhandled to ``error: ...`` and
     exit 2, so that exit 1 keeps meaning "a difference was established"."""
@@ -111,7 +107,7 @@ def equiv(model_a, model_b, tolerance, fmt):
         else:
             verdict = test_equivalence(compile_model(a), compile_model(b),
                                        tolerance)
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         _fail(str(exc))
     _report_verdict(verdict, fmt)
     sys.exit(0 if verdict.equivalent else 1)
@@ -121,7 +117,7 @@ def _report_verdict(verdict: EquivalenceVerdict, fmt: str):
     witness_text = (None if verdict.witness is None
                     else verdict.alphabet.format_word(verdict.witness))
     values = (None if verdict.details is None
-              else [_format_value(x) for x in verdict.details])
+              else [format_scalar(x) for x in verdict.details])
     if fmt == "json":
         click.echo(json.dumps({
             "equivalent": verdict.equivalent,
@@ -158,10 +154,7 @@ def _report_verdict(verdict: EquivalenceVerdict, fmt: str):
 def dim(model_file, tolerance, fmt):
     """Process dimension of one model file."""
     lr = _compile(_load(model_file), model_file)
-    try:
-        result = compute_basis(lr, tolerance)
-    except ArithmeticError as exc:
-        _fail(str(exc))
+    result = compute_basis(lr, tolerance)
     if fmt == "json":
         click.echo(json.dumps({"dim": result.dim}, indent=2))
     else:
@@ -175,17 +168,14 @@ def dim(model_file, tolerance, fmt):
 def basis(model_file, tolerance, fmt):
     """Basis words and the invertible block for one model file."""
     lr = _compile(_load(model_file), model_file)
-    try:
-        result = compute_basis(lr, tolerance)
-    except ArithmeticError as exc:
-        _fail(str(exc))
+    result = compute_basis(lr, tolerance)
     words = lr.alphabet.format_word
     if fmt == "json":
         click.echo(json.dumps({
             "dim": result.dim,
             "row_words": [words(v) for v in result.row_words],
             "col_words": [words(w) for w in result.col_words],
-            "matrix": [[_format_value(x) for x in row] for row in result.matrix],
+            "matrix": [[format_scalar(x) for x in row] for row in result.matrix],
         }, indent=2))
         return
     click.echo(f"dim: {result.dim}")
@@ -193,7 +183,7 @@ def basis(model_file, tolerance, fmt):
     click.echo("cols (J): " + " ".join(words(w) for w in result.col_words))
     click.echo("block:")
     for row in result.matrix:
-        click.echo("  " + " ".join(_format_value(x) for x in row))
+        click.echo("  " + " ".join(format_scalar(x) for x in row))
 
 
 @main.command()
@@ -216,15 +206,15 @@ def prob(model_file, word, decimal, fmt):
     value = lr.prob(parsed)
     if fmt == "json":
         payload = {"word": lr.alphabet.format_word(parsed),
-                   "prob": _format_value(value)}
+                   "prob": format_scalar(value)}
         if decimal and lr.mode == EXACT:
             payload["decimal"] = float(value)
         click.echo(json.dumps(payload, indent=2))
         return
     if decimal and lr.mode == EXACT:
-        click.echo(f"{_format_value(value)} ≈ {float(value)!r}")
+        click.echo(f"{format_scalar(value)} ≈ {float(value)!r}")
     else:
-        click.echo(_format_value(value))
+        click.echo(format_scalar(value))
 
 
 @main.command()
@@ -237,12 +227,19 @@ def prob(model_file, word, decimal, fmt):
 @tolerance_option
 @format_option
 def oracle(model_files, max_len, budget, tolerance, fmt):
-    """Brute-force word probabilities (one model) or comparison (two)."""
+    """Brute-force word probabilities (one model) or comparison (two).
+
+    Two automata are compared by their acceptance probabilities, as equiv
+    compares them.
+    """
     if len(model_files) not in (1, 2):
         _fail("oracle takes one or two model files")
     models = [_load(p) for p in model_files]
     _check_same_class(models)
-    lrs = [_compile(m, p) for m, p in zip(models, model_files)]
+    if len(models) == 2 and isinstance(models[0], PfaModel):
+        lrs = [compile_pfa(m) for m in models]
+    else:
+        lrs = [_compile(m, p) for m, p in zip(models, model_files)]
     try:
         if len(lrs) == 1:
             table = enumerate_probs(lrs[0], max_len, budget)
@@ -251,11 +248,11 @@ def oracle(model_files, max_len, budget, tolerance, fmt):
             if fmt == "json":
                 click.echo(json.dumps({
                     "max_len": max_len,
-                    "entries": {words(w): _format_value(p) for w, p in items},
+                    "entries": {words(w): format_scalar(p) for w, p in items},
                 }, indent=2))
             else:
                 for w, p in items:
-                    click.echo(f"{words(w)} {_format_value(p)}")
+                    click.echo(f"{words(w)} {format_scalar(p)}")
             return
         if lrs[0].alphabet != lrs[1].alphabet:
             _fail("alphabet mismatch")
@@ -272,14 +269,14 @@ def oracle(model_files, max_len, budget, tolerance, fmt):
             "equal_up_to": result.equal_up_to,
             "witness": None if result.witness is None else words(result.witness),
             "values": (None if result.values is None
-                       else [_format_value(x) for x in result.values]),
+                       else [format_scalar(x) for x in result.values]),
         }, indent=2))
     elif result.equal_up_to:
         click.echo(f"equal on all words up to length {max_len}")
     else:
         click.echo(f"differs at {words(result.witness)}: "
-                   f"{_format_value(result.values[0])} vs "
-                   f"{_format_value(result.values[1])}")
+                   f"{format_scalar(result.values[0])} vs "
+                   f"{format_scalar(result.values[1])}")
     sys.exit(0 if result.equal_up_to else 1)
 
 

@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .basis import compute_basis
-from .linalg import dot, integral, scaled
+from .linalg import dot, scaled
 # pfa_to_hmm and compile_hmm are unused here; perfbench/tracing.py wraps them
 from .models import Alphabet, PfaModel, Word, pfa_to_hmm  # noqa: F401
-from .representation import (LinearRepresentation, ScaledVector,  # noqa: F401
+from .representation import (LinearRepresentation,  # noqa: F401
                              compile_hmm, compile_pfa)
 from .scalars import DEFAULT_TOLERANCE, FLOAT, scalars_equal
 
@@ -107,18 +107,14 @@ def test_equivalence(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
     if not same_dim:
         return verdict(False, DIMENSION_MISMATCH)
 
-    forwards_big = [ScaledVector(fv.word, *integral(fv.coords, mode))
-                    for fv in big.forwards]
-    backwards_big = [ScaledVector(bv.word, *integral(bv.coords, mode))
-                     for bv in big.backwards]
     # T[a] . backward(v) does not depend on the column word: build it once
     num_symbols = len(lr_x.alphabet)
-    steps_big = [[lr_big.step_backward(a, bv) for bv in backwards_big]
+    steps_big = [[lr_big.step_backward(a, bv) for bv in big.backwards]
                  for a in range(num_symbols)]
     steps_small = [[lr_small.step_backward(a, bv) for bv in backwards_small]
                    for a in range(num_symbols)]
     for wi, w in enumerate(big.col_words):
-        fb, fs = forwards_big[wi], forwards_small[wi]
+        fb, fs = big.forwards[wi], forwards_small[wi]
         for a in range(num_symbols):
             for vi, v in enumerate(big.row_words):
                 sb, ss = steps_big[a][vi], steps_small[a][vi]

@@ -105,6 +105,11 @@ class IndependenceTester:
     def rank(self) -> int:
         return len(self._rows)
 
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        """Pivot coordinate of each accepted vector, in acceptance order."""
+        return tuple(self._pivots)
+
     def _reduced_exact(self, vector) -> list:
         r = list(integral(vector, EXACT)[1])
         for row, p in zip(self._rows, self._pivots):

@@ -76,12 +76,6 @@ def format_scalar(x) -> str:
     return str(x)  # Fraction and int both print exactly
 
 
-def scalar_is_zero(x, mode: str, tolerance: float = DEFAULT_TOLERANCE) -> bool:
-    if mode == EXACT:
-        return x == 0
-    return abs(x) <= tolerance
-
-
 def scalars_equal(x, y, mode: str, tolerance: float = DEFAULT_TOLERANCE) -> bool:
     if mode == EXACT:
         return x == y

@@ -1,13 +1,15 @@
 import json
+import random
 
 import pytest
 from click.testing import CliRunner
 
 from finitary import cli
 from finitary.cli import main
-from finitary.model_io import parse_model
+from finitary.model_io import parse_model, serialize_model
 from finitary.models import acceptance_probability
 
+import generators as g
 from conftest import CORPUS_DIR
 
 
@@ -196,6 +198,28 @@ class TestPfaAcceptance:
         assert payload["values"] == [str(px), str(py)]
 
 
+class TestFloatRowChoice:
+    """Dense float HMMs on which a second tolerance judgement of the block
+    rows, apart from the column scan's, used to disagree with it and end in
+    an internal error."""
+
+    @pytest.mark.parametrize("n, seed", [(6, 11), (8, 22), (10, 2)])
+    def test_permuted_copy_is_equivalent(self, runner, tmp_path, n, seed):
+        hmm = g.random_dense_float_hmm(random.Random(seed), n, 2)
+        x, y = tmp_path / "x.hmm", tmp_path / "y.hmm"
+        x.write_text(serialize_model(hmm))
+        y.write_text(serialize_model(g.permute_hmm(random.Random(seed), hmm)))
+        res = runner.invoke(main, ["equiv", str(x), str(y),
+                                   "--format", "json"])
+        assert res.exit_code == 0, res.output
+        payload = json.loads(res.stdout)
+        assert payload["equivalent"] is True
+        assert payload["dim_x"] == payload["dim_y"] == n
+        res = runner.invoke(main, ["basis", str(x), "--format", "json"])
+        assert res.exit_code == 0, res.output
+        assert len(json.loads(res.stdout)["row_words"]) == n
+
+
 class TestDimAndBasis:
     def test_dim(self, runner):
         res = runner.invoke(main, ["dim", corpus("swap.qrw")])
@@ -279,6 +303,27 @@ class TestOracle:
                                    corpus("biased.hmm")])
         assert res.exit_code == 1
         assert res.stdout == "differs at a: 1/2 vs 1/3\n"
+
+    def test_automata_compared_by_acceptance(self, runner, tmp_path):
+        # equal acceptance probabilities, different stop-symbol processes:
+        # the oracle agrees with equiv and prints no stop-symbol note
+        x, y = tmp_path / "x.pfa", tmp_path / "y.pfa"
+        x.write_text(HALF_LOOP_A)
+        y.write_text(HALF_CYCLE_AB)
+        res = runner.invoke(main, ["oracle", str(x), str(y), "-L", "3"])
+        assert res.exit_code == 0, res.output
+        assert res.stdout == "equal on all words up to length 3\n"
+        assert res.stderr == ""
+
+    def test_automata_witness_is_an_acceptance_difference(self, runner,
+                                                           tmp_path):
+        x, y = tmp_path / "x.pfa", tmp_path / "y.pfa"
+        x.write_text(QUARTER_STEPS)
+        y.write_text(QUARTER_THEN_TRAP)
+        res = runner.invoke(main, ["oracle", str(x), str(y), "-L", "2"])
+        assert res.exit_code == 1, res.output
+        assert res.stdout == "differs at b: 1/8 vs 0\n"
+        assert res.stderr == ""
 
     def test_automaton_against_other_class_rejected(self, runner):
         for pair in (("half_stop.pfa", "coin.hmm"), ("coin.hmm", "half_stop.pfa")):

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finitary import equivalence
-from finitary.basis import compute_basis
-from finitary.models import PfaModel
-from finitary.representation import compile_model, compile_pfa
+from finitary.basis import compute_basis, reduce_rows, row_generator
+from finitary.models import HmmModel, PfaModel
+from finitary.representation import (LinearRepresentation, compile_model,
+                                     compile_pfa)
 
 import generators as g
 
@@ -36,7 +37,31 @@ def random_pfa_lr(rng):
                                 final))
 
 
-BUILDERS = (random_hmm_lr, random_qrw_lr, random_pfa_lr)
+def padded_hmm_lr(rng):
+    """A series whose row scan overshoots the process dimension, with a
+    dropped row before kept ones: symbol a has one emission probability in
+    every reachable state, so row "a" adds nothing to the reachable part,
+    while a block of unreachable random states makes it independent."""
+    n, ns = rng.randint(2, 4), 3
+    c = Fraction(rng.randint(1, 3), 4)
+    reachable = compile_model(HmmModel(
+        g.alphabet(ns), g.rational_distribution(rng, n),
+        tuple(g.rational_distribution(rng, n) for _ in range(n)),
+        tuple((c,) + tuple((1 - c) * x
+                           for x in g.rational_distribution(rng, ns - 1))
+              for _ in range(n))))
+    hidden = compile_model(g.random_hmm(rng, rng.randint(1, 3), ns))
+    pad_a = (Fraction(0),) * hidden.dimension
+    pad_b = (Fraction(0),) * n
+    matrices = tuple(tuple(row + pad_a for row in ma)
+                     + tuple(pad_b + row for row in mb)
+                     for ma, mb in zip(reachable.matrices, hidden.matrices))
+    return LinearRepresentation(reachable.alphabet, matrices,
+                                reachable.init + pad_a,
+                                reachable.fin + hidden.fin, reachable.mode)
+
+
+BUILDERS = (random_hmm_lr, random_qrw_lr, random_pfa_lr, padded_hmm_lr)
 
 
 def assert_basis_matches_reference(lr):
@@ -45,10 +70,10 @@ def assert_basis_matches_reference(lr):
     for i, v in enumerate(basis.row_words):
         for j, w in enumerate(basis.col_words):
             assert basis.matrix[i][j] == lr.prob(w + v)
-    for bv in basis.backwards:
-        assert bv.coords == lr.backward(bv.word).coords
-    for fv in basis.forwards:
-        assert fv.coords == lr.forward(fv.word).coords
+    for sv, reference in ([(bv, lr.backward(bv.word)) for bv in basis.backwards]
+                          + [(fv, lr.forward(fv.word)) for fv in basis.forwards]):
+        assert all(isinstance(x, int) for x in sv.coords)
+        assert tuple(sv.scale * x for x in sv.coords) == reference.coords
 
 
 @settings(deadline=None, max_examples=40)
@@ -57,6 +82,22 @@ def test_basis_values_and_vectors_match_the_reference(seed):
     rng = random.Random(seed)
     for build in BUILDERS:
         assert_basis_matches_reference(build(rng))
+
+
+@settings(deadline=None, max_examples=40)
+@given(SEEDS)
+def test_pivot_rows_are_the_rows_reduce_rows_picks(seed):
+    # the kept rows come from the column scan's pivots; a separate
+    # elimination over the true values p(w v) of every scanned row against
+    # the accepted columns must keep the same rows
+    rng = random.Random(seed)
+    for build in BUILDERS:
+        lr = build(rng)
+        basis = compute_basis(lr)
+        row_words = row_generator(lr)[0]
+        block = [[lr.prob(w + v) for w in basis.col_words] for v in row_words]
+        keep = reduce_rows(block, lr.mode)
+        assert basis.row_words == tuple(row_words[i] for i in keep)
 
 
 def same_alphabet_pair(rng, build):

@@ -18,7 +18,6 @@ from finitary.scalars import (
     format_scalar,
     parse_complex,
     parse_scalar,
-    scalar_is_zero,
     scalars_equal,
 )
 
@@ -96,11 +95,6 @@ class TestComparison:
     def test_float_tolerance(self):
         assert scalars_equal(0.1 + 0.2, 0.3, FLOAT, DEFAULT_TOLERANCE)
         assert not scalars_equal(0.3, 0.3 + 1e-6, FLOAT, DEFAULT_TOLERANCE)
-
-    def test_zero_test(self):
-        assert scalar_is_zero(Fraction(0), EXACT)
-        assert scalar_is_zero(1e-12, FLOAT)
-        assert not scalar_is_zero(1e-6, FLOAT)
 
 
 class TestComplexScalar:
