@@ -21,24 +21,30 @@ rank.  It is found in three steps:
    pivots come from partial pivoting; there are always ``dim`` of them, and
    the tolerance judges the block's entries once, in step 2.
 
-Candidates are processed first-in-first-out, created in alphabet order, and
-carry their backward/forward vectors so each extension costs one
-matrix-vector product.  The total number of row candidates examined is at
-most |alphabet| times the representation dimension.
+Candidates are processed first-in-first-out, created in alphabet order.  The
+queue holds (accepted vector, symbol) pairs, and a candidate's vector is
+built, with one matrix-vector product, only when the candidate is popped.
+A scan stops as soon as its tester is full: n independent vectors span all
+of Q^n, so every candidate still queued would be rejected (for the column
+scan, n is the number of accepted rows).  The row scan still counts those
+candidates in ``row_iterations``, which is the number of candidates an
+exhaustive scan decides: at most |alphabet| times the representation
+dimension.
 
 The scans carry each vector as ``scale * coords`` (``ScaledVector``); in
 exact mode the coordinates are coprime integers.  Step 2's column entries
 are the integer products dot(coords_w, coords_v), which differ from p(w v)
 by one nonzero factor per row and one per column, so every independence
 test runs on integers with the same outcome.  The accepted columns are the
-block; ``Basis`` reports its true values, scale_w * scale_v * dot, and
-keeps the scan's own scaled vectors.
+block; ``Basis`` keeps them as integers with the scan's own scaled vectors,
+and builds its true values, scale_w * scale_v * dot, only when read.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .linalg import IndependenceTester, dot, scaled
 from .models import Word
@@ -50,11 +56,44 @@ from .scalars import DEFAULT_TOLERANCE, EXACT
 class Basis:
     row_words: tuple[Word, ...]
     col_words: tuple[Word, ...]
-    matrix: tuple  # entry [i][j] = p(col_words[j] + row_words[i]), square
+    block: tuple  # entry [i][j] = dot(forwards[j].coords, backwards[i].coords)
     backwards: tuple[ScaledVector, ...]  # scan vector of each row word
     forwards: tuple[ScaledVector, ...]  # scan vector of each column word
     dim: int
-    row_iterations: int  # candidates examined by the row scan
+    row_iterations: int  # candidates decided by the row scan
+    mode: str
+
+    @cached_property
+    def matrix(self) -> tuple:
+        """Entry [i][j] = p(col_words[j] + row_words[i]); square."""
+        return tuple(tuple(scaled(bv.scale * fv.scale, x, self.mode)
+                           for fv, x in zip(self.forwards, row))
+                     for bv, row in zip(self.backwards, self.block))
+
+
+def _scan(tester: IndependenceTester, root: ScaledVector, extend, entry,
+          num_symbols: int):
+    """Breadth-first scan from ``root``: the accepted vectors with their
+    tester entries, and the number of candidates decided after the root.
+
+    ``extend(vector, a)`` builds a child candidate, ``entry(vector)`` is what
+    the tester judges.  Once the tester is full the queued candidates are
+    counted as decided (rejected) without being built.
+    """
+    root_entry = entry(root)
+    if not tester.try_insert(root_entry):
+        return [], 0
+    accepted = [(root, root_entry)]
+    queue = deque((root, a) for a in range(num_symbols))
+    decided = 0
+    while queue and tester.rank < tester.dimension:
+        decided += 1
+        candidate = extend(*queue.popleft())
+        candidate_entry = entry(candidate)
+        if tester.try_insert(candidate_entry):
+            accepted.append((candidate, candidate_entry))
+            queue.extend((candidate, a) for a in range(num_symbols))
+    return accepted, decided + len(queue)
 
 
 def row_generator(lr: LinearRepresentation,
@@ -64,24 +103,12 @@ def row_generator(lr: LinearRepresentation,
 
     A zero final vector yields no rows: the series is zero.
     """
-    tester = IndependenceTester(lr.dimension, lr.mode, tolerance)
-    root = lr.scaled_backward(())
-    if not tester.try_insert(root.coords):
-        return [], [], 0
-    words: list[Word] = [()]
-    backwards: list[ScaledVector] = [root]
-    queue: deque[ScaledVector] = deque(
-        lr.step_backward(a, root) for a in range(len(lr.alphabet)))
-    iterations = 0
-    while queue:
-        iterations += 1
-        candidate = queue.popleft()
-        if tester.try_insert(candidate.coords):
-            words.append(candidate.word)
-            backwards.append(candidate)
-            queue.extend(lr.step_backward(a, candidate)
-                         for a in range(len(lr.alphabet)))
-    return words, backwards, iterations
+    accepted, iterations = _scan(
+        IndependenceTester(lr.dimension, lr.mode, tolerance),
+        lr.scaled_backward(()), lambda bv, a: lr.step_backward(a, bv),
+        lambda bv: bv.coords, len(lr.alphabet))
+    backwards = [bv for bv, _ in accepted]
+    return [bv.word for bv in backwards], backwards, iterations
 
 
 def column_basis(lr: LinearRepresentation, row_words, backwards,
@@ -99,20 +126,11 @@ def column_basis(lr: LinearRepresentation, row_words, backwards,
     def column(fv: ScaledVector) -> tuple:
         return tuple(dot(fv.coords, bv.coords) for bv in backwards)
 
-    words: list[Word] = []
-    forwards: list[ScaledVector] = []
-    columns: list[tuple] = []
-    queue: deque[ScaledVector] = deque([lr.scaled_forward(())])
-    while queue:
-        candidate = queue.popleft()
-        candidate_column = column(candidate)
-        if tester.try_insert(candidate_column):
-            words.append(candidate.word)
-            forwards.append(candidate)
-            columns.append(candidate_column)
-            queue.extend(lr.step_forward(candidate, a)
-                         for a in range(len(lr.alphabet)))
-    return words, forwards, columns, tester.pivots
+    accepted, _ = _scan(tester, lr.scaled_forward(()), lr.step_forward,
+                        column, len(lr.alphabet))
+    forwards = [fv for fv, _ in accepted]
+    return ([fv.word for fv in forwards], forwards,
+            [col for _, col in accepted], tester.pivots)
 
 
 def reduce_rows(matrix, mode: str = EXACT,
@@ -137,12 +155,10 @@ def compute_basis(lr: LinearRepresentation,
     return Basis(
         row_words=tuple(row_words[i] for i in keep),
         col_words=tuple(col_words),
-        matrix=tuple(tuple(scaled(backwards[i].scale * fv.scale, column[i],
-                                  lr.mode)
-                           for fv, column in zip(forwards, columns))
-                     for i in keep),
+        block=tuple(tuple(column[i] for column in columns) for i in keep),
         backwards=tuple(backwards[i] for i in keep),
         forwards=tuple(forwards),
         dim=len(col_words),
         row_iterations=iterations,
+        mode=lr.mode,
     )

@@ -13,6 +13,17 @@ of its Hankel array, of rank at most dim_small; so some block entry differs.
 Automata are compared through their acceptance series pi . M_v . F
 (Tzeng, SIAM J. Comput. 21(2), 1992), so a witness is a word whose
 acceptance probabilities differ.
+
+Every compared value is a product of scaled vectors, p = s * i with a
+rational scale s and, in exact mode, an integer dot product i of coprime
+coordinates.  The big side's block entries are the column scan's integers;
+the small model's vectors on the same words are built one step from their
+parent word.  Two values are compared without forming either: s * i ==
+t * j is tested as s.num * t.den * i == t.num * s.den * j, all integers,
+with those factors taken once per row word and once per column word.
+``Fraction`` values are built only for a witness's ``details``.  In float
+mode the scales are 1.0 and the values themselves are compared within the
+tolerance.
 """
 
 from __future__ import annotations
@@ -81,29 +92,57 @@ def test_equivalence(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
                                   basis_x.dim, basis_y.dim, lr_x.alphabet,
                                   mode, reported_tol)
 
-    def eq(x, y):
-        return scalars_equal(x, y, mode, tolerance)
+    exact = mode != FLOAT
 
-    # every vector is scale * coords, every value
-    # scale_w * scale_v * dot(coords_w, coords_v)
-    forwards_small = [lr_small.scaled_forward(w) for w in big.col_words]
-    backwards_small = [lr_small.scaled_backward(v) for v in big.row_words]
+    def factors(s, t):
+        """(f, g) with s * i == t * j iff f * i == g * j."""
+        return ((s.numerator * t.denominator, t.numerator * s.denominator)
+                if exact else (1, 1))
 
+    def same(f, i, g, j):
+        return f * i == g * j if exact else scalars_equal(i, j, mode, tolerance)
+
+    # a kept row's parent word need not be kept itself, so build on demand
+    memo_f = {(): lr_small.scaled_forward(())}
+    memo_b = {(): lr_small.scaled_backward(())}
+
+    def forward_small(w):
+        if w not in memo_f:
+            memo_f[w] = lr_small.step_forward(forward_small(w[:-1]), w[-1])
+        return memo_f[w]
+
+    def backward_small(v):
+        if v not in memo_b:
+            memo_b[v] = lr_small.step_backward(v[0], backward_small(v[1:]))
+        return memo_b[v]
+
+    forwards_small = [forward_small(w) for w in big.col_words]
+    backwards_small = [backward_small(v) for v in big.row_words]
+
+    col_factors = [factors(fb.scale, fs.scale)
+                   for fb, fs in zip(big.forwards, forwards_small)]
+    row_factors = [factors(bb.scale, bs.scale)
+                   for bb, bs in zip(big.backwards, backwards_small)]
     for wi, w in enumerate(big.col_words):
         fs = forwards_small[wi]
+        cf_big, cf_small = col_factors[wi]
         for vi, v in enumerate(big.row_words):
             bs = backwards_small[vi]
-            p_big = big.matrix[vi][wi]
-            p_small = scaled(fs.scale * bs.scale, dot(fs.coords, bs.coords),
-                             mode)
-            if not eq(p_big, p_small):
+            rf_big, rf_small = row_factors[vi]
+            i_big = big.block[vi][wi]
+            i_small = dot(fs.coords, bs.coords)
+            if not same(cf_big * rf_big, i_big, cf_small * rf_small, i_small):
                 if not same_dim:
                     reason = DIMENSION_MISMATCH
                 elif w == ():
                     reason = INITIAL_ROW_MISMATCH
                 else:
                     reason = BASIC_MATRIX_MISMATCH
-                return verdict(False, reason, w + v, p_big, p_small)
+                return verdict(
+                    False, reason, w + v,
+                    scaled(big.backwards[vi].scale * big.forwards[wi].scale,
+                           i_big, mode),
+                    scaled(fs.scale * bs.scale, i_small, mode))
     if not same_dim:
         return verdict(False, DIMENSION_MISMATCH)
 
@@ -113,18 +152,22 @@ def test_equivalence(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
                  for a in range(num_symbols)]
     steps_small = [[lr_small.step_backward(a, bv) for bv in backwards_small]
                    for a in range(num_symbols)]
+    step_factors = [[factors(sb.scale, ss.scale) for sb, ss in zip(*pair)]
+                    for pair in zip(steps_big, steps_small)]
     for wi, w in enumerate(big.col_words):
         fb, fs = big.forwards[wi], forwards_small[wi]
+        cf_big, cf_small = col_factors[wi]
         for a in range(num_symbols):
             for vi, v in enumerate(big.row_words):
                 sb, ss = steps_big[a][vi], steps_small[a][vi]
-                p_big = scaled(fb.scale * sb.scale, dot(fb.coords, sb.coords),
-                               mode)
-                p_small = scaled(fs.scale * ss.scale,
-                                 dot(fs.coords, ss.coords), mode)
-                if not eq(p_big, p_small):
+                rf_big, rf_small = step_factors[a][vi]
+                i_big = dot(fb.coords, sb.coords)
+                i_small = dot(fs.coords, ss.coords)
+                if not same(cf_big * rf_big, i_big, cf_small * rf_small,
+                            i_small):
                     return verdict(False, ONE_STEP_MISMATCH, w + (a,) + v,
-                                   p_big, p_small)
+                                   scaled(fb.scale * sb.scale, i_big, mode),
+                                   scaled(fs.scale * ss.scale, i_small, mode))
 
     return verdict(True, ALL_CHECKS_PASSED)
 

@@ -82,7 +82,8 @@ class IndependenceTester:
 
     Invariant: every stored row has zero entries at all pivot columns of the
     rows stored before it, so one forward elimination pass fully reduces a
-    candidate.
+    candidate.  Pivots are distinct, so at most ``dimension`` vectors are
+    accepted; a full tester rejects every candidate without reducing it.
     """
 
     def __init__(self, dimension: int, mode: str = EXACT,
@@ -97,9 +98,6 @@ class IndependenceTester:
         self._rows: list[list] = []
         self._pivots: list[int] = []
         self._scale = 0.0  # largest |pivot| accepted, float mode only
-
-    def __len__(self) -> int:
-        return len(self._rows)
 
     @property
     def rank(self) -> int:
@@ -143,20 +141,24 @@ class IndependenceTester:
         if len(vector) != self.dimension:
             raise ValueError(
                 f"vector has length {len(vector)}, expected {self.dimension}")
+        if len(self._rows) == self.dimension:
+            return False  # ``dimension`` independent vectors span everything
         if self.mode == EXACT:
             r = self._reduced_exact(vector)
             pivot = next((i for i, x in enumerate(r) if x != 0), None)
         else:
             r = self._reduced_float(vector)
             pivot = None
-            if r:
-                best = max(range(len(r)), key=lambda i: abs(r[i]))
-                magnitude = abs(r[best])
-                reference = self._scale
-                if reference == 0.0:
-                    reference = max((abs(x) for x in vector), default=0.0)
-                if reference > 0.0 and magnitude > self.tolerance * reference:
-                    pivot = best
+            # a residue left at a taken pivot is rounding noise: never
+            # reuse one (the tester is not full, so a free coordinate exists)
+            best = max((i for i in range(len(r)) if i not in self._pivots),
+                       key=lambda i: abs(r[i]))
+            magnitude = abs(r[best])
+            reference = self._scale
+            if reference == 0.0:
+                reference = max((abs(x) for x in vector), default=0.0)
+            if reference > 0.0 and magnitude > self.tolerance * reference:
+                pivot = best
         if pivot is None:
             return False
         self._rows.append(r)

@@ -1,25 +1,37 @@
-"""Byte-level regression guard on the CLI reports for the whole corpus.
+"""Byte-level regression guard on the CLI reports.
 
 ``golden/equiv_corpus.json`` records the stdout and exit code of
 ``equiv --format json`` for every ordered pair of corpus files of the same
 class (file suffix), and of ``basis --format json`` for every corpus file.
-Regenerate it only when an output change is intended:
+``golden/equiv_generated.json`` does the same for seeded exact HMMs from
+``generators`` with 8-12 states, whose bases are larger than any corpus
+file's: each base model against a state-permuted copy, a state-split copy
+and an unrelated model, plus a pair of different sizes.  It stores the model
+files it was recorded on, so it does not depend on the generators staying
+the same.  Regenerate a file only when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden/equiv_corpus.json
+    PYTHONPATH=src python tests/test_golden.py generated \
+        > tests/golden/equiv_generated.json
 """
 
 import json
 import pathlib
+import random
 import sys
 
 import pytest
 from click.testing import CliRunner
 
 from finitary.cli import main
+from finitary.model_io import serialize_model
+
+import generators as g
 
 HERE = pathlib.Path(__file__).resolve().parent
 CORPUS_DIR = HERE.parent / "corpus"
 GOLDEN = HERE / "golden" / "equiv_corpus.json"
+GOLDEN_GENERATED = HERE / "golden" / "equiv_generated.json"
 
 
 def _names():
@@ -72,6 +84,58 @@ def test_basis_output_unchanged(golden, name):
     assert _basis(name) == golden["basis"][name]
 
 
+def generated_models() -> dict[str, str]:
+    rng = random.Random(20261018)
+    models = {}
+    for n, num_symbols in ((8, 2), (10, 3), (12, 2)):
+        base = g.random_hmm(rng, n, num_symbols)
+        models[f"hmm{n}"] = base
+        models[f"hmm{n}_permuted"] = g.permute_hmm(rng, base)
+        models[f"hmm{n}_split"] = g.split_hmm_state(rng, base)
+        models[f"hmm{n}_other"] = g.random_hmm(rng, n, num_symbols)
+    return {name: serialize_model(m) for name, m in models.items()}
+
+
+GENERATED_PAIRS = [(f"hmm{n}", f"hmm{n}_{copy}")
+                   for n in (8, 10, 12)
+                   for copy in ("permuted", "split", "other")]
+GENERATED_PAIRS += [("hmm10_split", "hmm10"), ("hmm8", "hmm12"),
+                    ("hmm12", "hmm8")]
+
+
+def record_generated(models: dict[str, str], directory: pathlib.Path):
+    """The ``equiv``/``basis`` reports on ``models`` (name to file text),
+    written as files into ``directory``."""
+    paths = {}
+    for name, text in models.items():
+        paths[name] = directory / f"{name}.hmm"
+        paths[name].write_text(text)
+    return {
+        "models": models,
+        "equiv": {f"{x} {y}": _run("equiv", str(paths[x]), str(paths[y]))
+                  for x, y in GENERATED_PAIRS},
+        "basis": {name: _run("basis", str(path))
+                  for name, path in paths.items()},
+    }
+
+
+@pytest.fixture(scope="module")
+def golden_generated():
+    return json.loads(GOLDEN_GENERATED.read_text())
+
+
+def test_generated_reports_unchanged(golden_generated, tmp_path):
+    assert record_generated(golden_generated["models"], tmp_path) == \
+        golden_generated
+
+
 if __name__ == "__main__":
-    json.dump(record(), sys.stdout, indent=1, sort_keys=True)
+    if sys.argv[1:] == ["generated"]:
+        import tempfile
+        with tempfile.TemporaryDirectory() as scratch:
+            result = record_generated(generated_models(),
+                                      pathlib.Path(scratch))
+    else:
+        result = record()
+    json.dump(result, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finitary import equivalence
-from finitary.basis import compute_basis, reduce_rows, row_generator
+from finitary.basis import (Basis, column_basis, compute_basis, reduce_rows,
+                            row_generator)
+from finitary.linalg import IndependenceTester, dot
 from finitary.models import HmmModel, PfaModel
 from finitary.representation import (LinearRepresentation, compile_model,
                                      compile_pfa)
@@ -61,7 +63,15 @@ def padded_hmm_lr(rng):
                                 reachable.fin + hidden.fin, reachable.mode)
 
 
-BUILDERS = (random_hmm_lr, random_qrw_lr, random_pfa_lr, padded_hmm_lr)
+def split_hmm_lr(rng):
+    """A random HMM with one state cloned: two states share one backward
+    vector, so the row scan never fills its tester."""
+    hmm = g.random_hmm(rng, rng.randint(1, 4), rng.randint(1, 3))
+    return compile_model(g.split_hmm_state(rng, hmm))
+
+
+BUILDERS = (random_hmm_lr, random_qrw_lr, random_pfa_lr, padded_hmm_lr,
+            split_hmm_lr)
 
 
 def assert_basis_matches_reference(lr):
@@ -121,3 +131,160 @@ def test_witness_details_are_the_probabilities(seed):
         px, py = lr_x.prob(v.witness), lr_y.prob(v.witness)
         assert px != py
         assert v.details == (px, py)
+
+
+# --- test-side reference for the scans and the check ----------------------
+#
+# A plain breadth-first scan that builds every candidate's vector when its
+# parent is accepted and decides every candidate, with independence judged
+# by a separate Fraction elimination on true values; and the I/J check on
+# ``prob`` values.  The program's scans stop once their tester is full and
+# build vectors lazily; its check compares cross-multiplied integers.
+
+
+def fraction_rank(rows) -> int:
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][c] / rows[rank][c]
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def reference_scan(root, children, value):
+    """Accepted vectors, their values, and the number of candidates after
+    the root."""
+    accepted, values = [], []
+    queue = [root]
+    decided = -1
+    while queue:
+        candidate = queue.pop(0)
+        decided += 1
+        candidate_value = value(candidate)
+        if fraction_rank(values + [candidate_value]) > len(values):
+            accepted.append(candidate)
+            values.append(candidate_value)
+            queue.extend(children(candidate))
+    return accepted, values, decided
+
+
+def reference_basis(lr) -> Basis:
+    symbols = range(len(lr.alphabet))
+    rows, row_values, iterations = reference_scan(
+        lr.scaled_backward(()),
+        lambda bv: [lr.step_backward(a, bv) for a in symbols],
+        lambda bv: lr.backward(bv.word).coords)
+    cols, col_values, _ = reference_scan(
+        lr.scaled_forward(()),
+        lambda fv: [lr.step_forward(fv, a) for a in symbols],
+        lambda fv: [dot(lr.forward(fv.word).coords, b) for b in row_values])
+    kept = []  # rows independent of their predecessors in p(w v)
+    for i in range(len(rows)):
+        block = [[column[k] for column in col_values] for k in kept + [i]]
+        if fraction_rank(block) > len(kept):
+            kept.append(i)
+    return Basis(
+        row_words=tuple(rows[i].word for i in kept),
+        col_words=tuple(fv.word for fv in cols),
+        block=tuple(tuple(dot(fv.coords, rows[i].coords) for fv in cols)
+                    for i in kept),
+        backwards=tuple(rows[i] for i in kept),
+        forwards=tuple(cols),
+        dim=len(cols),
+        row_iterations=iterations,
+        mode=lr.mode,
+    )
+
+
+def reference_verdict(lr_x, lr_y, basis_x, basis_y) -> tuple:
+    """(equivalent, reason, witness, details, dim_x, dim_y) of the I/J
+    check on the larger of the two reference bases, every value from
+    ``prob``."""
+    dims = (basis_x.dim, basis_y.dim)
+    y_drives = basis_y.dim > basis_x.dim
+    big, lr_big, lr_small = ((basis_y, lr_y, lr_x) if y_drives
+                             else (basis_x, lr_x, lr_y))
+
+    def differ(reason, word):
+        p_big, p_small = lr_big.prob(word), lr_small.prob(word)
+        details = (p_small, p_big) if y_drives else (p_big, p_small)
+        return (False, reason, word, details) + dims
+
+    for w in big.col_words:
+        for v in big.row_words:
+            if lr_big.prob(w + v) != lr_small.prob(w + v):
+                if basis_x.dim != basis_y.dim:
+                    return differ(equivalence.DIMENSION_MISMATCH, w + v)
+                if w == ():
+                    return differ(equivalence.INITIAL_ROW_MISMATCH, w + v)
+                return differ(equivalence.BASIC_MATRIX_MISMATCH, w + v)
+    if basis_x.dim != basis_y.dim:
+        return (False, equivalence.DIMENSION_MISMATCH, None, None) + dims
+    for w in big.col_words:
+        for a in range(len(lr_x.alphabet)):
+            for v in big.row_words:
+                word = w + (a,) + v
+                if lr_big.prob(word) != lr_small.prob(word):
+                    return differ(equivalence.ONE_STEP_MISMATCH, word)
+    return (True, equivalence.ALL_CHECKS_PASSED, None, None) + dims
+
+
+@settings(deadline=None, max_examples=40)
+@given(SEEDS)
+def test_basis_equals_the_exhaustive_scan(seed):
+    rng = random.Random(seed)
+    for build in BUILDERS:
+        lr = build(rng)
+        basis, reference = compute_basis(lr), reference_basis(lr)
+        assert basis == reference
+        assert basis.matrix == reference.matrix
+
+
+@settings(deadline=None, max_examples=40)
+@given(SEEDS)
+def test_verdict_equals_the_fraction_check(seed):
+    rng = random.Random(seed)
+    for build in BUILDERS:
+        lr_x, lr_y = same_alphabet_pair(rng, build)
+        pairs = [(lr_x, lr_y), (lr_y, lr_x), (lr_x, lr_x)]
+        if build is random_hmm_lr:
+            hmm = g.random_hmm(rng, rng.randint(1, 4), rng.randint(1, 3))
+            pairs.append((compile_model(hmm),
+                          compile_model(g.split_hmm_state(rng, hmm))))
+        models = {id(lr): lr for pair in pairs for lr in pair}
+        bases = {key: reference_basis(lr) for key, lr in models.items()}
+        for x, y in pairs:
+            v = equivalence.test_equivalence(x, y)
+            assert (v.equivalent, v.reason, v.witness, v.details,
+                    v.dim_x, v.dim_y) == \
+                reference_verdict(x, y, bases[id(x)], bases[id(y)])
+
+
+def test_full_rank_scans_stop_at_the_nth_acceptance(monkeypatch):
+    # an HMM's row scan always rejects the one-letter candidate of the last
+    # symbol (the one-letter backward vectors sum to the root's), so a
+    # scan does not insert exactly n times; it stops at the n-th acceptance
+    n = 8
+    hmm = g.random_hmm(random.Random(7), n, 2)
+    lr = compile_model(hmm)
+    results = []
+    insert = IndependenceTester.try_insert
+
+    def recording(self, vector):
+        results.append(insert(self, vector))
+        return results[-1]
+    monkeypatch.setattr(IndependenceTester, "try_insert", recording)
+    words, backwards, iterations = row_generator(lr)
+    assert len(words) == n and results[-1] and sum(results) == n
+    # every candidate an exhaustive scan decides is still counted
+    assert iterations == len(hmm.alphabet) * n
+    assert len(results) < iterations + 1
+    results.clear()
+    assert len(column_basis(lr, words, backwards)[0]) == n
+    assert results[-1] and sum(results) == n

@@ -65,6 +65,30 @@ class TestIndependenceTester:
         assert t.try_insert((1.0, 0.5))
         assert t.try_insert((1.0, 0.6))
 
+    def test_float_rounding_residue_never_reuses_a_pivot(self):
+        # eliminating the third row leaves rounding noise at pivot 1; it
+        # used to be taken as a new pivot, giving rank 3 in two dimensions
+        rows = [(0.1, 0.1), (0.1, 0.3), (1e10, 3e9)]
+        assert rank(rows, FLOAT) == 2
+        # the same noise outweighs a real entry before the tester is full
+        t = IndependenceTester(3, FLOAT)
+        for row in [(0.1, 0.1, 0.0), (0.1, 0.3, 0.0), (1e10, 3e9, 1e-7)]:
+            assert t.try_insert(row)
+        assert t.pivots == (0, 1, 2)
+
+    def test_full_tester_rejects_without_reducing(self, monkeypatch):
+        t = IndependenceTester(2)
+        assert t.try_insert((F(1), F(2)))
+        assert t.try_insert((F(3), F(4)))
+
+        def refuse(self, vector):
+            raise AssertionError("a full tester reduced a candidate")
+        monkeypatch.setattr(IndependenceTester, "_reduced_exact", refuse)
+        assert not t.try_insert((F(5), F(7)))
+        assert t.rank == 2
+        with pytest.raises(ValueError):
+            t.try_insert((F(1),))
+
 
 class TestRank:
     def test_identity(self):
