@@ -46,7 +46,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .linalg import IndependenceTester, dot, scaled
+from .linalg import IndependenceTester, dot
 from .models import Word
 from .representation import LinearRepresentation, ScaledVector
 from .scalars import DEFAULT_TOLERANCE, EXACT
@@ -61,12 +61,11 @@ class Basis:
     forwards: tuple[ScaledVector, ...]  # scan vector of each column word
     dim: int
     row_iterations: int  # candidates decided by the row scan
-    mode: str
 
     @cached_property
     def matrix(self) -> tuple:
         """Entry [i][j] = p(col_words[j] + row_words[i]); square."""
-        return tuple(tuple(scaled(bv.scale * fv.scale, x, self.mode)
+        return tuple(tuple(bv.scale * fv.scale * x
                            for fv, x in zip(self.forwards, row))
                      for bv, row in zip(self.backwards, self.block))
 
@@ -160,5 +159,4 @@ def compute_basis(lr: LinearRepresentation,
         forwards=tuple(forwards),
         dim=len(col_words),
         row_iterations=iterations,
-        mode=lr.mode,
     )

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success (for ``equiv``: equivalent; for ``oracle`` with two
-models: agreement up to the length bound), 1 a established difference,
+models: agreement up to the length bound), 1 an established difference,
 2 usage, syntax, validation, or budget errors, and internal failures.
 Output is deterministic; ``--format json`` switches every command to a
 machine-readable report.
@@ -20,7 +20,7 @@ from .equivalence import EquivalenceVerdict, test_equivalence, test_equivalence_
 from .model_io import ModelSyntaxError, ModelValidationError, parse_model
 from .models import PfaModel
 from .oracle import BudgetExceededError, DEFAULT_BUDGET, brute_equiv, enumerate_probs
-from .representation import compile_model, compile_pfa
+from .representation import compile_model
 from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, format_scalar
 
 _TOLERANCE_ENV = "FINITARY_TOLERANCE"
@@ -59,13 +59,6 @@ def _check_same_class(models):
     if len({isinstance(m, PfaModel) for m in models}) > 1:
         _fail("cannot compare an automaton with a hidden Markov model or "
               "quantum walk")
-
-
-def _compile(model, path: str):
-    if isinstance(model, PfaModel):
-        click.echo(f"note: {path} reduced over its alphabet plus the stop "
-                   "symbol '$'", err=True)
-    return compile_model(model)
 
 
 class _Group(click.Group):
@@ -153,7 +146,7 @@ def _report_verdict(verdict: EquivalenceVerdict, fmt: str):
 @format_option
 def dim(model_file, tolerance, fmt):
     """Process dimension of one model file."""
-    lr = _compile(_load(model_file), model_file)
+    lr = compile_model(_load(model_file))
     result = compute_basis(lr, tolerance)
     if fmt == "json":
         click.echo(json.dumps({"dim": result.dim}, indent=2))
@@ -167,7 +160,7 @@ def dim(model_file, tolerance, fmt):
 @format_option
 def basis(model_file, tolerance, fmt):
     """Basis words and the invertible block for one model file."""
-    lr = _compile(_load(model_file), model_file)
+    lr = compile_model(_load(model_file))
     result = compute_basis(lr, tolerance)
     words = lr.alphabet.format_word
     if fmt == "json":
@@ -193,12 +186,13 @@ def basis(model_file, tolerance, fmt):
               help="Also print the float value of an exact result.")
 @format_option
 def prob(model_file, word, decimal, fmt):
-    """Probability of WORD under one model file.
+    """Probability of WORD under one model file; for an automaton, the
+    probability of reading WORD and then stopping.
 
     WORD is symbols separated by spaces or commas, plain concatenation when
     all symbols are single characters, or "" / the empty-word glyph.
     """
-    lr = _compile(_load(model_file), model_file)
+    lr = compile_model(_load(model_file))
     try:
         parsed = lr.alphabet.parse_word(word)
     except ValueError as exc:
@@ -229,17 +223,14 @@ def prob(model_file, word, decimal, fmt):
 def oracle(model_files, max_len, budget, tolerance, fmt):
     """Brute-force word probabilities (one model) or comparison (two).
 
-    Two automata are compared by their acceptance probabilities, as equiv
-    compares them.
+    An automaton's probabilities are its acceptance probabilities, as in
+    equiv.
     """
     if len(model_files) not in (1, 2):
         _fail("oracle takes one or two model files")
     models = [_load(p) for p in model_files]
     _check_same_class(models)
-    if len(models) == 2 and isinstance(models[0], PfaModel):
-        lrs = [compile_pfa(m) for m in models]
-    else:
-        lrs = [_compile(m, p) for m, p in zip(models, model_files)]
+    lrs = [compile_model(m) for m in models]
     try:
         if len(lrs) == 1:
             table = enumerate_probs(lrs[0], max_len, budget)
@@ -306,3 +297,7 @@ def validate(model_file, tolerance, fmt):
         click.echo(json.dumps({"ok": True, "violations": []}, indent=2))
     else:
         click.echo("ok")
+
+
+if __name__ == "__main__":
+    main()

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .basis import compute_basis
-from .linalg import dot, scaled
+from .linalg import dot
 # pfa_to_hmm and compile_hmm are unused here; perfbench/tracing.py wraps them
 from .models import Alphabet, PfaModel, Word, pfa_to_hmm  # noqa: F401
 from .representation import (LinearRepresentation,  # noqa: F401
@@ -140,9 +140,8 @@ def test_equivalence(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
                     reason = BASIC_MATRIX_MISMATCH
                 return verdict(
                     False, reason, w + v,
-                    scaled(big.backwards[vi].scale * big.forwards[wi].scale,
-                           i_big, mode),
-                    scaled(fs.scale * bs.scale, i_small, mode))
+                    big.backwards[vi].scale * big.forwards[wi].scale * i_big,
+                    fs.scale * bs.scale * i_small)
     if not same_dim:
         return verdict(False, DIMENSION_MISMATCH)
 
@@ -166,8 +165,8 @@ def test_equivalence(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
                 if not same(cf_big * rf_big, i_big, cf_small * rf_small,
                             i_small):
                     return verdict(False, ONE_STEP_MISMATCH, w + (a,) + v,
-                                   scaled(fb.scale * sb.scale, i_big, mode),
-                                   scaled(fs.scale * ss.scale, i_small, mode))
+                                   fb.scale * sb.scale * i_big,
+                                   fs.scale * ss.scale * i_small)
 
     return verdict(True, ALL_CHECKS_PASSED)
 

@@ -40,12 +40,6 @@ def integral(vector, mode: str):
     return Fraction(content, den), tuple(ints)
 
 
-def scaled(scale, x, mode: str):
-    """``scale * x``.  Float values carry scale 1.0 and come back as they
-    are, so float arithmetic is the same as on unscaled vectors."""
-    return scale * x if mode == EXACT else x
-
-
 def dot(u, v):
     if len(u) != len(v):
         raise ValueError(f"vector lengths differ: {len(u)} vs {len(v)}")

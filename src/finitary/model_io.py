@@ -5,8 +5,7 @@ Shared header: ``kind`` (hmm | qrw | pfa), ``mode`` (exact | float),
 numeric blocks may be laid out as rows under a bare ``name:`` line or inline
 after it, and are reshaped by count.  ``#`` starts a comment.  Exact files
 use integer and p/q literals, float files decimal literals; complex entries
-read ``re+imi``.  ``$`` is reserved for the automaton reduction and rejected
-in user alphabets.  Serialization is canonical: fixed field order, lowest
+read ``re+imi``.  Serialization is canonical: fixed field order, lowest
 terms, full-form complex values, so parse and serialize round-trip exactly.
 """
 
@@ -20,7 +19,6 @@ from .models import (
     Model,
     PfaModel,
     QrwModel,
-    STOP_SYMBOL,
     validate,
 )
 from .scalars import (
@@ -151,11 +149,6 @@ def parse_model(text: str, tolerance: float = DEFAULT_TOLERANCE) -> Model:
             f"line {mode_token.line}: unknown mode {mode!r}")
 
     alpha_rec = _take(records, "alphabet", kind)
-    for token in alpha_rec.tokens:
-        if token.text == STOP_SYMBOL:
-            raise ModelSyntaxError(
-                f"line {token.line}, column {token.col}: "
-                f"symbol {STOP_SYMBOL!r} is reserved")
     try:
         alphabet = Alphabet(tuple(t.text for t in alpha_rec.tokens))
     except ValueError as exc:

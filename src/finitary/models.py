@@ -1,8 +1,12 @@
 """Model parametrizations: hidden Markov, quantum random walk, automaton.
 
-All three describe stochastic processes over a finite alphabet.  Words are
-tuples of symbol indices into the model's ``Alphabet``.  ``validate`` reports
-every probability-law violation; shape errors are raised at construction.
+Hidden Markov models and walks describe stochastic processes over a finite
+alphabet and give each word the probability that the emitted stream begins
+with it; an automaton gives each word the probability of reading it and
+then stopping.
+Words are tuples of symbol indices into the model's ``Alphabet``.
+``validate`` reports every probability-law violation; shape errors are
+raised at construction.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ Word = tuple[int, ...]
 EMPTY_WORD: Word = ()
 EMPTY_WORD_TEXT = "□"  # printed for the empty word
 
-STOP_SYMBOL = "$"  # reserved for the automaton reduction
+STOP_SYMBOL = "$"  # the symbol ``pfa_to_hmm`` emits when the automaton stops
 
 _FORBIDDEN_IN_SYMBOL = set(":#,") | {EMPTY_WORD_TEXT}
 

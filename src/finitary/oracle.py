@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .linalg import IndependenceTester, dot, mat_vec, rank, vec_mat
 from .models import Word
 from .representation import LinearRepresentation
-from .scalars import DEFAULT_TOLERANCE
+from .scalars import DEFAULT_TOLERANCE, zero
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -56,9 +56,10 @@ def enumerate_probs(lr: LinearRepresentation, max_len: int,
     ns = len(lr.alphabet)
     _check_budget(_word_count(ns, max_len), budget, "probability table")
     entries: dict = {}
+    origin = zero(lr.mode)  # a float table holds floats even where dot is 0
 
     def walk(word: Word, row):
-        entries[word] = dot(row, lr.fin)
+        entries[word] = origin + dot(row, lr.fin)
         if len(word) < max_len:
             for a in range(ns):
                 walk(word + (a,), vec_mat(row, lr.matrices[a]))

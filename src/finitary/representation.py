@@ -5,7 +5,9 @@ and a final column vector; the probability of a word is the product
 
     p(v) = init . T[v1] . T[v2] ... T[vt] . fin
 
-Hidden Markov models land here directly.  Quantum walks need two twists:
+Hidden Markov models and automata land here directly; an automaton's p(v) is
+its probability of reading v and then stopping.  Quantum walks need two
+twists:
 
 * The walk acts on self-adjoint k x k matrices (collapse of Q by the step
   operator for symbol a is (PaU) Q (PaU)*, with Pa the projection onto the
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .linalg import dot, integral, mat_vec, vec_mat
-from .models import HmmModel, Model, PfaModel, QrwModel, Word, pfa_to_hmm
+from .models import HmmModel, Model, PfaModel, QrwModel, Word
 from .scalars import ComplexScalar, complex_i, one, zero
 
 
@@ -84,7 +86,8 @@ class LinearRepresentation:
         row = self.init
         for a in word:
             row = vec_mat(row, self._matrix(a))
-        return dot(row, self.fin)
+        # ``dot`` skips zero terms, so an all-zero sum is the integer 0
+        return zero(self.mode) + dot(row, self.fin)
 
     def forward(self, word: Word) -> ForwardVector:
         fv = ForwardVector((), self.init)
@@ -173,7 +176,7 @@ def compile_hmm(hmm: HmmModel) -> LinearRepresentation:
 
 def compile_pfa(pfa: PfaModel) -> LinearRepresentation:
     """The acceptance series pi . M_v . F: the probability of reading v and
-    then stopping.  Unlike ``compile_model``, no stop symbol is added."""
+    then stopping (Tzeng, SIAM J. Comput. 21(2), 1992)."""
     return LinearRepresentation(pfa.alphabet, pfa.transitions, pfa.initial,
                                 pfa.final, pfa.mode)
 
@@ -242,11 +245,12 @@ def compile_qrw(qrw: QrwModel) -> LinearRepresentation:
 
 
 def compile_model(model: Model) -> LinearRepresentation:
-    """Any model to its word-series form; automata get the stop reduction."""
+    """Any model to its word-series form: word probabilities for hidden
+    Markov models and walks, acceptance probabilities for automata."""
     if isinstance(model, HmmModel):
         return compile_hmm(model)
     if isinstance(model, QrwModel):
         return compile_qrw(model)
     if isinstance(model, PfaModel):
-        return compile_hmm(pfa_to_hmm(model))
+        return compile_pfa(model)
     raise TypeError(f"not a model: {type(model).__name__}")

@@ -71,10 +71,10 @@ class TestComputeBasis:
             "constant_a_2state.hmm": 1,
             "distinct_2state.hmm": 2,
             "hadamard.qrw": 1,
-            "half_stop.pfa": 2,
+            "half_stop.pfa": 1,
             "identity.qrw": 1,
-            "loop_ab.pfa": 3,
-            "loop_ab_swapped.pfa": 3,
+            "loop_ab.pfa": 2,
+            "loop_ab_swapped.pfa": 2,
             "padded_3state.hmm": 2,
             "stop_now.pfa": 1,
             "swap.qrw": 2,

@@ -1,5 +1,9 @@
+import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -8,9 +12,10 @@ from finitary import cli
 from finitary.cli import main
 from finitary.model_io import parse_model, serialize_model
 from finitary.models import acceptance_probability
+from finitary.scalars import format_scalar
 
 import generators as g
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, corpus_names
 
 
 @pytest.fixture()
@@ -25,6 +30,8 @@ def corpus(name: str) -> str:
 FLOAT_COIN = "kind: hmm\nmode: float\nalphabet: a b\nn: 1\npi: 1.0\nM: 1.0\n" \
              "E: 0.5 0.5\n"
 FLOAT_COIN_OFF = FLOAT_COIN.replace("0.5 0.5", "0.5000001 0.4999999")
+FLOAT_ALWAYS_A = FLOAT_COIN.replace("0.5 0.5", "1 0")
+FLOAT_ALWAYS_B = FLOAT_COIN.replace("0.5 0.5", "0 1")
 
 
 class TestEquiv:
@@ -85,8 +92,8 @@ class TestEquiv:
         assert res.stdout == "equivalent (exact)\ndim: 2\n"
 
     def test_automaton_against_other_class_rejected(self, runner):
-        # a reduced automaton reads the stop symbol '$', which no model
-        # file may use, so such a pair never had a common alphabet
+        # an automaton gives acceptance probabilities, the others word
+        # probabilities of a process: the two are not comparable
         for pair in (("half_stop.pfa", "coin.hmm"), ("coin.hmm", "half_stop.pfa"),
                      ("swap.qrw", "loop_ab.pfa")):
             res = runner.invoke(main, ["equiv", *map(corpus, pair)])
@@ -137,6 +144,41 @@ class TestEquiv:
         res = runner.invoke(main, ["equiv", str(a), str(b)],
                             env={"FINITARY_TOLERANCE": "1e-3"})
         assert res.exit_code == 0
+
+    def test_float_witness_zero_is_a_float(self, runner, tmp_path):
+        a = tmp_path / "a.hmm"
+        b = tmp_path / "b.hmm"
+        a.write_text(FLOAT_ALWAYS_A)
+        b.write_text(FLOAT_ALWAYS_B)
+        res = runner.invoke(main, ["equiv", str(a), str(b)])
+        assert res.exit_code == 1
+        assert res.stdout.endswith("witness: a\nleft:  1.0\nright: 0.0\n")
+        res = runner.invoke(main, ["equiv", str(a), str(b),
+                                   "--format", "json"])
+        assert json.loads(res.stdout)["values"] == ["1.0", "0.0"]
+
+
+class TestModuleEntry:
+    """``python -m finitary.cli`` runs the command line, exit codes and all."""
+
+    def run(self, *args):
+        env = {**os.environ, "PYTHONPATH": str(CORPUS_DIR.parent / "src")}
+        return subprocess.run([sys.executable, "-m", "finitary.cli", *args],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+
+    def test_differing_pair_exits_1(self):
+        done = self.run("equiv", corpus("coin.hmm"), corpus("biased.hmm"))
+        assert done.returncode == 1
+        assert done.stdout.startswith("not equivalent: one-step-mismatch\n")
+
+    def test_invalid_file_exits_2(self, tmp_path):
+        bad = tmp_path / "bad.hmm"
+        bad.write_text("kind: hmm\nmode: exact\nalphabet: a\nn: 1\n"
+                       "pi: 1/2\nM: 1\nE: 1\n")
+        done = self.run("validate", str(bad))
+        assert done.returncode == 2
+        assert done.stdout == "pi sums to 1/2\n"
 
 
 def pfa_text(pi, final, moves):
@@ -197,6 +239,57 @@ class TestPfaAcceptance:
         assert px != py
         assert payload["values"] == [str(px), str(py)]
 
+    def test_every_command_agrees_with_equiv(self, runner, tmp_path):
+        # dim, basis, prob and oracle read an automaton by the acceptance
+        # series that equiv compares, and print no note about it
+        texts = [(CORPUS_DIR / name).read_text() for name in corpus_names()
+                 if name.endswith(".pfa")]
+        rng = random.Random(6)
+        texts += [serialize_model(g.random_pfa(rng, n, ns))
+                  for n, ns in ((1, 1), (2, 2), (3, 3), (4, 2))]
+        texts += [LOOP_A, QUARTER_THEN_TRAP]  # never stops; stops partly
+        for index, text in enumerate(texts):
+            path = tmp_path / f"m{index}.pfa"
+            path.write_text(text)
+            pfa = parse_model(text)
+
+            def call(*args):
+                res = runner.invoke(main, [args[0], str(path), *args[1:]])
+                assert res.exit_code == 0 and res.stderr == "", (text, args)
+                return res.stdout
+
+            dim = json.loads(call("equiv", str(path), "--format",
+                                  "json"))["dim_x"]
+            assert call("dim") == f"{dim}\n", text
+            assert json.loads(call("basis", "--format", "json"))["dim"] == dim
+            table = json.loads(call("oracle", "-L", "3", "--format",
+                                    "json"))["entries"]
+            words = [w for t in range(4) for w in
+                     itertools.product(range(len(pfa.alphabet)), repeat=t)]
+            assert len(table) == len(words)
+            for word in words:
+                text_word = pfa.alphabet.format_word(word)
+                want = format_scalar(acceptance_probability(pfa, word))
+                assert call("prob", text_word) == want + "\n", (text, word)
+                assert table[text_word] == want, (text, word)
+
+    def test_dollar_is_an_ordinary_symbol(self, runner, tmp_path):
+        x, y = tmp_path / "x.pfa", tmp_path / "y.pfa"
+        head = "kind: pfa\nmode: exact\nalphabet: a $\nn: 1\npi: 1\nF: 1/2\n"
+        x.write_text(head + "Ma a: 1/4\nMa $: 1/4\n")
+        y.write_text(head + "Ma a: 1/2\nMa $: 0\n")
+        res = runner.invoke(main, ["prob", str(x), "a$$"])
+        assert (res.exit_code, res.stdout) == (0, "1/128\n")
+        res = runner.invoke(main, ["equiv", str(x), str(x)])
+        assert (res.exit_code, res.stdout) == (0, "equivalent (exact)\ndim: 1\n")
+        res = runner.invoke(main, ["equiv", str(x), str(y)])
+        assert res.exit_code == 1
+        assert res.stdout == ("not equivalent: one-step-mismatch\n"
+                              "dims: 1 vs 1\n"
+                              "witness: a\n"
+                              "left:  1/8\n"
+                              "right: 1/4\n")
+
 
 class TestFloatRowChoice:
     """Dense float HMMs on which a second tolerance judgement of the block
@@ -252,6 +345,15 @@ class TestDimAndBasis:
             "matrix": [["1", "1/2"], ["1/2", "1/2"]],
         }
 
+    def test_float_block_zero_is_a_float(self, runner, tmp_path):
+        # a then b, alternating: p(a a) = 0 sits in the block
+        path = tmp_path / "ab.hmm"
+        path.write_text("kind: hmm\nmode: float\nalphabet: a b\nn: 2\n"
+                        "pi: 1.0 0.0\nM: 0.0 1.0 1.0 0.0\n"
+                        "E: 1.0 0.0 0.0 1.0\n")
+        res = runner.invoke(main, ["basis", str(path)])
+        assert res.stdout.endswith("block:\n  1.0 1.0\n  1.0 0.0\n")
+
 
 class TestProb:
     def test_exact(self, runner):
@@ -268,11 +370,20 @@ class TestProb:
             res = runner.invoke(main, ["prob", corpus("coin.hmm"), word])
             assert res.stdout == "1\n"
 
-    def test_pfa_stop_word_with_notice(self, runner):
-        res = runner.invoke(main, ["prob", corpus("half_stop.pfa"), "a$"])
+    def test_pfa_acceptance_probability(self, runner):
+        res = runner.invoke(main, ["prob", corpus("half_stop.pfa"), "a"])
         assert res.exit_code == 0
         assert res.stdout == "1/4\n"
-        assert "reduced over its alphabet plus the stop symbol" in res.stderr
+        assert res.stderr == ""
+        res = runner.invoke(main, ["prob", corpus("half_stop.pfa"), "a$"])
+        assert res.exit_code == 2
+        assert "unknown symbol" in res.stderr
+
+    def test_float_zero_is_a_float(self, runner, tmp_path):
+        path = tmp_path / "a.hmm"
+        path.write_text(FLOAT_ALWAYS_A)
+        res = runner.invoke(main, ["prob", str(path), "b"])
+        assert res.stdout == "0.0\n"
 
     def test_unknown_symbol(self, runner):
         res = runner.invoke(main, ["prob", corpus("coin.hmm"), "xyz"])
@@ -291,6 +402,12 @@ class TestOracle:
         res = runner.invoke(main, ["oracle", corpus("coin.hmm"), "-L", "1"])
         assert res.exit_code == 0
         assert res.stdout == "□ 1\na 1/2\nb 1/2\n"
+
+    def test_float_table_zero_is_a_float(self, runner, tmp_path):
+        path = tmp_path / "a.hmm"
+        path.write_text(FLOAT_ALWAYS_A)
+        res = runner.invoke(main, ["oracle", str(path), "-L", "1"])
+        assert res.stdout == "□ 1.0\na 1.0\nb 0.0\n"
 
     def test_pair_equal(self, runner):
         res = runner.invoke(main, ["oracle", corpus("loop_ab.pfa"),

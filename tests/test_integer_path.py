@@ -198,7 +198,6 @@ def reference_basis(lr) -> Basis:
         forwards=tuple(cols),
         dim=len(cols),
         row_iterations=iterations,
-        mode=lr.mode,
     )
 
 

@@ -111,10 +111,6 @@ class TestSyntaxErrors:
         with pytest.raises(ModelSyntaxError, match="line 5, column 5"):
             parse_model(bad)
 
-    def test_stop_symbol_reserved(self):
-        with pytest.raises(ModelSyntaxError, match=r"symbol '\$' is reserved"):
-            parse_model("kind: hmm\nmode: exact\nalphabet: a $\n")
-
     def test_unexpected_field(self):
         with pytest.raises(ModelSyntaxError, match="unexpected field 'Q'"):
             parse_model(GOOD_HMM + "Q: 1\n")

@@ -9,9 +9,9 @@ from finitary.linalg import mat_vec
 from finitary.representation import (
     compile_hmm,
     compile_model,
+    compile_pfa,
     compile_qrw,
 )
-from finitary.models import pfa_to_hmm
 
 import generators as g
 from conftest import corpus_names, load_corpus_model
@@ -167,22 +167,22 @@ class TestVectorAlgebra:
 
 
 class TestCompileDispatch:
-    def test_pfa_goes_through_stop_reduction(self):
+    def test_pfa_compiles_to_acceptance_series(self):
         pfa = load_corpus_model("half_stop.pfa")
-        direct = compile_hmm(pfa_to_hmm(pfa))
-        dispatched = compile_model(pfa)
-        assert dispatched == direct
+        assert compile_model(pfa) == compile_pfa(pfa)
 
     def test_conservation_for_all_corpus_models(self):
-        # sum of the one-step extensions of any word returns its own
-        # probability; (sum_a T_a) fin == fin is the vector form
+        # a process: the one-step extensions of any word sum to its own
+        # probability, (sum_a T_a) fin == fin.  An automaton: every state
+        # stops or reads on, fin + (sum_a M_a) 1 == 1
         for name in corpus_names():
             lr = corpus_lr(name)
             ns = len(lr.alphabet.symbols)
-            summed = lr.fin
-            total = [0] * lr.dimension
+            automaton = name.endswith(".pfa")
+            summed = (1,) * lr.dimension if automaton else lr.fin
+            total = list(lr.fin) if automaton else [0] * lr.dimension
             for a in range(ns):
-                img = mat_vec(lr.matrices[a], lr.fin)
+                img = mat_vec(lr.matrices[a], summed)
                 total = [x + y for x, y in zip(total, img)]
             if lr.mode == "exact":
                 assert tuple(total) == tuple(summed), name
