@@ -10,6 +10,7 @@ machine-readable report.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -25,11 +26,20 @@ from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, format_scalar
 
 _TOLERANCE_ENV = "FINITARY_TOLERANCE"
 
+
+def _check_tolerance(ctx, param, value: float) -> float:
+    """Refuse a tolerance that is NaN, infinite or negative: under it every
+    comparison would come out the same way, whatever the values."""
+    if not (math.isfinite(value) and value >= 0):
+        raise click.BadParameter(f"must be a finite number >= 0, got {value}")
+    return value
+
+
 tolerance_option = click.option(
     "--tolerance", type=float, default=DEFAULT_TOLERANCE, show_default=True,
-    envvar=_TOLERANCE_ENV,
-    help="Float-mode comparison tolerance (also honored via "
-         f"{_TOLERANCE_ENV}).")
+    envvar=_TOLERANCE_ENV, callback=_check_tolerance,
+    help="Float-mode comparison tolerance, a finite number >= 0 (also "
+         f"honored via {_TOLERANCE_ENV}).")
 format_option = click.option(
     "--format", "fmt", type=click.Choice(["text", "json"]), default="text",
     show_default=True, help="Report style.")

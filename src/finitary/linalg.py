@@ -7,10 +7,13 @@ O(n * rank), instead of refactoring the whole collection.
 
 Exact mode works on integers.  Independence does not change when a vector
 is scaled by a nonzero number, so ``integral`` splits an exact vector into
-one rational scale and coprime integer coordinates.  The tester eliminates
-fraction-free (Bareiss, Math. Comp. 22, 1968), dividing out the content of
-the candidate after every step, and builds no ``Fraction`` while it reduces
-a candidate; zero is literal equality.  Float mode treats an entry as zero
+one rational scale and coprime integer coordinates; that scale is the one
+``Fraction`` it builds.  ``primitive`` does the same for an integer vector
+with an integer content and builds none; the scans call it after every
+integer step.  The tester eliminates fraction-free (Bareiss, Math. Comp.
+22, 1968), dividing out the content of the candidate after every step, and
+builds no ``Fraction`` while it reduces a candidate; zero is literal
+equality.  Float mode treats an entry as zero
 when it is negligible relative to the largest pivot accepted so far
 (relative tolerance, default 1e-9).
 """
@@ -33,11 +36,18 @@ def integral(vector, mode: str):
     if mode != EXACT:
         return 1.0, vector
     den = lcm(*(x.denominator for x in vector))
-    ints = [x.numerator * (den // x.denominator) for x in vector]
+    content, coords = primitive([x.numerator * (den // x.denominator)
+                                 for x in vector])
+    return Fraction(content, den), coords
+
+
+def primitive(ints):
+    """``(content, coords)`` with ``ints == content * coords``: the
+    non-negative gcd of an integer vector and its coprime quotient."""
     content = gcd(*ints)
     if content > 1:
-        ints = [x // content for x in ints]
-    return Fraction(content, den), tuple(ints)
+        return content, tuple(x // content for x in ints)
+    return content, tuple(ints)
 
 
 def dot(u, v):

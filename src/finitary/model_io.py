@@ -108,7 +108,10 @@ def _single(record: _Record) -> _Token:
 
 def _positive_int(record: _Record) -> int:
     token = _single(record)
-    if not token.text.isdigit() or int(token.text) == 0:
+    # ASCII digits only: str.isdigit also admits digits such as "²" that
+    # int() refuses
+    if not (token.text.isascii() and token.text.isdigit()) \
+            or int(token.text) == 0:
         raise ModelSyntaxError(
             f"line {token.line}, column {token.col}: "
             f"{record.name!r} must be a positive integer, got {token.text!r}")

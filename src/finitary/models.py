@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .scalars import (
     DEFAULT_TOLERANCE,
@@ -213,15 +214,31 @@ class PfaModel:
 Model = HmmModel | QrwModel | PfaModel
 
 
+def _negative(x, mode, tol) -> bool:
+    return (x.numerator < 0) if mode == EXACT else (x < -tol)
+
+
+def _bad_total(entries, mode, tol):
+    """The sum of ``entries`` when it is not 1 (beyond ``tol`` in float
+    mode), else None.  An exact row is summed as integers over one common
+    denominator, and a ``Fraction`` is built only for a sum to report."""
+    if mode == EXACT:
+        den = lcm(*(x.denominator for x in entries))
+        total = sum(x.numerator * (den // x.denominator) for x in entries)
+        return None if total == den else Fraction(total, den)
+    total = 0.0
+    for x in entries:
+        total = total + x
+    return total if abs(total - 1) > tol else None
+
+
 def _check_distribution(entries, name, row_label, violations, mode, tol):
-    total = zero(mode)
     for idx, x in enumerate(entries):
-        if (x < 0) if mode == EXACT else (x < -tol):
+        if _negative(x, mode, tol):
             violations.append(f"{name}[{idx}] is negative" if row_label is None
                               else f"{name}[{row_label}][{idx}] is negative")
-        total = total + x
-    bad = (total != 1) if mode == EXACT else (abs(total - 1) > tol)
-    if bad:
+    total = _bad_total(entries, mode, tol)
+    if total is not None:
         where = name if row_label is None else f"{name} row {row_label}"
         violations.append(f"{where} sums to {format_scalar(total)}")
 
@@ -265,21 +282,20 @@ def _validate_qrw(model: QrwModel, tol: float) -> list[str]:
 
 def _validate_pfa(model: PfaModel, tol: float) -> list[str]:
     v: list[str] = []
-    exact = model.mode == EXACT
-    _check_distribution(model.initial, "pi", None, v, model.mode, tol)
-    n = model.num_states
-    for i in range(n):
-        total = model.final[i]
-        if (model.final[i] < 0) if exact else (model.final[i] < -tol):
+    mode = model.mode
+    _check_distribution(model.initial, "pi", None, v, mode, tol)
+    for i in range(model.num_states):
+        if _negative(model.final[i], mode, tol):
             v.append(f"F[{i}] is negative")
+        outgoing = [model.final[i]]
         for a, symbol in enumerate(model.alphabet.symbols):
-            for j in range(n):
-                x = model.transitions[a][i][j]
-                if (x < 0) if exact else (x < -tol):
+            row = model.transitions[a][i]
+            for j, x in enumerate(row):
+                if _negative(x, mode, tol):
                     v.append(f"Ma {symbol}[{i}][{j}] is negative")
-                total = total + x
-        bad = (total != 1) if exact else (abs(total - 1) > tol)
-        if bad:
+            outgoing.extend(row)
+        total = _bad_total(outgoing, mode, tol)
+        if total is not None:
             v.append(f"state {i} outgoing mass sums to {format_scalar(total)}")
     return v
 

@@ -25,21 +25,31 @@ Forward vectors (init times a prefix product) and backward vectors (a suffix
 product times fin) extend by one symbol in O(n^2) and pair up via
 p(w a v) = forward(w) . T[a] . backward(v).
 
-``prob``, ``forward``, ``backward`` and their extensions compute in the
-model's scalars and are the reference.  The basis scans use the scaled form
-instead: a ``ScaledVector`` is ``scale * coords`` with coprime integer
-coordinates in exact mode, extended through one integer matrix per symbol,
-T[a] = scale[a] * M[a].  Float vectors carry scale 1.0 and T[a] itself.
+A representation stores one step per symbol as ``(scale, M)`` with
+T[a] = scale * M: in exact mode M is a coprime integer matrix and scale a
+``Fraction``; in float mode scale is 1.0 and M is T[a] itself.  That is its
+only stored form.  ``compile_hmm`` builds it from each transition row's
+integer form with one rational product per state and symbol; other models
+pass their matrices to ``LinearRepresentation.from_matrices``.
+
+The basis scans run on that form: a ``ScaledVector`` is ``scale * coords``
+with coprime integer coordinates in exact mode, and one step multiplies the
+integer coordinates by M, divides out their content and builds one
+``Fraction``, the new scale.  Float vectors carry scale 1.0.  ``prob``,
+``forward``, ``backward`` and their extensions compute in the model's
+scalars and are the reference; they read ``matrices``, the ``Fraction``
+matrices T[a], which are derived from the steps on first use and cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
-from .linalg import dot, integral, mat_vec, vec_mat
+from .linalg import dot, integral, mat_vec, primitive, vec_mat
 from .models import HmmModel, Model, PfaModel, QrwModel, Word
-from .scalars import ComplexScalar, complex_i, one, zero
+from .scalars import EXACT, ComplexScalar, complex_i, one, zero
 
 
 @dataclass(frozen=True)
@@ -65,17 +75,38 @@ class ScaledVector:
 @dataclass(frozen=True)
 class LinearRepresentation:
     alphabet: object
-    matrices: tuple  # one n x n step matrix per symbol, alphabet order
+    integer_steps: tuple  # per symbol (scale, M) with T[a] == scale * M
     init: tuple
     fin: tuple
     mode: str
+
+    @classmethod
+    def from_matrices(cls, alphabet, matrices, init, fin,
+                      mode: str) -> "LinearRepresentation":
+        """The representation with step matrices ``matrices``, one n x n
+        matrix per symbol in alphabet order."""
+        steps = []
+        for m in matrices:
+            n = len(m)
+            scale, flat = integral([x for row in m for x in row], mode)
+            steps.append((scale, tuple(tuple(flat[i * n:(i + 1) * n])
+                                       for i in range(n))))
+        return cls(alphabet, tuple(steps), init, fin, mode)
+
+    @cached_property
+    def matrices(self) -> tuple:
+        """One step matrix T[a] per symbol, in the model's scalars."""
+        if self.mode != EXACT:
+            return tuple(m for _, m in self.integer_steps)
+        return tuple(tuple(tuple(scale * x for x in row) for row in m)
+                     for scale, m in self.integer_steps)
 
     @property
     def dimension(self) -> int:
         return len(self.init)
 
     def _symbol(self, a: int) -> int:
-        if not 0 <= a < len(self.matrices):
+        if not 0 <= a < len(self.integer_steps):
             raise ValueError(f"symbol index out of range: {a}")
         return a
 
@@ -109,18 +140,6 @@ class LinearRepresentation:
         self._check(bv.coords)
         return BackwardVector((a,) + bv.word, mat_vec(self._matrix(a), bv.coords))
 
-    @cached_property
-    def integer_steps(self) -> tuple:
-        """Per symbol ``(scale, M)`` with T[a] == scale * M, M integral in
-        exact mode; ``(1.0, T[a])`` in float mode."""
-        n = self.dimension
-        steps = []
-        for m in self.matrices:
-            scale, flat = integral([x for row in m for x in row], self.mode)
-            steps.append((scale, tuple(tuple(flat[i * n:(i + 1) * n])
-                                       for i in range(n))))
-        return tuple(steps)
-
     def scaled_forward(self, word: Word) -> ScaledVector:
         sv = ScaledVector((), *integral(self.init, self.mode))
         for a in word:
@@ -136,16 +155,24 @@ class LinearRepresentation:
     def step_forward(self, sv: ScaledVector, a: int) -> ScaledVector:
         self._check(sv.coords)
         step_scale, m = self.integer_steps[self._symbol(a)]
-        content, coords = integral(vec_mat(sv.coords, m), self.mode)
-        return ScaledVector(sv.word + (a,), sv.scale * step_scale * content,
-                            coords)
+        return self._scaled(sv.word + (a,), sv.scale, step_scale,
+                            vec_mat(sv.coords, m))
 
     def step_backward(self, a: int, sv: ScaledVector) -> ScaledVector:
         self._check(sv.coords)
         step_scale, m = self.integer_steps[self._symbol(a)]
-        content, coords = integral(mat_vec(m, sv.coords), self.mode)
-        return ScaledVector((a,) + sv.word, sv.scale * step_scale * content,
-                            coords)
+        return self._scaled((a,) + sv.word, sv.scale, step_scale,
+                            mat_vec(m, sv.coords))
+
+    def _scaled(self, word: Word, scale, step_scale, product) -> ScaledVector:
+        """``scale * step_scale * product`` with ``product`` made coprime."""
+        if self.mode != EXACT:
+            return ScaledVector(word, 1.0, product)
+        content, coords = primitive(product)
+        return ScaledVector(
+            word, Fraction(scale.numerator * step_scale.numerator * content,
+                           scale.denominator * step_scale.denominator),
+            coords)
 
     def prob_bilinear(self, fv: ForwardVector, a: int | None, bv: BackwardVector):
         """p(w a v) from cached ends, or p(w v) when no middle symbol."""
@@ -163,22 +190,26 @@ class LinearRepresentation:
 
 
 def compile_hmm(hmm: HmmModel) -> LinearRepresentation:
-    n = hmm.num_states
-    matrices = []
+    """T[a][i][j] = E[i][a] * M[i][j].  With row i of M split by
+    ``integral`` as s_i * r_i, T[a] is the integer matrix with rows
+    w_i * r_i times one scale, where (scale, w) = integral(E[i][a] * s_i)."""
+    rows = [integral(row, hmm.mode) for row in hmm.transition]
+    steps = []
     for a in range(len(hmm.alphabet)):
-        matrices.append(tuple(
-            tuple(hmm.emission[i][a] * hmm.transition[i][j] for j in range(n))
-            for i in range(n)))
-    fin = tuple(one(hmm.mode) for _ in range(n))
-    return LinearRepresentation(hmm.alphabet, tuple(matrices),
-                                hmm.initial, fin, hmm.mode)
+        scale, weights = integral([e[a] * s for e, (s, _) in
+                                   zip(hmm.emission, rows)], hmm.mode)
+        steps.append((scale, tuple(tuple(w * x for x in r)
+                                   for w, (_, r) in zip(weights, rows))))
+    fin = tuple(one(hmm.mode) for _ in range(hmm.num_states))
+    return LinearRepresentation(hmm.alphabet, tuple(steps), hmm.initial, fin,
+                                hmm.mode)
 
 
 def compile_pfa(pfa: PfaModel) -> LinearRepresentation:
     """The acceptance series pi . M_v . F: the probability of reading v and
     then stopping (Tzeng, SIAM J. Comput. 21(2), 1992)."""
-    return LinearRepresentation(pfa.alphabet, pfa.transitions, pfa.initial,
-                                pfa.final, pfa.mode)
+    return LinearRepresentation.from_matrices(
+        pfa.alphabet, pfa.transitions, pfa.initial, pfa.final, pfa.mode)
 
 
 def _coordinate_pairs(k: int):
@@ -241,7 +272,8 @@ def compile_qrw(qrw: QrwModel) -> LinearRepresentation:
     init = _coords_of(density, re_pairs, im_pairs)
     fin = tuple(o if m1 == m2 else z for (m1, m2) in re_pairs) + \
         tuple(z for _ in im_pairs)
-    return LinearRepresentation(qrw.alphabet, tuple(matrices), init, fin, mode)
+    return LinearRepresentation.from_matrices(qrw.alphabet, matrices, init,
+                                              fin, mode)
 
 
 def compile_model(model: Model) -> LinearRepresentation:

@@ -1,12 +1,15 @@
 """Scalar handling: exact rationals by default, tolerance-based floats on request.
 
-Every model fixes one scalar mode at load time.  Exact mode stores
-``fractions.Fraction`` in models, representations and reported values, and
-all comparisons are literal equality; the basis scans and the equivalence
-check compute on integer vectors with one ``Fraction`` scale each (see
-``linalg.integral``).  Float mode stores machine floats and defers to a
-tolerance, which callers thread through explicitly.  The two modes are
-never mixed inside one model.
+Every model fixes one scalar mode at load time.  Exact mode keeps a
+``fractions.Fraction`` for each value that can be reported: a model entry,
+a scale, a witness value or the sum in a violation message.  Everything in
+between runs on integers.  ``parse_scalar`` reads ``p/q`` as two ``int``;
+validation sums each row law over one common denominator; the compiled
+representation holds integer step matrices with one rational scale each;
+and the scans and the equivalence check compute on integer vectors (see
+``linalg.integral``).  All comparisons are literal equality.  Float mode
+stores machine floats and defers to a tolerance, which callers thread
+through explicitly.  The two modes are never mixed inside one model.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ def one(mode: str) -> Scalar:
 def as_scalar(value, mode: str) -> Scalar:
     """Coerce a number to the given mode, refusing silent precision changes."""
     if mode == EXACT:
+        if type(value) is Fraction:
+            return value
         if isinstance(value, float):
             raise TypeError("float entry in an exact-mode model")
         return Fraction(value)
@@ -54,10 +59,14 @@ def parse_scalar(text: str, mode: str) -> Scalar:
     if mode == EXACT:
         if not _RATIONAL_RE.match(text):
             raise ValueError(f"not an exact rational literal: {text!r}")
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator: {text!r}") from None
+        num, _, den = text.partition("/")
+        p = int(num)
+        if not den:
+            return Fraction(p)
+        q = int(den)
+        if q == 0:
+            raise ValueError(f"zero denominator: {text!r}")
+        return Fraction(p, q)
     if "/" in text:
         raise ValueError(f"fraction literal in float mode: {text!r}")
     try:

@@ -45,7 +45,7 @@ class TestRowGenerator:
     def test_zero_fin_rejected(self):
         # the row scan rejects a zero final vector and the basis is empty:
         # the zero series, e.g. of an automaton that never stops, has dim 0
-        lr = LinearRepresentation(
+        lr = LinearRepresentation.from_matrices(
             g.alphabet(1), (((F(1),),),), (F(1),), (F(0),), EXACT)
         assert row_generator(lr) == ([], [], 0)
         basis = compute_basis(lr)
@@ -54,7 +54,7 @@ class TestRowGenerator:
 
     def test_unreachable_fin_gives_dim_zero(self):
         # final weight only on a state the initial vector never reaches
-        lr = LinearRepresentation(
+        lr = LinearRepresentation.from_matrices(
             g.alphabet(1), (((F(1), F(0)), (F(0), F(1))),),
             (F(1), F(0)), (F(0), F(1)), EXACT)
         assert compute_basis(lr).dim == 0

@@ -158,6 +158,47 @@ class TestEquiv:
         assert json.loads(res.stdout)["values"] == ["1.0", "0.0"]
 
 
+class TestToleranceValue:
+    """A tolerance must be finite and >= 0, however it is given: NaN made
+    every float comparison pass, a negative one crashed the row scan and
+    an infinite one gave dimension 0."""
+
+    COMMANDS = {
+        "equiv": ["equiv", corpus("hadamard.qrw"), corpus("hadamard.qrw")],
+        "dim": ["dim", corpus("hadamard.qrw")],
+        "basis": ["basis", corpus("hadamard.qrw")],
+        "oracle": ["oracle", corpus("hadamard.qrw")],
+        "validate": ["validate", corpus("hadamard.qrw")],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    def test_flag_rejected(self, runner, command, value):
+        res = runner.invoke(main, self.COMMANDS[command]
+                            + ["--tolerance", value])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "Invalid value for '--tolerance': must be a finite number " \
+               ">= 0" in res.stderr
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_env_var_rejected(self, runner, command, value):
+        res = runner.invoke(main, self.COMMANDS[command],
+                            env={"FINITARY_TOLERANCE": value})
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "must be a finite number >= 0" in res.stderr
+
+    def test_zero_accepted(self, runner):
+        res = runner.invoke(main, self.COMMANDS["equiv"] + ["--tolerance", "0"])
+        assert res.exit_code == 0
+        assert res.stdout == "equivalent within tolerance 0.0\ndim: 1\n"
+        res = runner.invoke(main, self.COMMANDS["dim"],
+                            env={"FINITARY_TOLERANCE": "0"})
+        assert res.stdout == "1\n"
+
+
 class TestModuleEntry:
     """``python -m finitary.cli`` runs the command line, exit codes and all."""
 

@@ -58,9 +58,9 @@ def padded_hmm_lr(rng):
     matrices = tuple(tuple(row + pad_a for row in ma)
                      + tuple(pad_b + row for row in mb)
                      for ma, mb in zip(reachable.matrices, hidden.matrices))
-    return LinearRepresentation(reachable.alphabet, matrices,
-                                reachable.init + pad_a,
-                                reachable.fin + hidden.fin, reachable.mode)
+    return LinearRepresentation.from_matrices(
+        reachable.alphabet, matrices, reachable.init + pad_a,
+        reachable.fin + hidden.fin, reachable.mode)
 
 
 def split_hmm_lr(rng):

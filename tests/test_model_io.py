@@ -120,6 +120,22 @@ class TestSyntaxErrors:
         with pytest.raises(ModelSyntaxError, match="positive integer"):
             parse_model(bad)
 
+    @pytest.mark.parametrize("text, name", [
+        (GOOD_HMM, "n"),
+        ("kind: qrw\nmode: exact\nalphabet: a\nk: 1\nlabels: a\nU: 1\n"
+         "psi0: 1\n", "k"),
+    ], ids=["hmm", "qrw"])
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"],
+                             ids=["superscript", "arabic-indic"])
+    def test_count_takes_ascii_digits_only(self, text, name, digit):
+        # "²" passes str.isdigit but not int(); "٣" (Arabic-Indic three)
+        # passes both, and is refused as well
+        bad = text.replace(f"{name}: 1", f"{name}: {digit}")
+        with pytest.raises(ModelSyntaxError,
+                           match=f"line 4, column 4: '{name}' must be a "
+                                 f"positive integer, got '{digit}'"):
+            parse_model(bad)
+
     def test_labels_count(self):
         with pytest.raises(ModelSyntaxError, match="'labels' has 1 entries"):
             parse_model("kind: qrw\nmode: exact\nalphabet: a\nk: 2\n"

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finitary.models import (
     Alphabet,
@@ -137,6 +139,73 @@ class TestValidate:
                      ((0.5, 0.5 + 1e-12),), mode=FLOAT)
         assert validate(m) == []
         assert validate(m, tolerance=1e-15) != []
+
+
+def _spoiled(rng, row):
+    """``row`` with, at random, one entry shifted by a fraction, one negated
+    or every entry zeroed; usually left alone."""
+    row = list(row)
+    roll = rng.random()
+    i = rng.randrange(len(row))
+    if roll < 0.2:
+        row[i] += F(rng.choice((-1, 1)), rng.randint(1, 12))
+    elif roll < 0.35:
+        row[i] = -row[i] - F(1, rng.randint(1, 5))
+    elif roll < 0.45:
+        row = [F(0)] * len(row)
+    return tuple(row)
+
+
+def _fraction_sum_violations(model):
+    """The exact row laws checked with ``Fraction`` sums: the reference
+    for ``validate``'s integer sums."""
+    out = []
+
+    def law(entries, where, names):
+        for x, name in zip(entries, names):
+            if x < 0:
+                out.append(f"{name} is negative")
+        total = sum(entries, F(0))
+        if total != 1:
+            out.append(f"{where} sums to {total}")
+
+    def rows(name, matrix):
+        for i, row in enumerate(matrix):
+            law(row, f"{name} row {i}",
+                [f"{name}[{i}][{j}]" for j in range(len(row))])
+
+    law(model.initial, "pi", [f"pi[{i}]" for i in range(model.num_states)])
+    if isinstance(model, HmmModel):
+        rows("M", model.transition)
+        rows("E", model.emission)
+        return out
+    for i in range(model.num_states):
+        names = [f"F[{i}]"]
+        entries = [model.final[i]]
+        for a, symbol in enumerate(model.alphabet.symbols):
+            names += [f"Ma {symbol}[{i}][{j}]" for j in range(model.num_states)]
+            entries += model.transitions[a][i]
+        law(entries, f"state {i} outgoing mass", names)
+    return out
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 2**32 - 1))
+def test_exact_validation_matches_fraction_sums(seed):
+    rng = random.Random(seed)
+    n, ns = rng.randint(1, 4), rng.randint(1, 3)
+    if rng.random() < 0.5:
+        m = g.random_hmm(rng, n, ns)
+        model = HmmModel(m.alphabet, _spoiled(rng, m.initial),
+                         tuple(_spoiled(rng, r) for r in m.transition),
+                         tuple(_spoiled(rng, r) for r in m.emission))
+    else:
+        m = g.random_pfa(rng, n, ns)
+        model = PfaModel(m.alphabet, _spoiled(rng, m.initial),
+                         tuple(tuple(_spoiled(rng, r) for r in ma)
+                               for ma in m.transitions),
+                         _spoiled(rng, m.final))
+    assert validate(model) == _fraction_sum_violations(model)
 
 
 class TestStopReduction:

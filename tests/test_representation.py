@@ -4,14 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from finitary.linalg import mat_vec
+from finitary.linalg import integral, mat_vec, vec_mat
+from finitary.models import HmmModel
 from finitary.representation import (
     compile_hmm,
     compile_model,
     compile_pfa,
     compile_qrw,
 )
+from finitary.scalars import EXACT
 
 import generators as g
 from conftest import corpus_names, load_corpus_model
@@ -42,6 +46,64 @@ class TestHmmCompilation:
                 for j in range(n):
                     assert lr.matrices[a][i][j] == \
                         hmm.emission[i][a] * hmm.transition[i][j]
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.integers(0, 2**32 - 1))
+    def test_steps_are_the_integral_of_the_products(self, seed):
+        # one-state models, zero transition rows and a symbol that no
+        # state emits (a zero matrix, scale 0) included
+        rng = random.Random(seed)
+        n, ns = rng.randint(1, 5), rng.randint(1, 3)
+        hmm = g.random_hmm(rng, n, ns)
+        silent = rng.randrange(ns) if rng.random() < 0.4 else None
+        hmm = HmmModel(
+            hmm.alphabet, hmm.initial,
+            tuple((F(0),) * n if rng.random() < 0.15 else row
+                  for row in hmm.transition),
+            tuple(tuple(F(0) if a == silent else x for a, x in enumerate(row))
+                  for row in hmm.emission))
+        products = tuple(
+            tuple(tuple(hmm.emission[i][a] * hmm.transition[i][j]
+                        for j in range(n)) for i in range(n))
+            for a in range(ns))
+        lr = compile_hmm(hmm)
+        for (scale, m), t in zip(lr.integer_steps, products, strict=True):
+            want_scale, flat = integral([x for row in t for x in row], EXACT)
+            assert scale == want_scale
+            assert m == tuple(flat[i * n:(i + 1) * n] for i in range(n))
+        if silent is not None:
+            assert lr.integer_steps[silent][0] == 0
+        assert lr.matrices == products
+        for t in range(3):
+            for w in itertools.product(range(ns), repeat=t):
+                row = hmm.initial
+                for a in w:
+                    row = vec_mat(row, products[a])
+                assert lr.prob(w) == sum(row, F(0))
+
+    def test_float_matrices_are_the_products(self):
+        hmm = g.random_dense_float_hmm(random.Random(4), 4, 2)
+        lr = compile_hmm(hmm)
+        assert lr.matrices == tuple(
+            tuple(tuple(e[a] * x for x in row)
+                  for e, row in zip(hmm.emission, hmm.transition))
+            for a in range(2))
+        assert all(scale == 1.0 for scale, _ in lr.integer_steps)
+
+    def test_one_product_per_state_and_symbol(self, monkeypatch):
+        # T[a] = E[., a] * M needs n rational products per symbol: one per
+        # transition row, whose integers carry the rest
+        hmm = g.random_hmm(random.Random(8), 6, 3)
+        calls = []
+        original = Fraction.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(Fraction, "__mul__", counting)
+        compile_hmm(hmm)
+        assert len(calls) <= 3 * 6
 
     def test_fin_is_all_ones(self):
         lr = corpus_lr("padded_3state.hmm")
@@ -170,6 +232,8 @@ class TestCompileDispatch:
     def test_pfa_compiles_to_acceptance_series(self):
         pfa = load_corpus_model("half_stop.pfa")
         assert compile_model(pfa) == compile_pfa(pfa)
+        pfa = g.random_pfa(random.Random(2), 4, 3)
+        assert compile_pfa(pfa).matrices == pfa.transitions
 
     def test_conservation_for_all_corpus_models(self):
         # a process: the one-step extensions of any word sum to its own

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finitary.scalars import (
+    _RATIONAL_RE,
     DEFAULT_TOLERANCE,
     EXACT,
     FLOAT,
@@ -22,6 +23,11 @@ from finitary.scalars import (
 )
 
 
+# digit strings with up to three leading zeros, from 0 to beyond 300 bits
+DIGITS = st.builds(lambda zeros, value: "0" * zeros + str(value),
+                   st.integers(0, 3), st.integers(0, 2**301))
+
+
 class TestParseScalar:
     def test_exact_fraction(self):
         assert parse_scalar("1/3", EXACT) == Fraction(1, 3)
@@ -36,6 +42,24 @@ class TestParseScalar:
     def test_exact_rejects_zero_denominator(self):
         with pytest.raises(ValueError, match="zero denominator"):
             parse_scalar("1/0", EXACT)
+
+    @settings(max_examples=300)
+    @given(st.one_of(
+        st.builds(lambda sign, num, den: sign + num + den,
+                  st.sampled_from(["", "+", "-"]), DIGITS,
+                  st.just("") | DIGITS.map(lambda d: "/" + d)),
+        st.from_regex(_RATIONAL_RE, fullmatch=True)))
+    def test_exact_literal_is_the_fraction_it_reads(self, text):
+        # signs, leading zeros, zero numerators, 300-bit integers and any
+        # other decimal digits the literal syntax admits
+        try:
+            expected = Fraction(text)
+        except ZeroDivisionError:
+            with pytest.raises(ValueError, match="zero denominator"):
+                parse_scalar(text, EXACT)
+            return
+        value = parse_scalar(text, EXACT)
+        assert type(value) is Fraction and value == expected
 
     def test_float_decimal(self):
         assert parse_scalar("0.25", FLOAT) == 0.25
@@ -82,6 +106,10 @@ class TestModeGuards:
     def test_fraction_refused_in_float(self):
         with pytest.raises(TypeError):
             as_scalar(Fraction(1, 2), FLOAT)
+
+    def test_exact_fraction_kept_as_is(self):
+        q = Fraction(2, 3)
+        assert as_scalar(q, EXACT) is q
 
     def test_int_acceptable_in_both(self):
         assert as_scalar(1, EXACT) == Fraction(1)
