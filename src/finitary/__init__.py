@@ -42,8 +42,6 @@ from .oracle import (
     process_dimension,
 )
 from .representation import (
-    BackwardVector,
-    ForwardVector,
     LinearRepresentation,
     compile_hmm,
     compile_model,
@@ -58,7 +56,6 @@ __all__ = [
     "ALL_CHECKS_PASSED",
     "Alphabet",
     "BASIC_MATRIX_MISMATCH",
-    "BackwardVector",
     "Basis",
     "BruteResult",
     "BudgetExceededError",
@@ -68,7 +65,6 @@ __all__ = [
     "EXACT",
     "EquivalenceVerdict",
     "FLOAT",
-    "ForwardVector",
     "HmmModel",
     "INITIAL_ROW_MISMATCH",
     "LinearRepresentation",

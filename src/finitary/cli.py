@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from .basis import compute_basis
 from .equivalence import EquivalenceVerdict, test_equivalence, test_equivalence_pfa
@@ -35,9 +36,29 @@ def _check_tolerance(ctx, param, value: float) -> float:
     return value
 
 
+class _ToleranceOption(click.Option):
+    """Names the environment variable, not the flag, in the error for a bad
+    value read from it; click records a value's source only after checking
+    the value, so ``_check_tolerance`` cannot tell."""
+
+    def consume_value(self, ctx, opts):
+        value, source = super().consume_value(ctx, opts)
+        ctx.meta[_TOLERANCE_ENV] = source is ParameterSource.ENVIRONMENT
+        return value, source
+
+    def process_value(self, ctx, value):
+        try:
+            return super().process_value(ctx, value)
+        except click.BadParameter as exc:
+            if ctx.meta.get(_TOLERANCE_ENV):
+                exc.param_hint = f"environment variable {_TOLERANCE_ENV}"
+            raise
+
+
 tolerance_option = click.option(
-    "--tolerance", type=float, default=DEFAULT_TOLERANCE, show_default=True,
-    envvar=_TOLERANCE_ENV, callback=_check_tolerance,
+    "--tolerance", cls=_ToleranceOption, type=float,
+    default=DEFAULT_TOLERANCE, show_default=True, envvar=_TOLERANCE_ENV,
+    callback=_check_tolerance,
     help="Float-mode comparison tolerance, a finite number >= 0 (also "
          f"honored via {_TOLERANCE_ENV}).")
 format_option = click.option(

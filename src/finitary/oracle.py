@@ -1,9 +1,12 @@
 """Brute-force reference answers for cross-checking the basis machinery.
 
 Everything here enumerates words outright and recomputes products with plain
-loops; nothing is shared with the candidate-driven scan in ``basis`` beyond
-the representation type itself and the rank routine.  Exponential in the word
-length by design, so every entry point takes an explicit budget.
+loops in the model's scalars.  It shares with the candidate-driven scans in
+``basis`` only each representation's stored steps ``(scale, M)``, read here as
+T[a] = scale * M, and the rank and independence routines of ``linalg``; the
+scans' integer vector steps (``step_forward``, ``step_backward``) are never
+called.  Exponential in the word length by design, so every entry point takes
+an explicit budget.
 """
 
 from __future__ import annotations
@@ -21,6 +24,34 @@ DEFAULT_BUDGET = 1_000_000
 
 class BudgetExceededError(RuntimeError):
     pass
+
+
+def extend_prefix(lr: LinearRepresentation, row: tuple, a: int) -> tuple:
+    """row . T[a], computed as scale * (row . M)."""
+    scale, m = lr.integer_steps[a]
+    return tuple(scale * x for x in vec_mat(row, m))
+
+
+def extend_suffix(lr: LinearRepresentation, a: int, col: tuple) -> tuple:
+    """T[a] . col, computed as scale * (M . col)."""
+    scale, m = lr.integer_steps[a]
+    return tuple(scale * x for x in mat_vec(m, col))
+
+
+def prefix_vector(lr: LinearRepresentation, word: Word) -> tuple:
+    """init . T[w1] ... T[wt], the forward vector of ``word``."""
+    row = lr.init
+    for a in word:
+        row = extend_prefix(lr, row, a)
+    return row
+
+
+def suffix_vector(lr: LinearRepresentation, word: Word) -> tuple:
+    """T[w1] ... T[wt] . fin, the backward vector of ``word``."""
+    col = lr.fin
+    for a in reversed(word):
+        col = extend_suffix(lr, a, col)
+    return col
 
 
 def _word_count(num_symbols: int, max_len: int) -> int:
@@ -62,7 +93,7 @@ def enumerate_probs(lr: LinearRepresentation, max_len: int,
         entries[word] = origin + dot(row, lr.fin)
         if len(word) < max_len:
             for a in range(ns):
-                walk(word + (a,), vec_mat(row, lr.matrices[a]))
+                walk(word + (a,), extend_prefix(lr, row, a))
 
     walk((), lr.init)
     return ProbTable(max_len, entries)
@@ -104,18 +135,8 @@ def hankel_rank(lr: LinearRepresentation, max_len: int,
     ns = len(lr.alphabet)
     words = _all_words(ns, max_len)
     _check_budget(len(words) * len(words), budget, "Hankel block")
-    prefix_rows = []
-    for w in words:
-        row = lr.init
-        for a in w:
-            row = vec_mat(row, lr.matrices[a])
-        prefix_rows.append(row)
-    suffix_cols = []
-    for v in words:
-        col = lr.fin
-        for a in reversed(v):
-            col = mat_vec(lr.matrices[a], col)
-        suffix_cols.append(col)
+    prefix_rows = [prefix_vector(lr, w) for w in words]
+    suffix_cols = [suffix_vector(lr, v) for v in words]
     block = [[dot(row, col) for row in prefix_rows] for col in suffix_cols]
     return rank(block, lr.mode, tolerance)
 
@@ -157,7 +178,7 @@ def process_dimension(lr: LinearRepresentation,
             if not added:
                 return kept
 
-    prefix_basis = saturate(lr.init, lambda vec, a: vec_mat(vec, lr.matrices[a]))
-    suffix_basis = saturate(lr.fin, lambda vec, a: mat_vec(lr.matrices[a], vec))
+    prefix_basis = saturate(lr.init, lambda vec, a: extend_prefix(lr, vec, a))
+    suffix_basis = saturate(lr.fin, lambda vec, a: extend_suffix(lr, a, vec))
     pairing = [[dot(p, s) for p in prefix_basis] for s in suffix_basis]
     return rank(pairing, lr.mode, tolerance)

@@ -21,10 +21,6 @@ twists:
   coordinate matrices; the reversal is then absorbed by reading the product
   left to right as above.
 
-Forward vectors (init times a prefix product) and backward vectors (a suffix
-product times fin) extend by one symbol in O(n^2) and pair up via
-p(w a v) = forward(w) . T[a] . backward(v).
-
 A representation stores one step per symbol as ``(scale, M)`` with
 T[a] = scale * M: in exact mode M is a coprime integer matrix and scale a
 ``Fraction``; in float mode scale is 1.0 and M is T[a] itself.  That is its
@@ -32,36 +28,26 @@ only stored form.  ``compile_hmm`` builds it from each transition row's
 integer form with one rational product per state and symbol; other models
 pass their matrices to ``LinearRepresentation.from_matrices``.
 
-The basis scans run on that form: a ``ScaledVector`` is ``scale * coords``
-with coprime integer coordinates in exact mode, and one step multiplies the
-integer coordinates by M, divides out their content and builds one
-``Fraction``, the new scale.  Float vectors carry scale 1.0.  ``prob``,
-``forward``, ``backward`` and their extensions compute in the model's
-scalars and are the reference; they read ``matrices``, the ``Fraction``
-matrices T[a], which are derived from the steps on first use and cached.
+A forward vector (init times a prefix product) and a backward vector (a
+suffix product times fin) extend by one symbol in O(n^2) and pair up via
+p(w a v) = forward(w) . T[a] . backward(v).  The basis scans build them as
+``ScaledVector``s, ``scale * coords`` with coprime integer coordinates in
+exact mode: one step multiplies the integer coordinates by M, divides out
+their content and builds one ``Fraction``, the new scale.  Float vectors
+carry scale 1.0.  ``prob`` and ``prob_bilinear`` instead compute in the
+model's scalars, each step as ``scale * (row . M)`` straight from the stored
+steps, and never reduce a vector; ``oracle`` builds its reference prefix and
+suffix products the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .linalg import dot, integral, mat_vec, primitive, vec_mat
 from .models import HmmModel, Model, PfaModel, QrwModel, Word
 from .scalars import EXACT, ComplexScalar, complex_i, one, zero
-
-
-@dataclass(frozen=True)
-class ForwardVector:
-    word: Word
-    coords: tuple
-
-
-@dataclass(frozen=True)
-class BackwardVector:
-    word: Word
-    coords: tuple
 
 
 @dataclass(frozen=True)
@@ -93,14 +79,6 @@ class LinearRepresentation:
                                        for i in range(n))))
         return cls(alphabet, tuple(steps), init, fin, mode)
 
-    @cached_property
-    def matrices(self) -> tuple:
-        """One step matrix T[a] per symbol, in the model's scalars."""
-        if self.mode != EXACT:
-            return tuple(m for _, m in self.integer_steps)
-        return tuple(tuple(tuple(scale * x for x in row) for row in m)
-                     for scale, m in self.integer_steps)
-
     @property
     def dimension(self) -> int:
         return len(self.init)
@@ -110,35 +88,13 @@ class LinearRepresentation:
             raise ValueError(f"symbol index out of range: {a}")
         return a
 
-    def _matrix(self, a: int):
-        return self.matrices[self._symbol(a)]
-
     def prob(self, word: Word):
         row = self.init
         for a in word:
-            row = vec_mat(row, self._matrix(a))
+            scale, m = self.integer_steps[self._symbol(a)]
+            row = tuple(scale * x for x in vec_mat(row, m))
         # ``dot`` skips zero terms, so an all-zero sum is the integer 0
         return zero(self.mode) + dot(row, self.fin)
-
-    def forward(self, word: Word) -> ForwardVector:
-        fv = ForwardVector((), self.init)
-        for a in word:
-            fv = self.extend_forward(fv, a)
-        return fv
-
-    def extend_forward(self, fv: ForwardVector, a: int) -> ForwardVector:
-        self._check(fv.coords)
-        return ForwardVector(fv.word + (a,), vec_mat(fv.coords, self._matrix(a)))
-
-    def backward(self, word: Word) -> BackwardVector:
-        bv = BackwardVector((), self.fin)
-        for a in reversed(word):
-            bv = self.extend_backward(a, bv)
-        return bv
-
-    def extend_backward(self, a: int, bv: BackwardVector) -> BackwardVector:
-        self._check(bv.coords)
-        return BackwardVector((a,) + bv.word, mat_vec(self._matrix(a), bv.coords))
 
     def scaled_forward(self, word: Word) -> ScaledVector:
         sv = ScaledVector((), *integral(self.init, self.mode))
@@ -174,13 +130,15 @@ class LinearRepresentation:
                            scale.denominator * step_scale.denominator),
             coords)
 
-    def prob_bilinear(self, fv: ForwardVector, a: int | None, bv: BackwardVector):
-        """p(w a v) from cached ends, or p(w v) when no middle symbol."""
-        self._check(fv.coords)
-        self._check(bv.coords)
+    def prob_bilinear(self, row: tuple, a: int | None, col: tuple):
+        """p(w a v) from the prefix row init . T[w] and the suffix column
+        T[v] . fin, or p(w v) when there is no middle symbol."""
+        self._check(row)
+        self._check(col)
         if a is None:
-            return dot(fv.coords, bv.coords)
-        return dot(fv.coords, mat_vec(self._matrix(a), bv.coords))
+            return dot(row, col)
+        scale, m = self.integer_steps[self._symbol(a)]
+        return scale * dot(row, mat_vec(m, col))
 
     def _check(self, coords):
         if len(coords) != self.dimension:

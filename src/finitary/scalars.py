@@ -29,7 +29,8 @@ DEFAULT_TOLERANCE = 1e-9
 
 Scalar = Fraction | float
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
+# ``[0-9]``, not ``\d``, which also matches other Unicode decimal digits
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
 
 
 def zero(mode: str) -> Scalar:
@@ -54,8 +55,9 @@ def as_scalar(value, mode: str) -> Scalar:
 
 
 def parse_scalar(text: str, mode: str) -> Scalar:
-    """Parse one numeric literal.  Exact mode takes integers and p/q, float
-    mode takes anything ``float()`` accepts except fraction syntax."""
+    """Parse one numeric literal, in ASCII digits.  Exact mode takes
+    integers and p/q, float mode takes any ASCII text ``float()`` accepts
+    except fraction syntax."""
     if mode == EXACT:
         if not _RATIONAL_RE.match(text):
             raise ValueError(f"not an exact rational literal: {text!r}")
@@ -70,7 +72,8 @@ def parse_scalar(text: str, mode: str) -> Scalar:
     if "/" in text:
         raise ValueError(f"fraction literal in float mode: {text!r}")
     try:
-        value = float(text)
+        # an ASCII encoding error is a ValueError too
+        value = float(text.encode("ascii"))
     except ValueError:
         raise ValueError(f"not a numeric literal: {text!r}") from None
     if not math.isfinite(value):
@@ -119,14 +122,6 @@ class ComplexScalar:
 
     def abs_squared(self) -> Scalar:
         return self.re * self.re + self.im * self.im
-
-
-def complex_zero(mode: str) -> ComplexScalar:
-    return ComplexScalar(zero(mode), zero(mode))
-
-
-def complex_one(mode: str) -> ComplexScalar:
-    return ComplexScalar(one(mode), zero(mode))
 
 
 def complex_i(mode: str) -> ComplexScalar:

@@ -17,6 +17,12 @@ def load_corpus_model(name: str):
     return parse_model((CORPUS_DIR / name).read_text())
 
 
+def step_matrices(lr) -> tuple:
+    """T[a] = scale * M per symbol, in the model's scalars."""
+    return tuple(tuple(tuple(scale * x for x in row) for row in m)
+                 for scale, m in lr.integer_steps)
+
+
 @pytest.fixture(scope="session")
 def corpus_dir() -> pathlib.Path:
     return CORPUS_DIR

@@ -326,8 +326,8 @@ def test_criterion_7_structural_invariants(hmm_results, qrw_results,
     for lr in reps:
         one = lr.prob(())
         assert one == 1, "empty word must have probability 1"
-        fin = lr.backward(()).coords
-        summed = [sum(lr.backward((a,)).coords[i]
+        fin = oracle.suffix_vector(lr, ())
+        summed = [sum(oracle.suffix_vector(lr, (a,))[i]
                       for a in range(len(lr.alphabet)))
                   for i in range(lr.dimension)]
         assert list(fin) == summed, "per-symbol one-step masses must add up"
@@ -341,12 +341,13 @@ def test_criterion_7_structural_invariants(hmm_results, qrw_results,
         ns = len(lr.alphabet)
         word = tuple(rng.randrange(ns) for _ in range(rng.randint(0, 6)))
         cut = rng.randint(0, len(word))
-        fv = lr.forward(word[:cut])
+        row = oracle.prefix_vector(lr, word[:cut])
         direct = lr.prob(word)
-        assert lr.prob_bilinear(fv, None, lr.backward(word[cut:])) == direct
+        col = oracle.suffix_vector(lr, word[cut:])
+        assert lr.prob_bilinear(row, None, col) == direct
         if cut < len(word):
-            bv = lr.backward(word[cut + 1:])
-            assert lr.prob_bilinear(fv, word[cut], bv) == direct
+            col = oracle.suffix_vector(lr, word[cut + 1:])
+            assert lr.prob_bilinear(row, word[cut], col) == direct
         splits += 1
 
     # every exact "not equivalent" verdict carries a certifying witness
@@ -367,14 +368,13 @@ def test_criterion_7_structural_invariants(hmm_results, qrw_results,
 
 def _assert_mass_splits(lr, depth: int):
     ns = len(lr.alphabet)
-    frontier = [lr.forward(())]
+    frontier = [lr.init]
     for _ in range(depth):
         nxt = []
-        for fv in frontier:
-            children = [lr.extend_forward(fv, a) for a in range(ns)]
-            total = sum(lr.prob_bilinear(c, None, lr.backward(()))
-                        for c in children)
-            assert total == lr.prob_bilinear(fv, None, lr.backward(()))
+        for row in frontier:
+            children = [oracle.extend_prefix(lr, row, a) for a in range(ns)]
+            total = sum(lr.prob_bilinear(c, None, lr.fin) for c in children)
+            assert total == lr.prob_bilinear(row, None, lr.fin)
             nxt.extend(children)
         frontier = nxt
 

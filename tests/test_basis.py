@@ -3,6 +3,7 @@ from fractions import Fraction
 
 from finitary.basis import compute_basis, reduce_rows, row_generator
 from finitary.linalg import dot, rank
+from finitary.oracle import prefix_vector, suffix_vector
 from finitary.representation import LinearRepresentation, compile_model
 from finitary.scalars import EXACT
 
@@ -109,9 +110,9 @@ class TestComputeBasis:
             lr = corpus_lr(name)
             basis = compute_basis(lr)
             for bv in basis.backwards:
-                assert values(bv) == lr.backward(bv.word).coords
+                assert values(bv) == suffix_vector(lr, bv.word)
             for fv in basis.forwards:
-                assert values(fv) == lr.forward(fv.word).coords
+                assert values(fv) == prefix_vector(lr, fv.word)
 
     def test_empty_word_always_present(self):
         for name in corpus_names():

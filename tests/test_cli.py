@@ -188,7 +188,24 @@ class TestToleranceValue:
                             env={"FINITARY_TOLERANCE": value})
         assert res.exit_code == 2
         assert res.stdout == ""
-        assert "must be a finite number >= 0" in res.stderr
+        # the error names the variable, not a flag the user never gave
+        assert "Invalid value for environment variable FINITARY_TOLERANCE: " \
+               "must be a finite number >= 0" in res.stderr
+
+    def test_env_var_not_a_number(self, runner):
+        res = runner.invoke(main, self.COMMANDS["dim"],
+                            env={"FINITARY_TOLERANCE": "abc"})
+        assert res.exit_code == 2
+        assert "Invalid value for environment variable FINITARY_TOLERANCE: " \
+               "'abc' is not a valid float" in res.stderr
+
+    def test_flag_overrides_a_bad_env_var(self, runner):
+        res = runner.invoke(main, self.COMMANDS["dim"] + ["--tolerance", "0"],
+                            env={"FINITARY_TOLERANCE": "nan"})
+        assert res.exit_code == 0
+        res = runner.invoke(main, self.COMMANDS["dim"] + ["--tolerance", "-1"],
+                            env={"FINITARY_TOLERANCE": "0"})
+        assert "Invalid value for '--tolerance'" in res.stderr
 
     def test_zero_accepted(self, runner):
         res = runner.invoke(main, self.COMMANDS["equiv"] + ["--tolerance", "0"])

@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and every name
+the package exports exists.
 
 ``perfbench/tracing.py`` wraps two names where ``equivalence.py`` imports
 them, so those two imports stay although the module itself does not call
@@ -9,6 +10,8 @@ import ast
 import pathlib
 
 import pytest
+
+import finitary
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "finitary"
 TRACED = {("equivalence.py", "pfa_to_hmm"), ("equivalence.py", "compile_hmm")}
@@ -40,3 +43,8 @@ def unused_imports(path: pathlib.Path) -> list[str]:
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
+
+def test_every_export_exists():
+    # a stale name in ``__all__`` breaks ``from finitary import *``
+    assert [name for name in finitary.__all__
+            if not hasattr(finitary, name)] == []

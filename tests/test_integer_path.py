@@ -1,6 +1,7 @@
 """The scans run on integer vectors with one rational scale each; these
-properties tie every value they report back to the ``Fraction`` reference
-API of ``LinearRepresentation`` (``prob``, ``forward``, ``backward``)."""
+properties tie every value they report back to the reference products in
+the model's scalars (``LinearRepresentation.prob`` and ``oracle``'s
+``prefix_vector``/``suffix_vector``)."""
 
 import random
 from fractions import Fraction
@@ -13,10 +14,12 @@ from finitary.basis import (Basis, column_basis, compute_basis, reduce_rows,
                             row_generator)
 from finitary.linalg import IndependenceTester, dot
 from finitary.models import HmmModel, PfaModel
+from finitary.oracle import prefix_vector, suffix_vector
 from finitary.representation import (LinearRepresentation, compile_model,
                                      compile_pfa)
 
 import generators as g
+from conftest import step_matrices
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -57,7 +60,8 @@ def padded_hmm_lr(rng):
     pad_b = (Fraction(0),) * n
     matrices = tuple(tuple(row + pad_a for row in ma)
                      + tuple(pad_b + row for row in mb)
-                     for ma, mb in zip(reachable.matrices, hidden.matrices))
+                     for ma, mb in zip(step_matrices(reachable),
+                                       step_matrices(hidden)))
     return LinearRepresentation.from_matrices(
         reachable.alphabet, matrices, reachable.init + pad_a,
         reachable.fin + hidden.fin, reachable.mode)
@@ -80,10 +84,11 @@ def assert_basis_matches_reference(lr):
     for i, v in enumerate(basis.row_words):
         for j, w in enumerate(basis.col_words):
             assert basis.matrix[i][j] == lr.prob(w + v)
-    for sv, reference in ([(bv, lr.backward(bv.word)) for bv in basis.backwards]
-                          + [(fv, lr.forward(fv.word)) for fv in basis.forwards]):
+    for sv, reference in (
+            [(bv, suffix_vector(lr, bv.word)) for bv in basis.backwards]
+            + [(fv, prefix_vector(lr, fv.word)) for fv in basis.forwards]):
         assert all(isinstance(x, int) for x in sv.coords)
-        assert tuple(sv.scale * x for x in sv.coords) == reference.coords
+        assert tuple(sv.scale * x for x in sv.coords) == reference
 
 
 @settings(deadline=None, max_examples=40)
@@ -179,11 +184,11 @@ def reference_basis(lr) -> Basis:
     rows, row_values, iterations = reference_scan(
         lr.scaled_backward(()),
         lambda bv: [lr.step_backward(a, bv) for a in symbols],
-        lambda bv: lr.backward(bv.word).coords)
+        lambda bv: suffix_vector(lr, bv.word))
     cols, col_values, _ = reference_scan(
         lr.scaled_forward(()),
         lambda fv: [lr.step_forward(fv, a) for a in symbols],
-        lambda fv: [dot(lr.forward(fv.word).coords, b) for b in row_values])
+        lambda fv: [dot(prefix_vector(lr, fv.word), b) for b in row_values])
     kept = []  # rows independent of their predecessors in p(w v)
     for i in range(len(rows)):
         block = [[column[k] for column in col_values] for k in kept + [i]]

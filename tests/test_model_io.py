@@ -136,6 +136,27 @@ class TestSyntaxErrors:
                                  f"positive integer, got '{digit}'"):
             parse_model(bad)
 
+    @pytest.mark.parametrize("mode, literal, message", [
+        ("exact", "\u0661", "not an exact rational literal: '\u0661'"),
+        ("float", "\u0661.0", "not a numeric literal: '\u0661.0'"),
+    ])
+    def test_entry_takes_ascii_digits_only(self, mode, literal, message):
+        # "١" (Arabic-Indic one) is a digit to "\d" and float(), but the
+        # file format, like serialize_model, uses ASCII digits only
+        bad = GOOD_HMM.replace("mode: exact", f"mode: {mode}") \
+                      .replace("pi: 1\n", f"pi: {literal}\n")
+        with pytest.raises(ModelSyntaxError,
+                           match=f"line 5, column 5: {message}"):
+            parse_model(bad)
+
+    def test_complex_entry_takes_ascii_digits_only(self):
+        bad = ("kind: qrw\nmode: exact\nalphabet: a\nk: 1\nlabels: a\n"
+               "U: \u0661+0i\npsi0: 1\n")
+        with pytest.raises(ModelSyntaxError,
+                           match="line 6, column 4: not an exact rational "
+                                 "literal: '\u0661'"):
+            parse_model(bad)
+
     def test_labels_count(self):
         with pytest.raises(ModelSyntaxError, match="'labels' has 1 entries"):
             parse_model("kind: qrw\nmode: exact\nalphabet: a\nk: 2\n"

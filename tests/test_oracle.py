@@ -5,15 +5,20 @@ from fractions import Fraction
 
 import pytest
 
+from finitary import representation
 from finitary.basis import compute_basis
 from finitary.oracle import (
     BudgetExceededError,
     brute_equiv,
     enumerate_probs,
+    extend_prefix,
+    extend_suffix,
     hankel_rank,
+    prefix_vector,
     process_dimension,
+    suffix_vector,
 )
-from finitary.representation import compile_model
+from finitary.representation import LinearRepresentation, compile_model
 
 import generators as g
 from conftest import corpus_names, load_corpus_model
@@ -129,3 +134,29 @@ class TestRankOracles:
             hankel_rank(lr, 12, budget=100)
         with pytest.raises(BudgetExceededError):
             process_dimension(lr, budget=2)
+
+
+def test_reference_never_takes_the_scans_steps(monkeypatch):
+    # the reference reads the stored steps plainly; if it shared the scans'
+    # vector steps or their reduction, a wrong step scale would change both
+    # sides of every reference test the same way
+    lrs = [corpus_lr("distinct_2state.hmm"),
+           compile_model(g.random_hmm(random.Random(37), 4, 2))]
+    computed = [compute_basis(lr).dim for lr in lrs]
+
+    def refuse(*args):
+        raise AssertionError("reference route took a scan step")
+
+    monkeypatch.setattr(LinearRepresentation, "step_forward", refuse)
+    monkeypatch.setattr(LinearRepresentation, "step_backward", refuse)
+    monkeypatch.setattr(representation, "primitive", refuse)
+    monkeypatch.setattr(representation, "integral", refuse)
+    for lr, dim in zip(lrs, computed):
+        word = (0, 1, 1)
+        p = lr.prob(word)
+        row, col = prefix_vector(lr, (0,)), suffix_vector(lr, (1,))
+        assert lr.prob_bilinear(row, 1, col) == p
+        assert lr.prob_bilinear(extend_prefix(lr, row, 1), None, col) == p
+        assert lr.prob_bilinear(row, None, extend_suffix(lr, 1, col)) == p
+        assert enumerate_probs(lr, 3).entries[word] == p
+        assert hankel_rank(lr, lr.dimension) == process_dimension(lr) == dim

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from finitary.linalg import integral, mat_vec, vec_mat
 from finitary.models import HmmModel
+from finitary.oracle import prefix_vector, suffix_vector
 from finitary.representation import (
+    ScaledVector,
     compile_hmm,
     compile_model,
     compile_pfa,
@@ -18,7 +20,7 @@ from finitary.representation import (
 from finitary.scalars import EXACT
 
 import generators as g
-from conftest import corpus_names, load_corpus_model
+from conftest import corpus_names, load_corpus_model, step_matrices
 
 F = Fraction
 
@@ -39,12 +41,12 @@ class TestHmmCompilation:
     def test_step_matrix_entries(self):
         # T_a[i][j] = emission[i][a] * transition[i][j]
         hmm = load_corpus_model("distinct_2state.hmm")
-        lr = compile_hmm(hmm)
+        t = step_matrices(compile_hmm(hmm))
         n = hmm.num_states
         for a in range(2):
             for i in range(n):
                 for j in range(n):
-                    assert lr.matrices[a][i][j] == \
+                    assert t[a][i][j] == \
                         hmm.emission[i][a] * hmm.transition[i][j]
 
     @settings(deadline=None, max_examples=80)
@@ -73,7 +75,7 @@ class TestHmmCompilation:
             assert m == tuple(flat[i * n:(i + 1) * n] for i in range(n))
         if silent is not None:
             assert lr.integer_steps[silent][0] == 0
-        assert lr.matrices == products
+        assert step_matrices(lr) == products
         for t in range(3):
             for w in itertools.product(range(ns), repeat=t):
                 row = hmm.initial
@@ -84,7 +86,7 @@ class TestHmmCompilation:
     def test_float_matrices_are_the_products(self):
         hmm = g.random_dense_float_hmm(random.Random(4), 4, 2)
         lr = compile_hmm(hmm)
-        assert lr.matrices == tuple(
+        assert step_matrices(lr) == tuple(
             tuple(tuple(e[a] * x for x in row)
                   for e, row in zip(hmm.emission, hmm.transition))
             for a in range(2))
@@ -173,46 +175,41 @@ class TestVectorAlgebra:
     def test_forward_matches_prob(self, lr):
         for t in range(4):
             for w in itertools.product(range(2), repeat=t):
-                fv = lr.forward(w)
-                assert fv.word == w
-                assert lr.prob_bilinear(fv, None, lr.backward(())) == lr.prob(w)
+                row = prefix_vector(lr, w)
+                assert lr.prob_bilinear(row, None, lr.fin) == lr.prob(w)
 
     def test_backward_reverses_word_order(self, lr):
-        bv = lr.backward((0, 1))
-        assert bv.word == (0, 1)
         # suffix product: T_a (T_b fin), built right to left
-        by_hand = mat_vec(lr.matrices[0], mat_vec(lr.matrices[1], lr.fin))
-        assert bv.coords == by_hand
+        t = step_matrices(lr)
+        assert suffix_vector(lr, (0, 1)) == mat_vec(t[0], mat_vec(t[1], lr.fin))
 
     def test_bilinear_split_invariance(self, lr):
         word = (0, 1, 1, 0, 1)
         p = lr.prob(word)
         for cut in range(len(word) + 1):
-            fv = lr.forward(word[:cut])
-            bv = lr.backward(word[cut:])
-            assert lr.prob_bilinear(fv, None, bv) == p
+            row = prefix_vector(lr, word[:cut])
+            col = suffix_vector(lr, word[cut:])
+            assert lr.prob_bilinear(row, None, col) == p
         for cut in range(len(word)):
-            fv = lr.forward(word[:cut])
-            bv = lr.backward(word[cut + 1:])
-            assert lr.prob_bilinear(fv, word[cut], bv) == p
-
-    def test_extend_forward_appends(self, lr):
-        fv = lr.forward((1,))
-        assert lr.extend_forward(fv, 0).word == (1, 0)
+            row = prefix_vector(lr, word[:cut])
+            col = suffix_vector(lr, word[cut + 1:])
+            assert lr.prob_bilinear(row, word[cut], col) == p
 
     def test_symbol_out_of_range(self, lr):
         with pytest.raises(ValueError, match="out of range"):
             lr.prob((7,))
+        with pytest.raises(ValueError, match="out of range"):
+            lr.prob_bilinear(lr.init, 2, lr.fin)
 
     def test_scaled_vectors_match_reference(self, lr):
         for t in range(4):
             for w in itertools.product(range(2), repeat=t):
-                for sv, ref in ((lr.scaled_forward(w), lr.forward(w)),
-                                (lr.scaled_backward(w), lr.backward(w))):
-                    assert sv.word == ref.word == w
+                for sv, ref in ((lr.scaled_forward(w), prefix_vector(lr, w)),
+                                (lr.scaled_backward(w), suffix_vector(lr, w))):
+                    assert sv.word == w
                     assert all(type(c) is int for c in sv.coords)
                     assert math.gcd(*sv.coords) == 1
-                    assert tuple(sv.scale * c for c in sv.coords) == ref.coords
+                    assert tuple(sv.scale * c for c in sv.coords) == ref
 
     def test_scaled_step_symbol_checked(self, lr):
         root = lr.scaled_forward(())
@@ -223,9 +220,10 @@ class TestVectorAlgebra:
                 lr.step_backward(a, lr.scaled_backward(()))
 
     def test_vector_length_checked(self, lr):
-        from finitary.representation import ForwardVector
         with pytest.raises(ValueError, match="does not match"):
-            lr.extend_forward(ForwardVector((), (F(1),)), 0)
+            lr.prob_bilinear((F(1),), 0, lr.fin)
+        with pytest.raises(ValueError, match="does not match"):
+            lr.step_forward(ScaledVector((), F(1), (1,)), 0)
 
 
 class TestCompileDispatch:
@@ -233,7 +231,7 @@ class TestCompileDispatch:
         pfa = load_corpus_model("half_stop.pfa")
         assert compile_model(pfa) == compile_pfa(pfa)
         pfa = g.random_pfa(random.Random(2), 4, 3)
-        assert compile_pfa(pfa).matrices == pfa.transitions
+        assert step_matrices(compile_pfa(pfa)) == pfa.transitions
 
     def test_conservation_for_all_corpus_models(self):
         # a process: the one-step extensions of any word sum to its own
@@ -241,12 +239,11 @@ class TestCompileDispatch:
         # stops or reads on, fin + (sum_a M_a) 1 == 1
         for name in corpus_names():
             lr = corpus_lr(name)
-            ns = len(lr.alphabet.symbols)
             automaton = name.endswith(".pfa")
             summed = (1,) * lr.dimension if automaton else lr.fin
             total = list(lr.fin) if automaton else [0] * lr.dimension
-            for a in range(ns):
-                img = mat_vec(lr.matrices[a], summed)
+            for m in step_matrices(lr):
+                img = mat_vec(m, summed)
                 total = [x + y for x, y in zip(total, img)]
             if lr.mode == "exact":
                 assert tuple(total) == tuple(summed), name

@@ -13,8 +13,6 @@ from finitary.scalars import (
     as_complex,
     as_scalar,
     complex_i,
-    complex_one,
-    complex_zero,
     format_complex,
     format_scalar,
     parse_complex,
@@ -50,8 +48,8 @@ class TestParseScalar:
                   st.just("") | DIGITS.map(lambda d: "/" + d)),
         st.from_regex(_RATIONAL_RE, fullmatch=True)))
     def test_exact_literal_is_the_fraction_it_reads(self, text):
-        # signs, leading zeros, zero numerators, 300-bit integers and any
-        # other decimal digits the literal syntax admits
+        # signs, leading zeros, zero numerators, 300-bit integers and
+        # anything else the literal syntax admits
         try:
             expected = Fraction(text)
         except ZeroDivisionError:
@@ -60,6 +58,20 @@ class TestParseScalar:
             return
         value = parse_scalar(text, EXACT)
         assert type(value) is Fraction and value == expected
+
+    @pytest.mark.parametrize("text", ["\u0661", "\uff11/\uff12", "1/\u0662",
+                                      "-\u0967"])
+    def test_exact_takes_ascii_digits_only(self, text):
+        # "\d" and int() take any Unicode decimal digit, here Arabic-Indic,
+        # fullwidth and Devanagari ones
+        with pytest.raises(ValueError, match="not an exact rational literal"):
+            parse_scalar(text, EXACT)
+
+    @pytest.mark.parametrize("text", ["\u0661.5", "1e\u0663", "\uff10.25"])
+    def test_float_takes_ascii_digits_only(self, text):
+        # float() takes them too
+        with pytest.raises(ValueError, match="not a numeric literal"):
+            parse_scalar(text, FLOAT)
 
     def test_float_decimal(self):
         assert parse_scalar("0.25", FLOAT) == 0.25
@@ -138,8 +150,8 @@ class TestComplexScalar:
         assert z.abs_squared() == 1
 
     def test_constants(self):
-        assert complex_one(EXACT) + complex_zero(EXACT) == complex_one(EXACT)
-        assert complex_i(EXACT) * complex_i(EXACT) == -complex_one(EXACT)
+        assert complex_i(EXACT) * complex_i(EXACT) == \
+            ComplexScalar(Fraction(-1), Fraction(0))
 
     def test_as_complex_promotes_real(self):
         assert as_complex(2, EXACT) == ComplexScalar(Fraction(2), Fraction(0))
