@@ -35,9 +35,10 @@ The scans carry each vector as ``scale * coords`` (``ScaledVector``); in
 exact mode the coordinates are coprime integers.  Step 2's column entries
 are the integer products dot(coords_w, coords_v), which differ from p(w v)
 by one nonzero factor per row and one per column, so every independence
-test runs on integers with the same outcome.  The accepted columns are the
-block; ``Basis`` keeps them as integers with the scan's own scaled vectors,
-and builds its true values, scale_w * scale_v * dot, only when read.
+test runs on integers with the same outcome.  ``Basis`` keeps only the
+words and the scans' scaled vectors: the block is not stored, and each of
+its true values, scale_w * scale_v * dot, is built from one column vector
+and one row vector when first read.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from .scalars import DEFAULT_TOLERANCE, EXACT
 class Basis:
     row_words: tuple[Word, ...]
     col_words: tuple[Word, ...]
-    block: tuple  # entry [i][j] = dot(forwards[j].coords, backwards[i].coords)
     backwards: tuple[ScaledVector, ...]  # scan vector of each row word
     forwards: tuple[ScaledVector, ...]  # scan vector of each column word
     dim: int
@@ -65,32 +65,30 @@ class Basis:
     @cached_property
     def matrix(self) -> tuple:
         """Entry [i][j] = p(col_words[j] + row_words[i]); square."""
-        return tuple(tuple(bv.scale * fv.scale * x
-                           for fv, x in zip(self.forwards, row))
-                     for bv, row in zip(self.backwards, self.block))
+        return tuple(tuple(bv.scale * fv.scale * dot(fv.coords, bv.coords)
+                           for fv in self.forwards)
+                     for bv in self.backwards)
 
 
 def _scan(tester: IndependenceTester, root: ScaledVector, extend, entry,
           num_symbols: int):
-    """Breadth-first scan from ``root``: the accepted vectors with their
-    tester entries, and the number of candidates decided after the root.
+    """Breadth-first scan from ``root``: the accepted vectors and the number
+    of candidates decided after the root.
 
     ``extend(vector, a)`` builds a child candidate, ``entry(vector)`` is what
     the tester judges.  Once the tester is full the queued candidates are
     counted as decided (rejected) without being built.
     """
-    root_entry = entry(root)
-    if not tester.try_insert(root_entry):
+    if not tester.try_insert(entry(root)):
         return [], 0
-    accepted = [(root, root_entry)]
+    accepted = [root]
     queue = deque((root, a) for a in range(num_symbols))
     decided = 0
     while queue and tester.rank < tester.dimension:
         decided += 1
         candidate = extend(*queue.popleft())
-        candidate_entry = entry(candidate)
-        if tester.try_insert(candidate_entry):
-            accepted.append((candidate, candidate_entry))
+        if tester.try_insert(entry(candidate)):
+            accepted.append(candidate)
             queue.extend((candidate, a) for a in range(num_symbols))
     return accepted, decided + len(queue)
 
@@ -102,34 +100,32 @@ def row_generator(lr: LinearRepresentation,
 
     A zero final vector yields no rows: the series is zero.
     """
-    accepted, iterations = _scan(
+    backwards, iterations = _scan(
         IndependenceTester(lr.dimension, lr.mode, tolerance),
         lr.scaled_backward(()), lambda bv, a: lr.step_backward(a, bv),
         lambda bv: bv.coords, len(lr.alphabet))
-    backwards = [bv for bv, _ in accepted]
     return [bv.word for bv in backwards], backwards, iterations
 
 
 def column_basis(lr: LinearRepresentation, row_words, backwards,
                  tolerance: float = DEFAULT_TOLERANCE):
-    """Accepted column words with scaled forward vectors, their columns
-    and the pivot row of each, given the row scan output.
+    """Accepted column words with scaled forward vectors, and the pivot
+    row of each, given the row scan output.
 
-    Column j holds dot(forward coords, backward coords) for every row: the
-    values p(w v) up to one nonzero factor per row and one per column, which
-    leaves the independence of columns (and of rows) unchanged.  A zero
-    empty-word column yields no columns: the series is zero.
+    The tester judges column w as dot(forward coords, backward coords) for
+    every row: the values p(w v) up to one nonzero factor per row and one
+    per column, which leaves the independence of columns (and of rows)
+    unchanged.  The columns are not kept.  A zero empty-word column yields
+    no columns: the series is zero.
     """
     tester = IndependenceTester(len(row_words), lr.mode, tolerance)
 
     def column(fv: ScaledVector) -> tuple:
         return tuple(dot(fv.coords, bv.coords) for bv in backwards)
 
-    accepted, _ = _scan(tester, lr.scaled_forward(()), lr.step_forward,
+    forwards, _ = _scan(tester, lr.scaled_forward(()), lr.step_forward,
                         column, len(lr.alphabet))
-    forwards = [fv for fv, _ in accepted]
-    return ([fv.word for fv in forwards], forwards,
-            [col for _, col in accepted], tester.pivots)
+    return [fv.word for fv in forwards], forwards, tester.pivots
 
 
 def reduce_rows(matrix, mode: str = EXACT,
@@ -148,13 +144,12 @@ def reduce_rows(matrix, mode: str = EXACT,
 def compute_basis(lr: LinearRepresentation,
                   tolerance: float = DEFAULT_TOLERANCE) -> Basis:
     row_words, backwards, iterations = row_generator(lr, tolerance)
-    col_words, forwards, columns, pivots = column_basis(
+    col_words, forwards, pivots = column_basis(
         lr, row_words, backwards, tolerance)
     keep = sorted(pivots)
     return Basis(
         row_words=tuple(row_words[i] for i in keep),
         col_words=tuple(col_words),
-        block=tuple(tuple(column[i] for column in columns) for i in keep),
         backwards=tuple(backwards[i] for i in keep),
         forwards=tuple(forwards),
         dim=len(col_words),

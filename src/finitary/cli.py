@@ -276,13 +276,9 @@ def oracle(model_files, max_len, budget, tolerance, fmt):
                 for w, p in items:
                     click.echo(f"{words(w)} {format_scalar(p)}")
             return
-        if lrs[0].alphabet != lrs[1].alphabet:
-            _fail("alphabet mismatch")
-        if lrs[0].mode != lrs[1].mode:
-            _fail("scalar mode mismatch")
         tol = tolerance if lrs[0].mode == FLOAT else 0.0
         result = brute_equiv(lrs[0], lrs[1], max_len, tol, budget)
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, ValueError) as exc:
         _fail(str(exc))
     words = lrs[0].alphabet.format_word
     if fmt == "json":

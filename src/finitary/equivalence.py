@@ -3,8 +3,12 @@
 Two representations are compared through the basis pair (I, J) of the one
 with the larger dimension (x's on a tie): equal dimensions, equal block
 entries p(w v), and equal one-step extensions p(w a v) together force the
-full processes to coincide.  The check runs in O(|alphabet| * n^4) overall
-and enumerates no words.
+full processes to coincide.  Both are one comparison of the words w m v,
+for w in J, v in I and a middle m: first m empty (the block), then, when
+the dimensions are equal, m = a for each symbol.  The column word w is
+scanned outermost, then m, then the row word v, which fixes the first
+difference found and so the witness.  The check runs in
+O(|alphabet| * n^4) overall and enumerates no words.
 
 Every exact "not equivalent" verdict carries a witness word.  When the
 dimensions differ, the larger basis's block is invertible, of rank
@@ -16,14 +20,15 @@ acceptance probabilities differ.
 
 Every compared value is a product of scaled vectors, p = s * i with a
 rational scale s and, in exact mode, an integer dot product i of coprime
-coordinates.  The big side's block entries are the column scan's integers;
-the small model's vectors on the same words are built one step from their
-parent word.  Two values are compared without forming either: s * i ==
-t * j is tested as s.num * t.den * i == t.num * s.den * j, all integers,
-with those factors taken once per row word and once per column word.
-``Fraction`` values are built only for a witness's ``details``.  In float
-mode the scales are 1.0 and the values themselves are compared within the
-tolerance.
+coordinates, dot(forward coords, backward coords) on both sides.  The big
+side's vectors are its basis's; the small model's vectors on the same
+words are built one step from their parent word, and the backward vectors
+of the words a v one step from those of v.  Two values are compared
+without forming either: s * i == t * j is tested as
+s.num * t.den * i == t.num * s.den * j, all integers, with those factors
+taken once per row word and once per column word.  ``Fraction`` values are
+built only for a witness's ``details``.  In float mode the scales are 1.0
+and the values themselves are compared within the tolerance.
 """
 
 from __future__ import annotations
@@ -56,11 +61,6 @@ class EquivalenceVerdict:
     alphabet: Alphabet
     mode: str
     tolerance: float | None  # None in exact mode
-
-    @property
-    def within_tolerance(self) -> bool:
-        """True when equivalence was decided numerically, not exactly."""
-        return self.equivalent and self.tolerance is not None
 
 
 def test_equivalence(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
@@ -118,57 +118,52 @@ def test_equivalence(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
 
     forwards_small = [forward_small(w) for w in big.col_words]
     backwards_small = [backward_small(v) for v in big.row_words]
-
     col_factors = [factors(fb.scale, fs.scale)
                    for fb, fs in zip(big.forwards, forwards_small)]
-    row_factors = [factors(bb.scale, bs.scale)
-                   for bb, bs in zip(big.backwards, backwards_small)]
-    for wi, w in enumerate(big.col_words):
-        fs = forwards_small[wi]
-        cf_big, cf_small = col_factors[wi]
-        for vi, v in enumerate(big.row_words):
-            bs = backwards_small[vi]
-            rf_big, rf_small = row_factors[vi]
-            i_big = big.block[vi][wi]
-            i_small = dot(fs.coords, bs.coords)
-            if not same(cf_big * rf_big, i_big, cf_small * rf_small, i_small):
-                if not same_dim:
-                    reason = DIMENSION_MISMATCH
-                elif w == ():
-                    reason = INITIAL_ROW_MISMATCH
-                else:
-                    reason = BASIC_MATRIX_MISMATCH
-                return verdict(
-                    False, reason, w + v,
-                    big.backwards[vi].scale * big.forwards[wi].scale * i_big,
-                    fs.scale * bs.scale * i_small)
-    if not same_dim:
-        return verdict(False, DIMENSION_MISMATCH)
 
-    # T[a] . backward(v) does not depend on the column word: build it once
-    num_symbols = len(lr_x.alphabet)
-    steps_big = [[lr_big.step_backward(a, bv) for bv in big.backwards]
-                 for a in range(num_symbols)]
-    steps_small = [[lr_small.step_backward(a, bv) for bv in backwards_small]
-                   for a in range(num_symbols)]
-    step_factors = [[factors(sb.scale, ss.scale) for sb, ss in zip(*pair)]
-                    for pair in zip(steps_big, steps_small)]
-    for wi, w in enumerate(big.col_words):
-        fb, fs = big.forwards[wi], forwards_small[wi]
-        cf_big, cf_small = col_factors[wi]
-        for a in range(num_symbols):
-            for vi, v in enumerate(big.row_words):
-                sb, ss = steps_big[a][vi], steps_small[a][vi]
-                rf_big, rf_small = step_factors[a][vi]
-                i_big = dot(fb.coords, sb.coords)
-                i_small = dot(fs.coords, ss.coords)
-                if not same(cf_big * rf_big, i_big, cf_small * rf_small,
-                            i_small):
-                    return verdict(False, ONE_STEP_MISMATCH, w + (a,) + v,
-                                   fb.scale * sb.scale * i_big,
-                                   fs.scale * ss.scale * i_small)
+    def first_difference(middles):
+        """(w, m, v, p_big, p_small) at the first word w m v on which the
+        models differ, or None: w in J outermost, then each (m,
+        rows_big, rows_small) of ``middles``, then v in I.  The rows are
+        each side's backward vectors of the words m v."""
+        factored = [(m, rows_big, rows_small,
+                     [factors(bb.scale, bs.scale)
+                      for bb, bs in zip(rows_big, rows_small)])
+                    for m, rows_big, rows_small in middles]
+        for w, fb, fs, (cf_big, cf_small) in zip(
+                big.col_words, big.forwards, forwards_small, col_factors):
+            for m, rows_big, rows_small, row_factors in factored:
+                for v, bb, bs, (rf_big, rf_small) in zip(
+                        big.row_words, rows_big, rows_small, row_factors):
+                    i_big = dot(fb.coords, bb.coords)
+                    i_small = dot(fs.coords, bs.coords)
+                    if not same(cf_big * rf_big, i_big, cf_small * rf_small,
+                                i_small):
+                        return (w, m, v, fb.scale * bb.scale * i_big,
+                                fs.scale * bs.scale * i_small)
+        return None
 
-    return verdict(True, ALL_CHECKS_PASSED)
+    # the block is the empty middle; the one-step extensions need equal
+    # dimensions, and T[a] . backward(v) does not depend on the column word
+    found = first_difference([((), big.backwards, backwards_small)])
+    if found is None and same_dim:
+        found = first_difference(
+            [((a,), [lr_big.step_backward(a, bv) for bv in big.backwards],
+              [lr_small.step_backward(a, bv) for bv in backwards_small])
+             for a in range(len(lr_x.alphabet))])
+    if found is None:
+        return verdict(same_dim,
+                       ALL_CHECKS_PASSED if same_dim else DIMENSION_MISMATCH)
+    w, m, v, p_big, p_small = found
+    if m:
+        reason = ONE_STEP_MISMATCH
+    elif not same_dim:
+        reason = DIMENSION_MISMATCH
+    elif w == ():
+        reason = INITIAL_ROW_MISMATCH
+    else:
+        reason = BASIC_MATRIX_MISMATCH
+    return verdict(False, reason, w + m + v, p_big, p_small)
 
 
 def test_equivalence_pfa(pfa_x: PfaModel, pfa_y: PfaModel,

@@ -111,9 +111,12 @@ def brute_equiv(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
                 budget: int = DEFAULT_BUDGET) -> BruteResult:
     """Compare every word up to ``max_len``; first difference wins, scanning
     shorter words first and symbols in alphabet order.  ``tolerance`` zero
-    means literal equality."""
-    if len(lr_x.alphabet) != len(lr_y.alphabet):
-        raise ValueError("alphabet size mismatch")
+    means literal equality.  Both representations must share the alphabet
+    and the scalar mode, as in ``test_equivalence``."""
+    if lr_x.alphabet != lr_y.alphabet:
+        raise ValueError("alphabet mismatch")
+    if lr_x.mode != lr_y.mode:
+        raise ValueError("scalar mode mismatch")
     table_x = enumerate_probs(lr_x, max_len, budget)
     table_y = enumerate_probs(lr_y, max_len, budget)
     ns = len(lr_x.alphabet)

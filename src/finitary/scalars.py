@@ -57,7 +57,7 @@ def as_scalar(value, mode: str) -> Scalar:
 def parse_scalar(text: str, mode: str) -> Scalar:
     """Parse one numeric literal, in ASCII digits.  Exact mode takes
     integers and p/q, float mode takes any ASCII text ``float()`` accepts
-    except fraction syntax."""
+    except fraction syntax and ``_`` digit separators."""
     if mode == EXACT:
         if not _RATIONAL_RE.match(text):
             raise ValueError(f"not an exact rational literal: {text!r}")
@@ -75,7 +75,10 @@ def parse_scalar(text: str, mode: str) -> Scalar:
         # an ASCII encoding error is a ValueError too
         value = float(text.encode("ascii"))
     except ValueError:
-        raise ValueError(f"not a numeric literal: {text!r}") from None
+        value = None
+    # float() also takes "_" digit separators, which exact mode refuses
+    if value is None or "_" in text:
+        raise ValueError(f"not a numeric literal: {text!r}")
     if not math.isfinite(value):
         raise ValueError(f"non-finite literal: {text!r}")
     return value

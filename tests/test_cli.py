@@ -508,6 +508,20 @@ class TestOracle:
             assert res.stderr == ("error: cannot compare an automaton with a "
                                   "hidden Markov model or quantum walk\n")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_pair_mismatches_rejected(self, runner, tmp_path, fmt):
+        renamed = tmp_path / "renamed.hmm"
+        renamed.write_text((CORPUS_DIR / "coin.hmm").read_text()
+                           .replace("alphabet: a b", "alphabet: x y"))
+        for other, message in ((str(renamed), "alphabet mismatch"),
+                               (corpus("hadamard.qrw"),
+                                "scalar mode mismatch")):
+            res = runner.invoke(main, ["oracle", corpus("coin.hmm"), other,
+                                       "--format", fmt])
+            assert res.exit_code == 2, message
+            assert res.stdout == ""
+            assert res.stderr == f"error: {message}\n"
+
     def test_budget_error(self, runner):
         res = runner.invoke(main, ["oracle", corpus("coin.hmm"),
                                    "-L", "10", "--budget", "100"])

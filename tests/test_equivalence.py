@@ -13,9 +13,9 @@ from finitary.equivalence import (
     INITIAL_ROW_MISMATCH,
     ONE_STEP_MISMATCH,
 )
-from finitary.models import HmmModel, acceptance_probability
-from finitary.representation import compile_model
-from finitary.scalars import FLOAT
+from finitary.models import Alphabet, HmmModel, acceptance_probability
+from finitary.representation import LinearRepresentation, compile_model
+from finitary.scalars import EXACT, FLOAT
 
 import generators as g
 from conftest import corpus_names, load_corpus_model
@@ -144,6 +144,53 @@ class TestReasonClassification:
             assert v.details == (px, py)
         assert seen  # at least some non-equivalent pairs showed up
 
+    def test_one_step_witness_scans_columns_before_symbols(self):
+        # both models start at e1 and share fin and T[a]; y adds u z^T with
+        # init . u = 0 to T[b] and redraws T[c].  The block agrees and both
+        # c and aba differ: the check scans (w, a, v) with the column word
+        # w outermost, so it reports c at w = (); a scan with the symbol
+        # outermost would report aba first
+        ab = Alphabet(("a", "b", "c"))
+
+        def rows(text):
+            return tuple(tuple(F(e) for e in row.split())
+                         for row in text.split(";"))
+        t_a = rows("-1 1/2 0; 0 0 1/3; 0 2 -3/2")
+        t_b = rows("1 0 -1; -1/3 -1/2 -1/3; -2 1 -1/2")
+        t_c = rows("1 0 -3/2; -1 -2/3 -3; 2 0 -1")
+        t_b_y = rows("1 0 -1; -1/3 -7/6 -1/3; -2 2 -1/2")
+        t_c_y = rows("0 -1/3 -3/2; 3/2 -1 -1/2; 3/2 -3 2/3")
+        init, fin = (F(1), F(0), F(0)), (F(-1), F(0), F(-1))
+        x = LinearRepresentation.from_matrices(ab, (t_a, t_b, t_c), init,
+                                               fin, EXACT)
+        y = LinearRepresentation.from_matrices(ab, (t_a, t_b_y, t_c_y), init,
+                                               fin, EXACT)
+        v = equivalence.test_equivalence(x, y)
+        assert (v.equivalent, v.reason, v.dim_x, v.dim_y) == \
+            (False, ONE_STEP_MISMATCH, 3, 3)
+        assert v.witness == ab.parse_word("c")
+        assert v.details == (F(1, 2), F(3, 2))
+        aba = ab.parse_word("aba")
+        assert x.prob(aba) != y.prob(aba)
+
+    def test_equal_exact_pair_multiplies_no_fractions(self, monkeypatch):
+        # every comparison runs on integers; a Fraction product is built
+        # only for a witness's details
+        rng = random.Random(8)
+        hmm = g.random_hmm(rng, 8, 2)
+        x, y = compile_model(hmm), compile_model(g.permute_hmm(rng, hmm))
+        products = []
+        mul = Fraction.__mul__
+
+        def counting(a, b):
+            products.append((a, b))
+            return mul(a, b)
+        monkeypatch.setattr(Fraction, "__mul__", counting)
+        v = equivalence.test_equivalence(x, y)
+        monkeypatch.undo()
+        assert v.equivalent and (v.dim_x, v.dim_y) == (8, 8)
+        assert products == []
+
 
 class TestCrossClass:
     def test_hmm_equals_qrw(self):
@@ -166,7 +213,6 @@ class TestCrossClass:
         v = equivalence.test_equivalence(compile_model(coin),
                                          corpus_lr("hadamard.qrw"))
         assert v.equivalent
-        assert v.within_tolerance
         assert v.tolerance == pytest.approx(1e-9)
 
 

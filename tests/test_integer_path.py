@@ -197,8 +197,6 @@ def reference_basis(lr) -> Basis:
     return Basis(
         row_words=tuple(rows[i].word for i in kept),
         col_words=tuple(fv.word for fv in cols),
-        block=tuple(tuple(dot(fv.coords, rows[i].coords) for fv in cols)
-                    for i in kept),
         backwards=tuple(rows[i] for i in kept),
         forwards=tuple(cols),
         dim=len(cols),

@@ -157,6 +157,27 @@ class TestSyntaxErrors:
                                  "literal: '\u0661'"):
             parse_model(bad)
 
+    @pytest.mark.parametrize("mode, literal, message", [
+        ("exact", "1_0/1_0", "not an exact rational literal: '1_0/1_0'"),
+        ("float", "1_0e-1_0", "not a numeric literal: '1_0e-1_0'"),
+    ])
+    def test_entry_refuses_digit_separators(self, mode, literal, message):
+        bad = GOOD_HMM.replace("mode: exact", f"mode: {mode}") \
+                      .replace("pi: 1\n", f"pi: {literal}\n")
+        with pytest.raises(ModelSyntaxError,
+                           match=f"line 5, column 5: {message}"):
+            parse_model(bad)
+
+    @pytest.mark.parametrize("entry, part", [("1_0e-1+0i", "1_0e-1"),
+                                             ("1+0_0i", "0_0")])
+    def test_float_complex_entry_refuses_digit_separators(self, entry, part):
+        bad = ("kind: qrw\nmode: float\nalphabet: a\nk: 1\nlabels: a\n"
+               f"U: {entry}\npsi0: 1\n")
+        with pytest.raises(ModelSyntaxError,
+                           match=f"line 6, column 4: not a numeric literal: "
+                                 f"'{part}'"):
+            parse_model(bad)
+
     def test_labels_count(self):
         with pytest.raises(ModelSyntaxError, match="'labels' has 1 entries"):
             parse_model("kind: qrw\nmode: exact\nalphabet: a\nk: 2\n"

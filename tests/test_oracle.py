@@ -7,6 +7,7 @@ import pytest
 
 from finitary import representation
 from finitary.basis import compute_basis
+from finitary.models import Alphabet, HmmModel
 from finitary.oracle import (
     BudgetExceededError,
     brute_equiv,
@@ -19,6 +20,7 @@ from finitary.oracle import (
     suffix_vector,
 )
 from finitary.representation import LinearRepresentation, compile_model
+from finitary.scalars import FLOAT
 
 import generators as g
 from conftest import corpus_names, load_corpus_model
@@ -98,6 +100,27 @@ class TestBruteEquiv:
         with pytest.raises(ValueError):
             brute_equiv(corpus_lr("coin.hmm"),
                         corpus_lr("trivial_vertex_k2.qrw"), 2)
+
+    def test_alphabet_checked(self):
+        # same size, other symbols: the words are not the same words; the
+        # alphabet is checked first, as test_equivalence does
+        coin = load_corpus_model("coin.hmm")
+        renamed = dataclasses.replace(coin, alphabet=Alphabet(("x", "y")))
+        renamed_float = HmmModel(Alphabet(("x", "y")), (1.0,), ((1.0,),),
+                                 ((0.5, 0.5),), mode=FLOAT)
+        for other in (renamed, renamed_float):
+            with pytest.raises(ValueError, match=r"^alphabet mismatch$"):
+                brute_equiv(compile_model(coin), compile_model(other), 3)
+
+    def test_mode_checked(self):
+        # an exact 1/2 against a float 0.5000000000000001 is no comparison
+        coin = corpus_lr("coin.hmm")
+        near = HmmModel(g.alphabet(2), (1.0,), ((1.0,),),
+                        ((0.5000000000000001, 0.4999999999999999),),
+                        mode=FLOAT)
+        for pair in ((coin, compile_model(near)), (compile_model(near), coin)):
+            with pytest.raises(ValueError, match=r"^scalar mode mismatch$"):
+                brute_equiv(*pair, 3)
 
 
 class TestRankOracles:

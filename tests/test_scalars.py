@@ -73,6 +73,13 @@ class TestParseScalar:
         with pytest.raises(ValueError, match="not a numeric literal"):
             parse_scalar(text, FLOAT)
 
+    @pytest.mark.parametrize("text", ["1_0", "1_0e-1_0", "0.2_5", "1e1_0"])
+    def test_float_refuses_digit_separators(self, text):
+        # float() takes PEP 515 underscores; exact mode and serialize_model
+        # do not
+        with pytest.raises(ValueError, match="not a numeric literal"):
+            parse_scalar(text, FLOAT)
+
     def test_float_decimal(self):
         assert parse_scalar("0.25", FLOAT) == 0.25
 
