@@ -11,19 +11,31 @@ rank.  It is found in three steps:
    count), so a third step prunes.
 2. Column candidates grow by appending one symbol.  A word w is accepted when
    the column (p(w v)) over the accepted rows is independent.  The number of
-   accepted columns is exactly the process dimension.
-3. The rows kept are the pivot rows of step 2's echelon form, in scan order,
-   leaving a square invertible block.  In exact mode a pivot is the first
-   nonzero entry of a reduced column, and each reduced column is zero at the
-   pivots found before it, so the number of pivots up to row i is the rank
-   of rows 0..i of the accepted columns: the pivot rows are exactly the rows
-   independent of their predecessors (``reduce_rows``).  In float mode the
-   pivots come from partial pivoting; there are always ``dim`` of them, and
-   the tolerance judges the block's entries once, in step 2.
+   accepted columns is exactly the process dimension.  The column is B f_w,
+   with f_w the forward vector of w and B the matrix of accepted backward
+   vectors, so the test takes one of two routes:
+   * full row rank (r = n rows, exact mode): B is invertible, so the
+     columns are independent exactly when the forward vectors are, and the
+     tester judges f_w itself in Q^n.  It accepts the same words, in the
+     same order, and stops at the same point as the other route.
+   * otherwise (r < n, or float mode): the tester judges the r pairings
+     dot(f_w, b_v), one per accepted row.
+3. The rows kept leave a square invertible block.  On the pairing route
+   they are the pivot rows of step 2's echelon form, in scan order.  In
+   exact mode a pivot is the first nonzero entry of a reduced column, and
+   each reduced column is zero at the pivots found before it, so the number
+   of pivots up to row i is the rank of rows 0..i of the accepted columns:
+   the pivot rows are exactly the rows independent of their predecessors
+   (``reduce_rows``).  The forward route keeps those rows too: all r when
+   the dimension is r, else ``reduce_rows`` of the r x dim block.  In float
+   mode the pivots come from partial pivoting; there are always ``dim`` of
+   them, and the tolerance judges the block's entries once, in step 2.
 
 Candidates are processed first-in-first-out, created in alphabet order.  The
-queue holds (accepted vector, symbol) pairs, and a candidate's vector is
-built, with one matrix-vector product, only when the candidate is popped.
+queue holds (accepted word, symbol) pairs, and a candidate's vector is
+asked of the representation by word only when the candidate is popped; a
+word's vector is built once, with one matrix-vector product from its
+parent's, and the I/J check in ``equivalence`` reads the same vectors.
 A scan stops as soon as its tester is full: n independent vectors span all
 of Q^n, so every candidate still queued would be rejected (for the column
 scan, n is the number of accepted rows).  The row scan still counts those
@@ -32,10 +44,11 @@ exhaustive scan decides: at most |alphabet| times the representation
 dimension.
 
 The scans carry each vector as ``scale * coords`` (``ScaledVector``); in
-exact mode the coordinates are coprime integers.  Step 2's column entries
-are the integer products dot(coords_w, coords_v), which differ from p(w v)
-by one nonzero factor per row and one per column, so every independence
-test runs on integers with the same outcome.  ``Basis`` keeps only the
+exact mode the coordinates are coprime integers.  Step 2's pairings are
+the integer products dot(coords_w, coords_v), which differ from p(w v) by
+one nonzero factor per row and one per column, so every independence test
+runs on integers with the same outcome; the forward route judges coords_w,
+with about half their bits.  ``Basis`` keeps only the
 words and the scans' scaled vectors: the block is not stored, and each of
 its true values, scale_w * scale_v * dot, is built from one column vector
 and one row vector when first read.
@@ -70,26 +83,28 @@ class Basis:
                      for bv in self.backwards)
 
 
-def _scan(tester: IndependenceTester, root: ScaledVector, extend, entry,
+def _scan(tester: IndependenceTester, vector, extend, entry,
           num_symbols: int):
-    """Breadth-first scan from ``root``: the accepted vectors and the number
-    of candidates decided after the root.
+    """Breadth-first scan from the empty word: the accepted vectors and the
+    number of candidates decided after the root.
 
-    ``extend(vector, a)`` builds a child candidate, ``entry(vector)`` is what
+    ``vector(word)`` is the representation's cached vector of a word,
+    ``extend(word, a)`` a child candidate's word and ``entry(vector)`` what
     the tester judges.  Once the tester is full the queued candidates are
     counted as decided (rejected) without being built.
     """
+    root = vector(())
     if not tester.try_insert(entry(root)):
         return [], 0
     accepted = [root]
-    queue = deque((root, a) for a in range(num_symbols))
+    queue = deque(((), a) for a in range(num_symbols))
     decided = 0
     while queue and tester.rank < tester.dimension:
         decided += 1
-        candidate = extend(*queue.popleft())
+        candidate = vector(extend(*queue.popleft()))
         if tester.try_insert(entry(candidate)):
             accepted.append(candidate)
-            queue.extend((candidate, a) for a in range(num_symbols))
+            queue.extend((candidate.word, a) for a in range(num_symbols))
     return accepted, decided + len(queue)
 
 
@@ -102,38 +117,52 @@ def row_generator(lr: LinearRepresentation,
     """
     backwards, iterations = _scan(
         IndependenceTester(lr.dimension, lr.mode, tolerance),
-        lr.scaled_backward(()), lambda bv, a: lr.step_backward(a, bv),
-        lambda bv: bv.coords, len(lr.alphabet))
+        lr.scaled_backward, lambda v, a: (a,) + v, lambda bv: bv.coords,
+        len(lr.alphabet))
     return [bv.word for bv in backwards], backwards, iterations
 
 
 def column_basis(lr: LinearRepresentation, row_words, backwards,
                  tolerance: float = DEFAULT_TOLERANCE):
-    """Accepted column words with scaled forward vectors, and the pivot
-    row of each, given the row scan output.
+    """Accepted column words with scaled forward vectors, and the indices
+    of the rows kept, in scan order, given the row scan output.
 
-    The tester judges column w as dot(forward coords, backward coords) for
-    every row: the values p(w v) up to one nonzero factor per row and one
-    per column, which leaves the independence of columns (and of rows)
-    unchanged.  The columns are not kept.  A zero empty-word column yields
-    no columns: the series is zero.
+    In exact mode with full row rank (as many rows as the representation
+    dimension) the matrix B of backward vectors is invertible, so the
+    tester judges the forward coordinates themselves.  Otherwise it judges
+    column w as dot(forward coords, backward coords) for every row: the
+    values p(w v) up to one nonzero factor per row and one per column,
+    which leaves the independence of columns (and of rows) unchanged, and
+    the kept rows are its pivot rows.  The columns are not kept.  A zero
+    empty-word column yields no columns: the series is zero.
     """
+    full = lr.mode == EXACT and len(row_words) == lr.dimension
     tester = IndependenceTester(len(row_words), lr.mode, tolerance)
 
     def column(fv: ScaledVector) -> tuple:
+        if full:
+            return fv.coords
         return tuple(dot(fv.coords, bv.coords) for bv in backwards)
 
-    forwards, _ = _scan(tester, lr.scaled_forward(()), lr.step_forward,
+    forwards, _ = _scan(tester, lr.scaled_forward, lambda w, a: w + (a,),
                         column, len(lr.alphabet))
-    return [fv.word for fv in forwards], forwards, tester.pivots
+    if not full:
+        keep = sorted(tester.pivots)
+    elif len(forwards) == len(row_words):
+        keep = list(range(len(row_words)))
+    else:
+        keep = reduce_rows([[dot(fv.coords, bv.coords) for fv in forwards]
+                            for bv in backwards])
+    return [fv.word for fv in forwards], forwards, keep
 
 
 def reduce_rows(matrix, mode: str = EXACT,
                 tolerance: float = DEFAULT_TOLERANCE) -> list[int]:
     """Indices of rows independent of their predecessors, in scan order.
 
-    In exact mode these are the pivot rows ``compute_basis`` keeps; this
-    separate elimination is the reference for that choice.
+    In exact mode these are the pivot rows of the pairing column scan;
+    ``column_basis`` calls it for the rows of a full-row-rank basis whose
+    dimension is below the row count.
     """
     if not matrix:
         return []
@@ -144,9 +173,8 @@ def reduce_rows(matrix, mode: str = EXACT,
 def compute_basis(lr: LinearRepresentation,
                   tolerance: float = DEFAULT_TOLERANCE) -> Basis:
     row_words, backwards, iterations = row_generator(lr, tolerance)
-    col_words, forwards, pivots = column_basis(
+    col_words, forwards, keep = column_basis(
         lr, row_words, backwards, tolerance)
-    keep = sorted(pivots)
     return Basis(
         row_words=tuple(row_words[i] for i in keep),
         col_words=tuple(col_words),

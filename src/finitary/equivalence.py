@@ -22,8 +22,9 @@ Every compared value is a product of scaled vectors, p = s * i with a
 rational scale s and, in exact mode, an integer dot product i of coprime
 coordinates, dot(forward coords, backward coords) on both sides.  The big
 side's vectors are its basis's; the small model's vectors on the same
-words are built one step from their parent word, and the backward vectors
-of the words a v one step from those of v.  Two values are compared
+words, and both sides' backward vectors of the words a v, come from each
+representation's vector cache, so a word either scan already built is not
+built again.  Two values are compared
 without forming either: s * i == t * j is tested as
 s.num * t.den * i == t.num * s.den * j, all integers, with those factors
 taken once per row word and once per column word.  ``Fraction`` values are
@@ -102,22 +103,8 @@ def test_equivalence(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
     def same(f, i, g, j):
         return f * i == g * j if exact else scalars_equal(i, j, mode, tolerance)
 
-    # a kept row's parent word need not be kept itself, so build on demand
-    memo_f = {(): lr_small.scaled_forward(())}
-    memo_b = {(): lr_small.scaled_backward(())}
-
-    def forward_small(w):
-        if w not in memo_f:
-            memo_f[w] = lr_small.step_forward(forward_small(w[:-1]), w[-1])
-        return memo_f[w]
-
-    def backward_small(v):
-        if v not in memo_b:
-            memo_b[v] = lr_small.step_backward(v[0], backward_small(v[1:]))
-        return memo_b[v]
-
-    forwards_small = [forward_small(w) for w in big.col_words]
-    backwards_small = [backward_small(v) for v in big.row_words]
+    forwards_small = [lr_small.scaled_forward(w) for w in big.col_words]
+    backwards_small = [lr_small.scaled_backward(v) for v in big.row_words]
     col_factors = [factors(fb.scale, fs.scale)
                    for fb, fs in zip(big.forwards, forwards_small)]
 
@@ -148,8 +135,8 @@ def test_equivalence(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
     found = first_difference([((), big.backwards, backwards_small)])
     if found is None and same_dim:
         found = first_difference(
-            [((a,), [lr_big.step_backward(a, bv) for bv in big.backwards],
-              [lr_small.step_backward(a, bv) for bv in backwards_small])
+            [((a,), [lr_big.scaled_backward((a,) + v) for v in big.row_words],
+              [lr_small.scaled_backward((a,) + v) for v in big.row_words])
              for a in range(len(lr_x.alphabet))])
     if found is None:
         return verdict(same_dim,

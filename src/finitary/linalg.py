@@ -10,10 +10,11 @@ is scaled by a nonzero number, so ``integral`` splits an exact vector into
 one rational scale and coprime integer coordinates; that scale is the one
 ``Fraction`` it builds.  ``primitive`` does the same for an integer vector
 with an integer content and builds none; the scans call it after every
-integer step.  The tester eliminates fraction-free (Bareiss, Math. Comp.
-22, 1968), dividing out the content of the candidate after every step, and
-builds no ``Fraction`` while it reduces a candidate; zero is literal
-equality.  Float mode treats an entry as zero
+integer step, and the tester on every all-``int`` candidate, which is
+every candidate a scan asks about.  The tester eliminates fraction-free
+(Bareiss, Math. Comp. 22, 1968), dividing out the content of the candidate
+after every step, and builds no ``Fraction`` while it reduces a candidate;
+zero is literal equality.  Float mode treats an entry as zero
 when it is negligible relative to the largest pivot accepted so far
 (relative tolerance, default 1e-9).
 """
@@ -113,7 +114,10 @@ class IndependenceTester:
         return tuple(self._pivots)
 
     def _reduced_exact(self, vector) -> list:
-        r = list(integral(vector, EXACT)[1])
+        if all(type(x) is int for x in vector):
+            r = list(primitive(vector)[1])
+        else:
+            r = list(integral(vector, EXACT)[1])
         for row, p in zip(self._rows, self._pivots):
             x = r[p]
             if x:

@@ -47,32 +47,39 @@ class ModelValidationError(ValueError):
         self.violations = violations
 
 
-class _Token:
-    __slots__ = ("text", "line", "col")
-
-    def __init__(self, text, line, col):
-        self.text = text
-        self.line = line
-        self.col = col
-
-
 class _Record:
-    __slots__ = ("name", "line", "tokens")
+    """A field's entries as text, and the lines they came from."""
+
+    __slots__ = ("name", "line", "tokens", "_lines")
 
     def __init__(self, name, line):
         self.name = name
         self.line = line
-        self.tokens: list[_Token] = []
+        self.tokens: list[str] = []
+        # (index of the first entry, line number, column offset, text)
+        self._lines: list[tuple[int, int, int, str]] = []
+
+    def add(self, line_no: int, offset: int, text: str, tokens: list[str]):
+        self._lines.append((len(self.tokens), line_no, offset, text))
+        self.tokens += tokens
+
+    def position(self, index: int) -> tuple[int, int]:
+        """(line, column) of entry ``index``, rebuilt from its line's text
+        for an error message."""
+        first, line_no, offset, text = next(
+            entry for entry in reversed(self._lines) if entry[0] <= index)
+        starts = [m.start() for m in re.finditer(r"\S+", text)]
+        return line_no, offset + starts[index - first] + 1
 
 
 def _scan(text: str) -> dict[str, _Record]:
+    # str.split() and the pattern \S+ split at the same code points, so
+    # ``position`` finds the entries ``split`` made
     records: dict[str, _Record] = {}
     current: _Record | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
-        header = _HEADER_RE.match(line)
+        header = _HEADER_RE.match(line) if ":" in line else None
         if header:
             name = " ".join(header.group(1).split())
             if name in records:
@@ -80,15 +87,15 @@ def _scan(text: str) -> dict[str, _Record]:
             current = _Record(name, line_no)
             records[name] = current
             rest = header.group(2)
-            offset = header.start(2)
-            for m in re.finditer(r"\S+", rest):
-                current.tokens.append(_Token(m.group(), line_no, offset + m.start() + 1))
-        else:
-            if current is None:
-                raise ModelSyntaxError(
-                    f"line {line_no}: values before any field name")
-            for m in re.finditer(r"\S+", line):
-                current.tokens.append(_Token(m.group(), line_no, m.start() + 1))
+            current.add(line_no, header.start(2), rest, rest.split())
+            continue
+        tokens = line.split()
+        if not tokens:
+            continue
+        if current is None:
+            raise ModelSyntaxError(
+                f"line {line_no}: values before any field name")
+        current.add(line_no, 0, line, tokens)
     return records
 
 
@@ -98,7 +105,7 @@ def _take(records, name, kind):
     return records.pop(name)
 
 
-def _single(record: _Record) -> _Token:
+def _single(record: _Record) -> str:
     if len(record.tokens) != 1:
         raise ModelSyntaxError(
             f"line {record.line}: field {record.name!r} wants one value, "
@@ -106,16 +113,19 @@ def _single(record: _Record) -> _Token:
     return record.tokens[0]
 
 
+def _where(record: _Record, index: int) -> str:
+    return "line {}, column {}".format(*record.position(index))
+
+
 def _positive_int(record: _Record) -> int:
     token = _single(record)
     # ASCII digits only: str.isdigit also admits digits such as "²" that
     # int() refuses
-    if not (token.text.isascii() and token.text.isdigit()) \
-            or int(token.text) == 0:
+    if not (token.isascii() and token.isdigit()) or int(token) == 0:
         raise ModelSyntaxError(
-            f"line {token.line}, column {token.col}: "
-            f"{record.name!r} must be a positive integer, got {token.text!r}")
-    return int(token.text)
+            f"{_where(record, 0)}: "
+            f"{record.name!r} must be a positive integer, got {token!r}")
+    return int(token)
 
 
 def _numbers(record: _Record, count: int, mode: str, parse) -> list:
@@ -124,12 +134,12 @@ def _numbers(record: _Record, count: int, mode: str, parse) -> list:
             f"line {record.line}: field {record.name!r} has "
             f"{len(record.tokens)} entries, expected {count}")
     out = []
-    for token in record.tokens:
+    for index, token in enumerate(record.tokens):
         try:
-            out.append(parse(token.text, mode))
+            out.append(parse(token, mode))
         except ValueError as exc:
             raise ModelSyntaxError(
-                f"line {token.line}, column {token.col}: {exc}") from None
+                f"{_where(record, index)}: {exc}") from None
     return out
 
 
@@ -140,20 +150,20 @@ def _reshape(flat: list, rows: int, cols: int) -> tuple:
 def parse_model(text: str, tolerance: float = DEFAULT_TOLERANCE) -> Model:
     records = _scan(text)
 
-    kind_token = _single(_take(records, "kind", "any"))
-    kind = kind_token.text
+    kind_rec = _take(records, "kind", "any")
+    kind = _single(kind_rec)
     if kind not in KINDS:
         raise ModelSyntaxError(
-            f"line {kind_token.line}: unknown kind {kind!r}")
-    mode_token = _single(_take(records, "mode", kind))
-    mode = mode_token.text
+            f"line {kind_rec.position(0)[0]}: unknown kind {kind!r}")
+    mode_rec = _take(records, "mode", kind)
+    mode = _single(mode_rec)
     if mode not in MODES:
         raise ModelSyntaxError(
-            f"line {mode_token.line}: unknown mode {mode!r}")
+            f"line {mode_rec.position(0)[0]}: unknown mode {mode!r}")
 
     alpha_rec = _take(records, "alphabet", kind)
     try:
-        alphabet = Alphabet(tuple(t.text for t in alpha_rec.tokens))
+        alphabet = Alphabet(tuple(alpha_rec.tokens))
     except ValueError as exc:
         raise ModelSyntaxError(f"line {alpha_rec.line}: {exc}") from None
     ns = len(alphabet)
@@ -173,12 +183,12 @@ def parse_model(text: str, tolerance: float = DEFAULT_TOLERANCE) -> Model:
                 f"line {label_rec.line}: field 'labels' has "
                 f"{len(label_rec.tokens)} entries, expected {k}")
         labels = []
-        for token in label_rec.tokens:
+        for index, token in enumerate(label_rec.tokens):
             try:
-                labels.append(alphabet.index(token.text))
+                labels.append(alphabet.index(token))
             except ValueError as exc:
                 raise ModelSyntaxError(
-                    f"line {token.line}, column {token.col}: {exc}") from None
+                    f"{_where(label_rec, index)}: {exc}") from None
         u_flat = _numbers(_take(records, "U", kind), k * k, mode, parse_complex)
         psi = _numbers(_take(records, "psi0", kind), k, mode, parse_complex)
         model = QrwModel(alphabet, tuple(labels), _reshape(u_flat, k, k),

@@ -81,21 +81,21 @@ def enumerate_probs(lr: LinearRepresentation, max_len: int,
                     budget: int = DEFAULT_BUDGET) -> ProbTable:
     """Word probabilities for every word up to ``max_len``.
 
-    Left-to-right products carried down a depth-first walk; the prefix vector
-    is the only reuse.
+    Left-to-right products, one generation of words per length, each
+    extending the prefix vectors of the one before; the prefix vector is
+    the only reuse.
     """
     ns = len(lr.alphabet)
     _check_budget(_word_count(ns, max_len), budget, "probability table")
     entries: dict = {}
     origin = zero(lr.mode)  # a float table holds floats even where dot is 0
-
-    def walk(word: Word, row):
-        entries[word] = origin + dot(row, lr.fin)
-        if len(word) < max_len:
-            for a in range(ns):
-                walk(word + (a,), extend_prefix(lr, row, a))
-
-    walk((), lr.init)
+    generation = [((), lr.init)]
+    while generation:
+        for word, row in generation:
+            entries[word] = origin + dot(row, lr.fin)
+        generation = [(word + (a,), extend_prefix(lr, row, a))
+                      for word, row in generation if len(word) < max_len
+                      for a in range(ns)]
     return ProbTable(max_len, entries)
 
 

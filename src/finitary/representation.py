@@ -30,11 +30,15 @@ pass their matrices to ``LinearRepresentation.from_matrices``.
 
 A forward vector (init times a prefix product) and a backward vector (a
 suffix product times fin) extend by one symbol in O(n^2) and pair up via
-p(w a v) = forward(w) . T[a] . backward(v).  The basis scans build them as
-``ScaledVector``s, ``scale * coords`` with coprime integer coordinates in
-exact mode: one step multiplies the integer coordinates by M, divides out
-their content and builds one ``Fraction``, the new scale.  Float vectors
-carry scale 1.0.  ``prob`` and ``prob_bilinear`` instead compute in the
+p(w a v) = forward(w) . T[a] . backward(v).  The basis scans and the
+equivalence check read them as ``ScaledVector``s, ``scale * coords`` with
+coprime integer coordinates in exact mode: one step multiplies the integer
+coordinates by M, divides out their content and builds one ``Fraction``,
+the new scale.  Float vectors carry scale 1.0.  ``scaled_forward`` and
+``scaled_backward`` build each word's vector once per representation, with
+one step from the cached vector of the word one symbol shorter, and keep
+it; ``step_forward`` and ``step_backward`` take any vector and cache
+nothing.  ``prob`` and ``prob_bilinear`` instead compute in the
 model's scalars, each step as ``scale * (row . M)`` straight from the stored
 steps, and never reduce a vector; ``oracle`` builds its reference prefix and
 suffix products the same way.
@@ -42,7 +46,7 @@ suffix products the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import dot, integral, mat_vec, primitive, vec_mat
@@ -65,6 +69,12 @@ class LinearRepresentation:
     init: tuple
     fin: tuple
     mode: str
+    # word -> ScaledVector, filled by scaled_forward / scaled_backward; not
+    # part of equality, and ``dataclasses.replace`` starts empty ones
+    _forwards: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
+    _backwards: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     @classmethod
     def from_matrices(cls, alphabet, matrices, init, fin,
@@ -97,15 +107,33 @@ class LinearRepresentation:
         return zero(self.mode) + dot(row, self.fin)
 
     def scaled_forward(self, word: Word) -> ScaledVector:
-        sv = ScaledVector((), *integral(self.init, self.mode))
-        for a in word:
+        """The forward vector of ``word``, from the cache: a word missing
+        there is built by one ``step_forward`` from ``word[:-1]``."""
+        cache = self._forwards
+        if () not in cache:
+            cache[()] = ScaledVector((), *integral(self.init, self.mode))
+        end = len(word)
+        while word[:end] not in cache:
+            end -= 1
+        sv = cache[word[:end]]
+        for a in word[end:]:
             sv = self.step_forward(sv, a)
+            cache[sv.word] = sv
         return sv
 
     def scaled_backward(self, word: Word) -> ScaledVector:
-        sv = ScaledVector((), *integral(self.fin, self.mode))
-        for a in reversed(word):
+        """The backward vector of ``word``, from the cache: a word missing
+        there is built by one ``step_backward`` from ``word[1:]``."""
+        cache = self._backwards
+        if () not in cache:
+            cache[()] = ScaledVector((), *integral(self.fin, self.mode))
+        start = 0
+        while word[start:] not in cache:
+            start += 1
+        sv = cache[word[start:]]
+        for a in reversed(word[:start]):
             sv = self.step_backward(a, sv)
+            cache[sv.word] = sv
         return sv
 
     def step_forward(self, sv: ScaledVector, a: int) -> ScaledVector:

@@ -467,6 +467,22 @@ class TestOracle:
         res = runner.invoke(main, ["oracle", str(path), "-L", "1"])
         assert res.stdout == "□ 1.0\na 1.0\nb 0.0\n"
 
+    def test_table_longer_than_the_recursion_limit(self, runner, tmp_path):
+        # one state, one symbol: 1201 words, far inside the budget
+        path = tmp_path / "one.hmm"
+        path.write_text("kind: hmm\nmode: exact\nalphabet: a\nn: 1\n"
+                        "pi: 1\nM: 1\nE: 1\n")
+        res = runner.invoke(main, ["oracle", str(path), "-L", "1200",
+                                   "--format", "json"])
+        assert res.exit_code == 0, res.output
+        entries = json.loads(res.stdout)["entries"]
+        assert len(entries) == 1201
+        assert set(entries.values()) == {"1"}
+        res = runner.invoke(main, ["oracle", str(path), str(path),
+                                   "-L", "1200"])
+        assert res.exit_code == 0, res.output
+        assert res.stdout == "equal on all words up to length 1200\n"
+
     def test_pair_equal(self, runner):
         res = runner.invoke(main, ["oracle", corpus("loop_ab.pfa"),
                                    corpus("loop_ab_swapped.pfa"), "-L", "5"])

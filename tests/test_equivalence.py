@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ from finitary.equivalence import (
     ONE_STEP_MISMATCH,
 )
 from finitary.models import Alphabet, HmmModel, acceptance_probability
-from finitary.representation import LinearRepresentation, compile_model
+from finitary.representation import (LinearRepresentation, compile_model,
+                                     compile_pfa)
 from finitary.scalars import EXACT, FLOAT
 
 import generators as g
@@ -190,6 +192,33 @@ class TestReasonClassification:
         monkeypatch.undo()
         assert v.equivalent and (v.dim_x, v.dim_y) == (8, 8)
         assert products == []
+
+
+@pytest.mark.parametrize("kind", ["hmm", "pfa"])
+def test_each_vector_is_stepped_once(monkeypatch, kind):
+    # the scans and the I/J check share each representation's vectors: no
+    # word's forward or backward vector is built twice, and the check's
+    # one-step rows a v reuse the row scan's candidates
+    rng = random.Random(8)
+    if kind == "hmm":
+        hmm = g.random_hmm(rng, 8, 2)
+        x, y = compile_model(hmm), compile_model(g.permute_hmm(rng, hmm))
+    else:
+        pfa = g.random_pfa(rng, 5, 2)
+        x, y = compile_pfa(pfa), compile_pfa(g.permute_pfa(rng, pfa))
+    built = Counter()
+    for name in ("step_forward", "step_backward"):
+        def counting(self, *args, step=getattr(LinearRepresentation, name),
+                     name=name):
+            sv = step(self, *args)
+            built[name, id(self), sv.word] += 1
+            return sv
+        monkeypatch.setattr(LinearRepresentation, name, counting)
+    v = equivalence.test_equivalence(x, y)
+    monkeypatch.undo()
+    assert v.equivalent and v.dim_x == v.dim_y > 1
+    assert len(built) > 4 * v.dim_x
+    assert set(built.values()) == {1}
 
 
 class TestCrossClass:

@@ -4,6 +4,7 @@ the model's scalars (``LinearRepresentation.prob`` and ``oracle``'s
 ``prefix_vector``/``suffix_vector``)."""
 
 import random
+from collections import deque
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -266,6 +267,56 @@ def test_verdict_equals_the_fraction_check(seed):
             assert (v.equivalent, v.reason, v.witness, v.details,
                     v.dim_x, v.dim_y) == \
                 reference_verdict(x, y, bases[id(x)], bases[id(y)])
+
+
+def pairing_basis(lr) -> Basis:
+    """The basis with every column judged as its pairings dot(forward
+    coords, backward coords) with the accepted rows, and the rows kept at
+    that elimination's pivots, at any row rank."""
+    row_words, backwards, iterations = row_generator(lr)
+    tester = IndependenceTester(len(backwards), lr.mode)
+    forwards = []
+    queue = deque([(None, None)])
+    while queue and tester.rank < tester.dimension:
+        parent, a = queue.popleft()
+        fv = (lr.scaled_forward(()) if parent is None
+              else lr.step_forward(parent, a))
+        if tester.try_insert([dot(fv.coords, bv.coords) for bv in backwards]):
+            forwards.append(fv)
+            queue.extend((fv, a) for a in range(len(lr.alphabet)))
+    keep = sorted(tester.pivots)
+    return Basis(
+        row_words=tuple(row_words[i] for i in keep),
+        col_words=tuple(fv.word for fv in forwards),
+        backwards=tuple(backwards[i] for i in keep),
+        forwards=tuple(forwards),
+        dim=len(forwards),
+        row_iterations=iterations,
+    )
+
+
+def test_full_row_rank_forward_route_equals_the_pairing_scan():
+    # at full row rank the column scan judges forward coordinates; it must
+    # accept the same words with the same vectors and keep the same rows
+    # as the scan on pairings, also when the dimension is below the row
+    # count (two states, the second never reached: rows (), a; one column)
+    rng = random.Random(21)
+    lrs = [compile_model(g.random_hmm(rng, rng.randint(1, 8),
+                                      rng.randint(1, 3))) for _ in range(30)]
+    lrs += [compile_pfa(g.random_pfa(rng, rng.randint(1, 6),
+                                     rng.randint(1, 3))) for _ in range(30)]
+    unreached = compile_model(HmmModel(
+        g.alphabet(2), (Fraction(1), Fraction(0)),
+        ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
+        ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3)))))
+    full = [lr for lr in lrs + [unreached]
+            if len(row_generator(lr)[0]) == lr.dimension]
+    assert len(full) > 40 and unreached in full
+    for lr in full:
+        basis = compute_basis(lr)
+        assert basis == pairing_basis(lr)
+    assert compute_basis(unreached).dim == 1
+    assert compute_basis(unreached).row_words == ((),)
 
 
 def test_full_rank_scans_stop_at_the_nth_acceptance(monkeypatch):

@@ -106,6 +106,15 @@ class TestSyntaxErrors:
                            match="line 7, column 1: not an exact rational"):
             parse_model(bad)
 
+    def test_column_counts_unicode_spaces_on_a_continuation_line(self):
+        # a tab and an ideographic space (U+3000) each take one column
+        bad = ("kind: hmm\nmode: exact\nalphabet: a\nn: 2\npi: 1 0\nM:\n"
+               "1 0\n\t\u3000x 1\nE: 1 1\n")
+        with pytest.raises(ModelSyntaxError) as info:
+            parse_model(bad)
+        assert str(info.value) == \
+            "line 8, column 3: not an exact rational literal: 'x'"
+
     def test_float_literal_position_inline(self):
         bad = GOOD_HMM.replace("pi: 1\n", "pi: 1.0\n")
         with pytest.raises(ModelSyntaxError, match="line 5, column 5"):

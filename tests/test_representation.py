@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -210,6 +211,20 @@ class TestVectorAlgebra:
                     assert all(type(c) is int for c in sv.coords)
                     assert math.gcd(*sv.coords) == 1
                     assert tuple(sv.scale * c for c in sv.coords) == ref
+
+    def test_replace_starts_a_fresh_cache(self, lr):
+        # the vector cache is not part of the value: a copy with another
+        # fin builds its own vectors, and a filled cache changes neither
+        # equality nor the hash
+        cached = lr.scaled_backward((0,))
+        other = dataclasses.replace(
+            lr, fin=tuple(F(i) for i in range(lr.dimension)))
+        sv = other.scaled_backward((0,))
+        assert tuple(sv.scale * c for c in sv.coords) == \
+            suffix_vector(other, (0,)) != suffix_vector(lr, (0,))
+        assert lr.scaled_backward((0,)) is cached
+        copy = dataclasses.replace(lr)
+        assert copy == lr and hash(copy) == hash(lr)
 
     def test_scaled_step_symbol_checked(self, lr):
         root = lr.scaled_forward(())
