@@ -48,7 +48,10 @@ exact mode the coordinates are coprime integers.  Step 2's pairings are
 the integer products dot(coords_w, coords_v), which differ from p(w v) by
 one nonzero factor per row and one per column, so every independence test
 runs on integers with the same outcome; the forward route judges coords_w,
-with about half their bits.  ``Basis`` keeps only the
+with about half their bits.  The tester screens each test on residues mod
+a word-size prime and confirms only rejections on the integers
+(``linalg``), so a scan that fills without a late rejection does almost no
+exact elimination.  ``Basis`` keeps only the
 words and the scans' scaled vectors: the block is not stored, and each of
 its true values, scale_w * scale_v * dot, is built from one column vector
 and one row vector when first read.

@@ -10,13 +10,32 @@ is scaled by a nonzero number, so ``integral`` splits an exact vector into
 one rational scale and coprime integer coordinates; that scale is the one
 ``Fraction`` it builds.  ``primitive`` does the same for an integer vector
 with an integer content and builds none; the scans call it after every
-integer step, and the tester on every all-``int`` candidate, which is
-every candidate a scan asks about.  The tester eliminates fraction-free
-(Bareiss, Math. Comp. 22, 1968), dividing out the content of the candidate
-after every step, and builds no ``Fraction`` while it reduces a candidate;
-zero is literal equality.  Float mode treats an entry as zero
-when it is negligible relative to the largest pivot accepted so far
-(relative tolerance, default 1e-9).
+integer step, and the tester on every vector it reduces exactly.
+
+The exact tester screens each candidate mod ``PRIME``.  It keeps the
+residues of the accepted vectors in echelon form with unit pivots and
+reduces the candidate's residues against them.  A nonzero remainder proves
+independence over Q: the residues of the accepted vectors and the candidate
+then have a minor that is nonzero mod ``PRIME``, so the same minor of the
+integer vectors is a nonzero integer (von zur Gathen & Gerhard, *Modern
+Computer Algebra*, ch. 5).  Such a candidate is accepted at once and waits
+for the exact echelon.  A zero remainder proves nothing, so the tester
+first puts the waiting vectors into the exact echelon and then reduces the
+candidate there, which decides it.  Reading ``pivots`` also puts them in, so
+``pivots``, ``rank`` and every answer are exact.  When the exact reduction
+accepts a candidate whose remainder was zero, the prime divides a nonzero
+minor (an unlucky prime).  The accepted residues are then dependent, so a
+remainder would prove nothing: the tester drops the screen and decides
+every later candidate exactly.
+A scan whose candidates are independent until it fills, as a full-rank
+scan's are after its first few words, then does no exact elimination.
+
+The exact echelon is fraction-free (Bareiss, Math. Comp. 22, 1968): the
+tester divides out the content of the candidate after every step and
+builds no ``Fraction`` while it reduces a candidate; zero is literal
+equality.  Float mode treats an entry as zero when it is negligible
+relative to the largest pivot accepted so far (relative tolerance, default
+1e-9).
 """
 
 from __future__ import annotations
@@ -24,7 +43,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, MODES
+from .scalars import DEFAULT_TOLERANCE, EXACT, MODES
+
+PRIME = 1073741789  # the largest prime below 2**30: a residue is one digit
 
 
 def integral(vector, mode: str):
@@ -54,6 +75,9 @@ def primitive(ints):
 def dot(u, v):
     if len(u) != len(v):
         raise ValueError(f"vector lengths differ: {len(u)} vs {len(v)}")
+    # a plain left-to-right sum: from Python 3.12 the builtin ``sum``
+    # compensates float rounding, so it would make float output depend on
+    # the Python version
     total = 0
     for a, b in zip(u, v):
         if a and b:
@@ -89,6 +113,12 @@ class IndependenceTester:
     rows stored before it, so one forward elimination pass fully reduces a
     candidate.  Pivots are distinct, so at most ``dimension`` vectors are
     accepted; a full tester rejects every candidate without reducing it.
+
+    In exact mode a candidate is first reduced mod ``PRIME`` against an
+    echelon form of residues with unit pivots.  A nonzero remainder accepts
+    it at once, and it waits in ``_pending`` until the exact echelon is
+    needed: by a zero remainder, which an exact reduction must confirm, or
+    by a read of ``pivots``.
     """
 
     def __init__(self, dimension: int, mode: str = EXACT,
@@ -103,21 +133,45 @@ class IndependenceTester:
         self._rows: list[list] = []
         self._pivots: list[int] = []
         self._scale = 0.0  # largest |pivot| accepted, float mode only
+        # exact mode only: accepted vectors not yet in ``_rows``, and the
+        # echelon form of the residues of every accepted vector while the
+        # screen is on
+        self._pending: list = []
+        self._residues: list[list[int]] = []
+        self._residue_pivots: list[int] = []
+        self._screen = mode == EXACT
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self._rows) + len(self._pending)
 
     @property
     def pivots(self) -> tuple[int, ...]:
         """Pivot coordinate of each accepted vector, in acceptance order."""
+        self._catch_up()
         return tuple(self._pivots)
 
+    def _screened(self, vector) -> bool:
+        """Whether the residues of an integer vector mod ``PRIME`` are
+        independent of those accepted so far; if so they are stored."""
+        prime = PRIME
+        r = [x % prime for x in vector]
+        for row, p in zip(self._residues, self._residue_pivots):
+            c = r[p] % prime
+            if c:
+                # entries stay below rank * prime**2 in size; reduce once
+                r = [a - c * b for a, b in zip(r, row)]
+        r = [a % prime for a in r]
+        pivot = next((i for i, x in enumerate(r) if x), None)
+        if pivot is None:
+            return False
+        inverse = pow(r[pivot], -1, prime)
+        self._residues.append([a * inverse % prime for a in r])
+        self._residue_pivots.append(pivot)
+        return True
+
     def _reduced_exact(self, vector) -> list:
-        if all(type(x) is int for x in vector):
-            r = list(primitive(vector)[1])
-        else:
-            r = list(integral(vector, EXACT)[1])
+        r = list(primitive(vector)[1])
         for row, p in zip(self._rows, self._pivots):
             x = r[p]
             if x:
@@ -134,6 +188,40 @@ class IndependenceTester:
                     r = [a // content for a in r]
         return r
 
+    def _insert_exact(self, vector) -> bool:
+        r = self._reduced_exact(vector)
+        pivot = next((i for i, x in enumerate(r) if x), None)
+        if pivot is None:
+            return False
+        self._rows.append(r)
+        self._pivots.append(pivot)
+        return True
+
+    def _catch_up(self) -> None:
+        """Put the vectors the screen accepted into the exact echelon, in
+        acceptance order; each is accepted, since the screen proved them
+        independent."""
+        pending, self._pending = self._pending, []
+        for vector in pending:
+            self._insert_exact(vector)
+
+    def _try_exact(self, vector) -> bool:
+        if not all(type(x) is int for x in vector):
+            vector = integral(vector, EXACT)[1]
+        if not self._screen:
+            return self._insert_exact(vector)
+        if self._screened(vector):
+            self._pending.append(vector)
+            return True
+        self._catch_up()
+        if not self._insert_exact(vector):
+            return False
+        # dependent mod PRIME but not over Q: PRIME divides a nonzero minor.
+        # The accepted residues are now dependent, so a nonzero remainder
+        # would no longer prove independence; decide exactly from here on
+        self._screen = False
+        return True
+
     def _reduced_float(self, vector) -> list:
         r = list(vector)
         for row, p in zip(self._rows, self._pivots):
@@ -149,30 +237,24 @@ class IndependenceTester:
         if len(vector) != self.dimension:
             raise ValueError(
                 f"vector has length {len(vector)}, expected {self.dimension}")
-        if len(self._rows) == self.dimension:
+        if self.rank == self.dimension:
             return False  # ``dimension`` independent vectors span everything
         if self.mode == EXACT:
-            r = self._reduced_exact(vector)
-            pivot = next((i for i, x in enumerate(r) if x != 0), None)
-        else:
-            r = self._reduced_float(vector)
-            pivot = None
-            # a residue left at a taken pivot is rounding noise: never
-            # reuse one (the tester is not full, so a free coordinate exists)
-            best = max((i for i in range(len(r)) if i not in self._pivots),
-                       key=lambda i: abs(r[i]))
-            magnitude = abs(r[best])
-            reference = self._scale
-            if reference == 0.0:
-                reference = max((abs(x) for x in vector), default=0.0)
-            if reference > 0.0 and magnitude > self.tolerance * reference:
-                pivot = best
-        if pivot is None:
+            return self._try_exact(vector)
+        r = self._reduced_float(vector)
+        # a residue left at a taken pivot is rounding noise: never reuse one
+        # (the tester is not full, so a free coordinate exists)
+        best = max((i for i in range(len(r)) if i not in self._pivots),
+                   key=lambda i: abs(r[i]))
+        magnitude = abs(r[best])
+        reference = self._scale
+        if reference == 0.0:
+            reference = max((abs(x) for x in vector), default=0.0)
+        if not (reference > 0.0 and magnitude > self.tolerance * reference):
             return False
         self._rows.append(r)
-        self._pivots.append(pivot)
-        if self.mode == FLOAT:
-            self._scale = max(self._scale, abs(r[pivot]))
+        self._pivots.append(best)
+        self._scale = max(self._scale, magnitude)
         return True
 
 

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finitary import linalg
 from finitary.linalg import (
+    PRIME,
     IndependenceTester,
     dot,
     integral,
@@ -21,6 +23,12 @@ F = Fraction
 
 def test_dot():
     assert dot((F(1), F(2)), (F(3), F(4))) == 11
+
+
+def test_float_dot_is_the_left_to_right_sum():
+    # the builtin sum compensates float rounding from Python 3.12 on, so
+    # it would give 1.0 here and change float output between versions
+    assert dot((1e16, 1.0, -1e16), (1.0,) * 3) == 0.0
 
 
 def test_dot_length_mismatch():
@@ -88,6 +96,91 @@ class TestIndependenceTester:
         assert t.rank == 2
         with pytest.raises(ValueError):
             t.try_insert((F(1),))
+
+    def test_vector_of_multiples_of_the_prime_is_accepted(self):
+        # its residues are all zero, so only the exact reduction can accept
+        # it; the tester then drops the screen and decides exactly
+        t = IndependenceTester(3)
+        assert t.try_insert((1, 0, 0))
+        assert t.try_insert((PRIME, 2 * PRIME, 0))
+        assert not t.try_insert((7, 3, 0))
+        assert t.try_insert((0, 0, F(PRIME, 3)))
+        assert t.rank == 3 and t.pivots == (0, 1, 2)
+
+    def test_unlucky_prime_acceptance(self, monkeypatch):
+        monkeypatch.setattr(linalg, "PRIME", 2)
+        t = IndependenceTester(3)
+        assert t.try_insert((1, 1, 0))
+        assert t.try_insert((1, -1, 0))  # (1, 1, 0) mod 2
+        # half the sum of the two: its residues are independent of the
+        # first one's, so only a screen that stayed on would accept it
+        assert not t.try_insert((1, 0, 0))
+        assert not t.try_insert((3, 5, 0))
+        assert t.try_insert((1, 1, 2))
+        assert t.rank == 3 and t.pivots == (0, 1, 2)
+
+
+def _reference_insertions(stream):
+    """Accept/reject flag and pivots after each vector of a plain
+    fraction-free elimination: no residues, no content removal."""
+    rows, pivots, out = [], [], []
+    for vector in stream:
+        den = lcm(*(F(x).denominator for x in vector))
+        r = [int(x * den) for x in vector]
+        for row, p in zip(rows, pivots):
+            x = r[p]
+            if x:
+                r = [row[p] * a - x * b for a, b in zip(r, row)]
+        pivot = next((i for i, x in enumerate(r) if x), None)
+        if pivot is not None:
+            rows.append(r)
+            pivots.append(pivot)
+        out.append((pivot is not None, tuple(pivots)))
+    return out
+
+
+def _integer_stream(rng, dim, length):
+    """Random integer vectors mixed with planted dependent combinations,
+    entries over 2**64, multiples of PRIME, zero vectors and fractions."""
+    stream = []
+    for _ in range(length):
+        kind = rng.randrange(6)
+        if kind == 0 and stream:
+            picks = rng.sample(stream, rng.randint(1, min(3, len(stream))))
+            weights = [rng.randint(-5, 5) for _ in picks]
+            v = [sum(w * u[j] for w, u in zip(weights, picks))
+                 for j in range(dim)]
+        elif kind == 1:
+            v = [rng.randint(-2**70, 2**70) for _ in range(dim)]
+        elif kind == 2:
+            v = [PRIME * rng.randint(-3, 3) for _ in range(dim)]
+        elif kind == 3:
+            v = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(dim)]
+        elif kind == 4:
+            v = [0] * dim
+        else:
+            v = [rng.randint(-3, 3) if rng.random() < 0.7 else 0
+                 for _ in range(dim)]
+        stream.append(tuple(v))
+    return stream
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((PRIME, 2, 3, 101)))
+def test_screened_tester_matches_plain_elimination(seed, prime):
+    rng = random.Random(seed)
+    dim = rng.randint(1, 6)
+    stream = _integer_stream(rng, dim, rng.randint(1, 14))
+    expected = _reference_insertions(stream)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "PRIME", prime)
+        t = IndependenceTester(dim)
+        for vector, (accepted, pivots) in zip(stream, expected):
+            assert t.try_insert(vector) == accepted
+            assert t.rank == len(pivots)
+            if rng.random() < 0.3:  # a read mid-stream catches up
+                assert t.pivots == pivots
+        assert t.pivots == expected[-1][1]
 
 
 class TestRank:
