@@ -20,16 +20,18 @@ rank.  It is found in three steps:
      same order, and stops at the same point as the other route.
    * otherwise (r < n, or float mode): the tester judges the r pairings
      dot(f_w, b_v), one per accepted row.
-3. The rows kept leave a square invertible block.  On the pairing route
-   they are the pivot rows of step 2's echelon form, in scan order.  In
-   exact mode a pivot is the first nonzero entry of a reduced column, and
-   each reduced column is zero at the pivots found before it, so the number
-   of pivots up to row i is the rank of rows 0..i of the accepted columns:
+3. The rows kept leave a square invertible block, by one rule.  When
+   there are as many columns as rows, every row is kept.  Otherwise the
+   kept rows are the sorted pivot rows of a tester that judged the block's
+   columns: step 2's own tester on the pairing route, or, on the forward
+   route, a fresh one fed the pairings of each accepted column.  In exact
+   mode a pivot is the first nonzero entry of a reduced column, and each
+   reduced column is zero at the pivots found before it, so the number of
+   pivots up to row i is the rank of rows 0..i of the accepted columns:
    the pivot rows are exactly the rows independent of their predecessors
-   (``reduce_rows``).  The forward route keeps those rows too: all r when
-   the dimension is r, else ``reduce_rows`` of the r x dim block.  In float
-   mode the pivots come from partial pivoting; there are always ``dim`` of
-   them, and the tolerance judges the block's entries once, in step 2.
+   (``reduce_rows``).  In float mode the pivots come from partial
+   pivoting; there are always ``dim`` of them, and the tolerance judges
+   the block's entries once, in step 2.
 
 Candidates are processed first-in-first-out, created in alphabet order.  The
 queue holds (accepted word, symbol) pairs, and a candidate's vector is
@@ -135,27 +137,29 @@ def column_basis(lr: LinearRepresentation, row_words, backwards,
     tester judges the forward coordinates themselves.  Otherwise it judges
     column w as dot(forward coords, backward coords) for every row: the
     values p(w v) up to one nonzero factor per row and one per column,
-    which leaves the independence of columns (and of rows) unchanged, and
-    the kept rows are its pivot rows.  The columns are not kept.  A zero
-    empty-word column yields no columns: the series is zero.
+    which leaves the independence of columns (and of rows) unchanged.  A
+    square block keeps every row; otherwise the kept rows are the pivot
+    rows of a tester that judged the pairings.  The columns are not kept.
+    A zero empty-word column yields no columns: the series is zero.
     """
-    full = lr.mode == EXACT and len(row_words) == lr.dimension
-    tester = IndependenceTester(len(row_words), lr.mode, tolerance)
+    r = len(row_words)
+    full = lr.mode == EXACT and r == lr.dimension
+    tester = IndependenceTester(r, lr.mode, tolerance)
 
-    def column(fv: ScaledVector) -> tuple:
-        if full:
-            return fv.coords
+    def pairings(fv: ScaledVector) -> tuple:
         return tuple(dot(fv.coords, bv.coords) for bv in backwards)
 
     forwards, _ = _scan(tester, lr.scaled_forward, lambda w, a: w + (a,),
-                        column, len(lr.alphabet))
-    if not full:
-        keep = sorted(tester.pivots)
-    elif len(forwards) == len(row_words):
-        keep = list(range(len(row_words)))
+                        (lambda fv: fv.coords) if full else pairings,
+                        len(lr.alphabet))
+    if len(forwards) == r:
+        keep = list(range(r))
     else:
-        keep = reduce_rows([[dot(fv.coords, bv.coords) for fv in forwards]
-                            for bv in backwards])
+        if full:
+            tester = IndependenceTester(r)
+            for fv in forwards:
+                tester.try_insert(pairings(fv))
+        keep = sorted(tester.pivots)
     return [fv.word for fv in forwards], forwards, keep
 
 
@@ -163,9 +167,9 @@ def reduce_rows(matrix, mode: str = EXACT,
                 tolerance: float = DEFAULT_TOLERANCE) -> list[int]:
     """Indices of rows independent of their predecessors, in scan order.
 
-    In exact mode these are the pivot rows of the pairing column scan;
-    ``column_basis`` calls it for the rows of a full-row-rank basis whose
-    dimension is below the row count.
+    In exact mode these are the rows ``column_basis`` keeps.  The library
+    does not call it: the tests use it as their reference for the kept
+    rows, and ``perfbench/tracing.py`` wraps it.
     """
     if not matrix:
         return []

@@ -71,13 +71,16 @@ def _fail(message: str):
     sys.exit(2)
 
 
-def _load(path: str):
+def _read(path: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as exc:
         _fail(str(exc))
+
+
+def _load(path: str, tolerance: float = DEFAULT_TOLERANCE):
     try:
-        return parse_model(text)
+        return parse_model(_read(path), tolerance)
     except ModelValidationError as exc:
         _fail(f"{path}: invalid model: {exc}")
     except ModelSyntaxError as exc:
@@ -122,8 +125,8 @@ def equiv(model_a, model_b, tolerance, fmt):
 
     Two automata are compared by their acceptance probabilities.
     """
-    a = _load(model_a)
-    b = _load(model_b)
+    a = _load(model_a, tolerance)
+    b = _load(model_b, tolerance)
     _check_same_class((a, b))
     try:
         if isinstance(a, PfaModel):
@@ -177,7 +180,7 @@ def _report_verdict(verdict: EquivalenceVerdict, fmt: str):
 @format_option
 def dim(model_file, tolerance, fmt):
     """Process dimension of one model file."""
-    lr = compile_model(_load(model_file))
+    lr = compile_model(_load(model_file, tolerance))
     result = compute_basis(lr, tolerance)
     if fmt == "json":
         click.echo(json.dumps({"dim": result.dim}, indent=2))
@@ -191,7 +194,7 @@ def dim(model_file, tolerance, fmt):
 @format_option
 def basis(model_file, tolerance, fmt):
     """Basis words and the invertible block for one model file."""
-    lr = compile_model(_load(model_file))
+    lr = compile_model(_load(model_file, tolerance))
     result = compute_basis(lr, tolerance)
     words = lr.alphabet.format_word
     if fmt == "json":
@@ -259,7 +262,7 @@ def oracle(model_files, max_len, budget, tolerance, fmt):
     """
     if len(model_files) not in (1, 2):
         _fail("oracle takes one or two model files")
-    models = [_load(p) for p in model_files]
+    models = [_load(p, tolerance) for p in model_files]
     _check_same_class(models)
     lrs = [compile_model(m) for m in models]
     try:
@@ -305,11 +308,7 @@ def oracle(model_files, max_len, budget, tolerance, fmt):
 def validate(model_file, tolerance, fmt):
     """Check a model file; list violations and exit 2 if invalid."""
     try:
-        text = Path(model_file).read_text()
-    except OSError as exc:
-        _fail(str(exc))
-    try:
-        parse_model(text, tolerance)
+        parse_model(_read(model_file), tolerance)
     except ModelValidationError as exc:
         if fmt == "json":
             click.echo(json.dumps({"ok": False, "violations": exc.violations},

@@ -20,11 +20,10 @@ acceptance probabilities differ.
 
 Every compared value is a product of scaled vectors, p = s * i with a
 rational scale s and, in exact mode, an integer dot product i of coprime
-coordinates, dot(forward coords, backward coords) on both sides.  The big
-side's vectors are its basis's; the small model's vectors on the same
-words, and both sides' backward vectors of the words a v, come from each
-representation's vector cache, so a word either scan already built is not
-built again.  Two values are compared
+coordinates, dot(forward coords, backward coords) on both sides.  The
+big basis contributes only its words: every vector compared, on either
+side, is read by word from its representation's vector cache, so a word
+either scan already built is not built again.  Two values are compared
 without forming either: s * i == t * j is tested as
 s.num * t.den * i == t.num * s.den * j, all integers, with those factors
 taken once per row word and once per column word.  ``Fraction`` values are
@@ -103,45 +102,44 @@ def test_equivalence(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
     def same(f, i, g, j):
         return f * i == g * j if exact else scalars_equal(i, j, mode, tolerance)
 
-    forwards_small = [lr_small.scaled_forward(w) for w in big.col_words]
-    backwards_small = [lr_small.scaled_backward(v) for v in big.row_words]
-    col_factors = [factors(fb.scale, fs.scale)
-                   for fb, fs in zip(big.forwards, forwards_small)]
+    def paired(words, scaled_big, scaled_small):
+        """(word, big vector, small vector, factors) for each word."""
+        out = []
+        for word in words:
+            vb, vs = scaled_big(word), scaled_small(word)
+            out.append((word, vb, vs, factors(vb.scale, vs.scale)))
+        return out
+
+    cols = paired(big.col_words, lr_big.scaled_forward,
+                  lr_small.scaled_forward)
 
     def first_difference(middles):
-        """(w, m, v, p_big, p_small) at the first word w m v on which the
-        models differ, or None: w in J outermost, then each (m,
-        rows_big, rows_small) of ``middles``, then v in I.  The rows are
-        each side's backward vectors of the words m v."""
-        factored = [(m, rows_big, rows_small,
-                     [factors(bb.scale, bs.scale)
-                      for bb, bs in zip(rows_big, rows_small)])
-                    for m, rows_big, rows_small in middles]
-        for w, fb, fs, (cf_big, cf_small) in zip(
-                big.col_words, big.forwards, forwards_small, col_factors):
-            for m, rows_big, rows_small, row_factors in factored:
-                for v, bb, bs, (rf_big, rf_small) in zip(
-                        big.row_words, rows_big, rows_small, row_factors):
+        """(w, m, w m v, p_big, p_small) at the first word w m v on which
+        the models differ, or None: w in J outermost, then m in
+        ``middles``, then v in I."""
+        rows = [(m, paired([m + v for v in big.row_words],
+                           lr_big.scaled_backward, lr_small.scaled_backward))
+                for m in middles]
+        for w, fb, fs, (cf_big, cf_small) in cols:
+            for m, row in rows:
+                for mv, bb, bs, (rf_big, rf_small) in row:
                     i_big = dot(fb.coords, bb.coords)
                     i_small = dot(fs.coords, bs.coords)
                     if not same(cf_big * rf_big, i_big, cf_small * rf_small,
                                 i_small):
-                        return (w, m, v, fb.scale * bb.scale * i_big,
+                        return (w, m, w + mv, fb.scale * bb.scale * i_big,
                                 fs.scale * bs.scale * i_small)
         return None
 
     # the block is the empty middle; the one-step extensions need equal
-    # dimensions, and T[a] . backward(v) does not depend on the column word
-    found = first_difference([((), big.backwards, backwards_small)])
+    # dimensions, and the rows m v do not depend on the column word
+    found = first_difference([()])
     if found is None and same_dim:
-        found = first_difference(
-            [((a,), [lr_big.scaled_backward((a,) + v) for v in big.row_words],
-              [lr_small.scaled_backward((a,) + v) for v in big.row_words])
-             for a in range(len(lr_x.alphabet))])
+        found = first_difference([(a,) for a in range(len(lr_x.alphabet))])
     if found is None:
         return verdict(same_dim,
                        ALL_CHECKS_PASSED if same_dim else DIMENSION_MISMATCH)
-    w, m, v, p_big, p_small = found
+    w, m, witness, p_big, p_small = found
     if m:
         reason = ONE_STEP_MISMATCH
     elif not same_dim:
@@ -150,7 +148,7 @@ def test_equivalence(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
         reason = INITIAL_ROW_MISMATCH
     else:
         reason = BASIC_MATRIX_MISMATCH
-    return verdict(False, reason, w + m + v, p_big, p_small)
+    return verdict(False, reason, witness, p_big, p_small)
 
 
 def test_equivalence_pfa(pfa_x: PfaModel, pfa_y: PfaModel,

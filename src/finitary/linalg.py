@@ -30,10 +30,10 @@ every later candidate exactly.
 A scan whose candidates are independent until it fills, as a full-rank
 scan's are after its first few words, then does no exact elimination.
 
-The exact echelon is fraction-free (Bareiss, Math. Comp. 22, 1968): the
-tester divides out the content of the candidate after every step and
-builds no ``Fraction`` while it reduces a candidate; zero is literal
-equality.  Float mode treats an entry as zero when it is negligible
+The exact echelon is fraction-free: each step cross-multiplies the
+candidate with a stored row and then divides out the candidate's content
+(not the previous pivot), so it builds no ``Fraction`` while it reduces
+a candidate; zero is literal equality.  Float mode treats an entry as zero when it is negligible
 relative to the largest pivot accepted so far (relative tolerance, default
 1e-9).
 """

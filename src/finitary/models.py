@@ -87,11 +87,6 @@ class Alphabet:
         sep = "" if self.single_char else " "
         return sep.join(self.symbols[a] for a in word)
 
-    def with_stop(self) -> "Alphabet":
-        if STOP_SYMBOL in self.symbols:
-            raise ValueError(f"alphabet already contains {STOP_SYMBOL!r}")
-        return Alphabet(self.symbols + (STOP_SYMBOL,))
-
 
 def _scalar_rows(rows, mode):
     return tuple(tuple(as_scalar(x, mode) for x in row) for row in rows)
@@ -323,7 +318,7 @@ def pfa_to_hmm(pfa: PfaModel) -> HmmModel:
     """
     if STOP_SYMBOL in pfa.alphabet.symbols:
         raise ValueError("automaton alphabet already uses the stop symbol")
-    extended = pfa.alphabet.with_stop()
+    extended = Alphabet(pfa.alphabet.symbols + (STOP_SYMBOL,))
     mode = pfa.mode
     n = pfa.num_states
     ns = len(pfa.alphabet)

@@ -199,21 +199,77 @@ class TestToleranceValue:
         assert "Invalid value for environment variable FINITARY_TOLERANCE: " \
                "'abc' is not a valid float" in res.stderr
 
-    def test_flag_overrides_a_bad_env_var(self, runner):
-        res = runner.invoke(main, self.COMMANDS["dim"] + ["--tolerance", "0"],
+    @pytest.fixture
+    def coin(self, tmp_path):
+        """A float model valid at tolerance 0: its entries are dyadic, so
+        its rows sum to exactly 1.  The Hadamard walk's entries are unitary
+        only up to rounding, and every command validates under the
+        tolerance it is given."""
+        path = tmp_path / "coin.hmm"
+        path.write_text(FLOAT_COIN)
+        return str(path)
+
+    def test_flag_overrides_a_bad_env_var(self, runner, coin):
+        res = runner.invoke(main, ["dim", coin, "--tolerance", "0"],
                             env={"FINITARY_TOLERANCE": "nan"})
         assert res.exit_code == 0
-        res = runner.invoke(main, self.COMMANDS["dim"] + ["--tolerance", "-1"],
+        res = runner.invoke(main, ["dim", coin, "--tolerance", "-1"],
                             env={"FINITARY_TOLERANCE": "0"})
         assert "Invalid value for '--tolerance'" in res.stderr
 
-    def test_zero_accepted(self, runner):
-        res = runner.invoke(main, self.COMMANDS["equiv"] + ["--tolerance", "0"])
+    def test_zero_accepted(self, runner, coin):
+        res = runner.invoke(main, ["equiv", coin, coin, "--tolerance", "0"])
         assert res.exit_code == 0
         assert res.stdout == "equivalent within tolerance 0.0\ndim: 1\n"
-        res = runner.invoke(main, self.COMMANDS["dim"],
+        res = runner.invoke(main, ["dim", coin],
                             env={"FINITARY_TOLERANCE": "0"})
         assert res.stdout == "1\n"
+        res = runner.invoke(main, self.COMMANDS["dim"] + ["--tolerance", "0"])
+        assert res.exit_code == 2
+        assert "invalid model: unitarity violated" in res.stderr
+
+
+class TestToleranceOnLoad:
+    """Every command with a tolerance validates its model files under it:
+    a float file whose pi sums to 1.000001 is invalid at the default and
+    valid at 1e-3, given by flag or by environment variable.  ``prob`` has
+    no tolerance option and loads at the default."""
+
+    COMMANDS = ("equiv", "dim", "basis", "oracle", "validate")
+
+    @pytest.fixture
+    def loose(self, tmp_path):
+        path = tmp_path / "loose.hmm"
+        path.write_text(FLOAT_COIN.replace("pi: 1.0", "pi: 1.000001"))
+        return str(path)
+
+    @staticmethod
+    def args(command, path):
+        return [command, path, path] if command == "equiv" else [command, path]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_default_rejects(self, runner, loose, command):
+        res = runner.invoke(main, self.args(command, loose))
+        assert res.exit_code == 2
+        assert "pi sums to 1.000001" in res.stdout + res.stderr
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_flag_accepts(self, runner, loose, command):
+        res = runner.invoke(main, self.args(command, loose)
+                            + ["--tolerance", "1e-3"])
+        assert res.exit_code == 0, res.stderr
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_env_var_accepts(self, runner, loose, command):
+        res = runner.invoke(main, self.args(command, loose),
+                            env={"FINITARY_TOLERANCE": "1e-3"})
+        assert res.exit_code == 0, res.stderr
+
+    def test_prob_loads_at_the_default(self, runner, loose):
+        res = runner.invoke(main, ["prob", loose, "a"],
+                            env={"FINITARY_TOLERANCE": "1e-3"})
+        assert res.exit_code == 2
+        assert "invalid model: pi sums to 1.000001" in res.stderr
 
 
 class TestModuleEntry:

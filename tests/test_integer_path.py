@@ -299,20 +299,27 @@ def test_full_row_rank_forward_route_equals_the_pairing_scan():
     # at full row rank the column scan judges forward coordinates; it must
     # accept the same words with the same vectors and keep the same rows
     # as the scan on pairings, also when the dimension is below the row
-    # count (two states, the second never reached: rows (), a; one column)
+    # count (padded HMMs; two states, the second never reached: rows (),
+    # a; one column).  Walks whose dimension is below their row count run
+    # on pairings, and must keep the same rows as well.
     rng = random.Random(21)
     lrs = [compile_model(g.random_hmm(rng, rng.randint(1, 8),
                                       rng.randint(1, 3))) for _ in range(30)]
     lrs += [compile_pfa(g.random_pfa(rng, rng.randint(1, 6),
                                      rng.randint(1, 3))) for _ in range(30)]
+    lrs += [padded_hmm_lr(rng) for _ in range(20)]
     unreached = compile_model(HmmModel(
         g.alphabet(2), (Fraction(1), Fraction(0)),
         ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
         ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3)))))
     full = [lr for lr in lrs + [unreached]
             if len(row_generator(lr)[0]) == lr.dimension]
+    walks = [lr for lr in (random_qrw_lr(rng) for _ in range(60))
+             if compute_basis(lr).dim < len(row_generator(lr)[0])]
+    non_square = [lr for lr in full if compute_basis(lr).dim < lr.dimension]
     assert len(full) > 40 and unreached in full
-    for lr in full:
+    assert len(non_square) > 15 and len(walks) > 5
+    for lr in full + walks:
         basis = compute_basis(lr)
         assert basis == pairing_basis(lr)
     assert compute_basis(unreached).dim == 1

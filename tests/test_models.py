@@ -65,11 +65,6 @@ class TestAlphabet:
             with pytest.raises(ValueError):
                 Alphabet((bad,))
 
-    def test_with_stop(self):
-        assert Alphabet(("a",)).with_stop().symbols == ("a", "$")
-        with pytest.raises(ValueError):
-            Alphabet(("a", "$")).with_stop()
-
 
 class TestShapeChecks:
     def test_hmm_ragged_transition(self):

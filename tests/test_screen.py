@@ -84,3 +84,35 @@ def test_full_rank_scans_leave_only_the_structural_rejection_exact(
         calls.clear()
         assert len(column_basis(lr, words, backwards)[0]) == n
         assert calls == []
+
+
+@pytest.mark.parametrize("rewrite", [g.split_hmm_state, g.blend_hmm_state])
+def test_a_square_pairing_block_keeps_its_rows_without_exact_work(
+        monkeypatch, rewrite):
+    # a cloned state leaves the row rank below n, so the column scan judges
+    # pairings; its block is square, so every row is kept and the vectors
+    # the screen accepted are never reduced exactly after the scan fills
+    events = []
+    reduced = IndependenceTester._reduced_exact
+    insert = IndependenceTester.try_insert
+
+    def counting(self, vector):
+        events.append("reduce")
+        return reduced(self, vector)
+
+    def marking(self, vector):
+        accepted = insert(self, vector)
+        if accepted and self.rank == self.dimension:
+            events.append("full")
+        return accepted
+    monkeypatch.setattr(IndependenceTester, "_reduced_exact", counting)
+    monkeypatch.setattr(IndependenceTester, "try_insert", marking)
+    for n in (8, 16):
+        rng = random.Random(n)
+        lr = compile_model(rewrite(rng, g.random_hmm(rng, n, 2)))
+        words, backwards, _ = row_generator(lr)
+        assert len(words) == n < lr.dimension
+        events.clear()
+        cols, _, keep = column_basis(lr, words, backwards)
+        assert len(cols) == n and keep == list(range(n))
+        assert events[-1] == "full"
