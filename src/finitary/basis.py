@@ -38,12 +38,13 @@ queue holds (accepted word, symbol) pairs, and a candidate's vector is
 asked of the representation by word only when the candidate is popped; a
 word's vector is built once, with one matrix-vector product from its
 parent's, and the I/J check in ``equivalence`` reads the same vectors.
-A scan stops as soon as its tester is full: n independent vectors span all
-of Q^n, so every candidate still queued would be rejected (for the column
-scan, n is the number of accepted rows).  The row scan still counts those
-candidates in ``row_iterations``, which is the number of candidates an
-exhaustive scan decides: at most |alphabet| times the representation
-dimension.
+A scan stops as soon as its tester is full, so every candidate still queued
+would be rejected: n independent vectors span all of Q^n (for the column
+scan, n is the number of accepted rows), or, in exact mode, the row scan
+has certified that its vectors span all it can reach (``linalg``), which
+stops a row scan that never fills.  The row scan still counts those
+candidates in ``row_iterations``, the number of candidates an exhaustive
+scan decides: at most |alphabet| times the representation dimension.
 
 The scans carry each vector as ``scale * coords`` (``ScaledVector``); in
 exact mode the coordinates are coprime integers.  Step 2's pairings are
@@ -104,7 +105,7 @@ def _scan(tester: IndependenceTester, vector, extend, entry,
     accepted = [root]
     queue = deque(((), a) for a in range(num_symbols))
     decided = 0
-    while queue and tester.rank < tester.dimension:
+    while queue and not tester.full:
         decided += 1
         candidate = vector(extend(*queue.popleft()))
         if tester.try_insert(entry(candidate)):
@@ -120,8 +121,12 @@ def row_generator(lr: LinearRepresentation,
 
     A zero final vector yields no rows: the series is zero.
     """
+    # span generators (``linalg``): each candidate is M_a times its parent
+    generators = ((lr.scaled_backward(()).coords,
+                   [m for _, m in lr.integer_steps])
+                  if lr.mode == EXACT else None)
     backwards, iterations = _scan(
-        IndependenceTester(lr.dimension, lr.mode, tolerance),
+        IndependenceTester(lr.dimension, lr.mode, tolerance, generators),
         lr.scaled_backward, lambda v, a: (a,) + v, lambda bv: bv.coords,
         len(lr.alphabet))
     return [bv.word for bv in backwards], backwards, iterations

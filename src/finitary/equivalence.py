@@ -7,8 +7,13 @@ full processes to coincide.  Both are one comparison of the words w m v,
 for w in J, v in I and a middle m: first m empty (the block), then, when
 the dimensions are equal, m = a for each symbol.  The column word w is
 scanned outermost, then m, then the row word v, which fixes the first
-difference found and so the witness.  The check runs in
-O(|alphabet| * n^4) overall and enumerates no words.
+difference found and so the witness.  Each word is compared once, at its
+first split (w a v with w a in J or a v in I in the block pass): a later
+split was equal, or the check would have returned.  In exact mode every
+split of a word gives the same value, so skipping it changes no verdict,
+witness or value.  In float mode each split rounds differently and is
+judged with a tolerance, so a word is judged at its first split only.
+The check runs in O(|alphabet| * n^4) overall and enumerates no words.
 
 Every exact "not equivalent" verdict carries a witness word.  When the
 dimensions differ, the larger basis's block is invertible, of rank
@@ -102,33 +107,39 @@ def test_equivalence(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
     def same(f, i, g, j):
         return f * i == g * j if exact else scalars_equal(i, j, mode, tolerance)
 
-    def paired(words, scaled_big, scaled_small):
-        """(word, big vector, small vector, factors) for each word."""
-        out = []
-        for word in words:
-            vb, vs = scaled_big(word), scaled_small(word)
-            out.append((word, vb, vs, factors(vb.scale, vs.scale)))
-        return out
+    def paired(word, scaled_big, scaled_small):
+        """(big vector, small vector, factors) of a word."""
+        vb, vs = scaled_big(word), scaled_small(word)
+        return vb, vs, factors(vb.scale, vs.scale)
 
-    cols = paired(big.col_words, lr_big.scaled_forward,
-                  lr_small.scaled_forward)
+    cols = [(w, *paired(w, lr_big.scaled_forward, lr_small.scaled_forward))
+            for w in big.col_words]
+    rows = {}  # m v -> paired backward vectors, built when first compared
+    compared = set()  # every word w m v compared so far, by either pass
 
     def first_difference(middles):
         """(w, m, w m v, p_big, p_small) at the first word w m v on which
         the models differ, or None: w in J outermost, then m in
-        ``middles``, then v in I."""
-        rows = [(m, paired([m + v for v in big.row_words],
-                           lr_big.scaled_backward, lr_small.scaled_backward))
-                for m in middles]
+        ``middles``, then v in I.  A word compared before is skipped: it
+        was equal (in float mode, at that split), or the check would have
+        returned."""
+        mvs = [(m, m + v) for m in middles for v in big.row_words]
         for w, fb, fs, (cf_big, cf_small) in cols:
-            for m, row in rows:
-                for mv, bb, bs, (rf_big, rf_small) in row:
-                    i_big = dot(fb.coords, bb.coords)
-                    i_small = dot(fs.coords, bs.coords)
-                    if not same(cf_big * rf_big, i_big, cf_small * rf_small,
-                                i_small):
-                        return (w, m, w + mv, fb.scale * bb.scale * i_big,
-                                fs.scale * bs.scale * i_small)
+            for m, mv in mvs:
+                word = w + mv
+                if word in compared:
+                    continue
+                compared.add(word)
+                if mv not in rows:
+                    rows[mv] = paired(mv, lr_big.scaled_backward,
+                                      lr_small.scaled_backward)
+                bb, bs, (rf_big, rf_small) = rows[mv]
+                i_big = dot(fb.coords, bb.coords)
+                i_small = dot(fs.coords, bs.coords)
+                if not same(cf_big * rf_big, i_big, cf_small * rf_small,
+                            i_small):
+                    return (w, m, word, fb.scale * bb.scale * i_big,
+                            fs.scale * bs.scale * i_small)
         return None
 
     # the block is the empty middle; the one-step extensions need equal

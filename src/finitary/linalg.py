@@ -30,18 +30,31 @@ every later candidate exactly.
 A scan whose candidates are independent until it fills, as a full-rank
 scan's are after its first few words, then does no exact elimination.
 
+A scan that cannot fill (a model with a cloned state) would confirm every
+late rejection exactly.  Given the scan's generators, a zero remainder at
+rank k of n first tries a span certificate, once per rank and only when
+(n - k) * n <= k * k, as it costs about (n - k) * |A| * n * n word-size
+operations.  The free-column basis Z of the null space of the residue
+echelon must kill the root and be mapped into its own span by every
+step, mod ``PRIME`` (failing fast), then exactly with each entry lifted
+by rational reconstruction (bound sqrt(PRIME / 2); ibid.).  The lifted Z
+is the identity on its free columns, so its null space has dimension k;
+holding the root and closed under the steps, it holds every vector of the
+scan, and the k accepted vectors, independent over Q, span it.  The
+tester is then full, for any prime; otherwise the rejection is confirmed.
+
 The exact echelon is fraction-free: each step cross-multiplies the
 candidate with a stored row and then divides out the candidate's content
 (not the previous pivot), so it builds no ``Fraction`` while it reduces
-a candidate; zero is literal equality.  Float mode treats an entry as zero when it is negligible
-relative to the largest pivot accepted so far (relative tolerance, default
-1e-9).
+a candidate; zero is literal equality.  Float mode treats an entry as zero
+when it is negligible relative to the largest pivot accepted so far
+(relative tolerance, default 1e-9).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .scalars import DEFAULT_TOLERANCE, EXACT, MODES
 
@@ -106,6 +119,58 @@ def mat_vec(m, v):
     return tuple(dot(row, v) for row in m)
 
 
+def _annihilator(rows, pivots, dimension: int):
+    """The free columns of residue rows in echelon form with unit pivots,
+    and the free-column basis of their null space mod ``PRIME``: one row
+    per free column f, 1 at f and 0 at the other free columns."""
+    rows = list(rows)
+    for i in range(len(rows) - 1, 0, -1):  # clear pivot columns upwards
+        for j in range(i):
+            c = rows[j][pivots[i]]
+            rows[j] = [(a - c * b) % PRIME for a, b in zip(rows[j], rows[i])]
+    row_of = {p: row for p, row in zip(pivots, rows)}
+    free = [f for f in range(dimension) if f not in row_of]
+    return free, [[-row_of[j][f] % PRIME if j in row_of else int(j == f)
+                   for j in range(dimension)] for f in free]
+
+
+def _rational(x: int):
+    """a / b with a = b x mod ``PRIME``, |a|, b <= sqrt(PRIME / 2), or None."""
+    bound = isqrt(PRIME // 2)
+    r0, r1, s0, s1 = PRIME, x, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    return Fraction(r1, s1) if abs(s1) <= bound else None
+
+
+def _closed(free, kernel, scale: int, root, steps, zero) -> bool:
+    """Whether ``zero`` holds for z . root and for the residual of every
+    z . M in the span of the rows z of ``kernel`` (``scale`` at their own
+    free column, 0 at the others)."""
+    images = (vec_mat(z, m) for m in steps for z in kernel)
+    return (all(zero(dot(z, root)) for z in kernel)
+            and all(zero(scale * x - sum(u[f] * z[j] for f, z in
+                                         zip(free, kernel)))
+                    for u in images for j, x in enumerate(u)))
+
+
+def _certified(rows, pivots, dimension: int, root, steps) -> bool:
+    """Whether the span certificate (module docstring) holds."""
+    free, kernel = _annihilator(rows, pivots, dimension)
+    residues = [[[x % PRIME for x in row] for row in m] for m in steps]
+    if not _closed(free, kernel, 1, root, residues,
+                   lambda x: x % PRIME == 0):
+        return False
+    lifted = [[_rational(x) for x in z] for z in kernel]
+    if any(None in z for z in lifted):
+        return False
+    scale = lcm(*(x.denominator for z in lifted for x in z))
+    kernel = [[x.numerator * (scale // x.denominator) for x in z]
+              for z in lifted]
+    return _closed(free, kernel, scale, root, steps, lambda x: x == 0)
+
+
 class IndependenceTester:
     """Grows a set of independent vectors, kept in echelon form.
 
@@ -114,15 +179,16 @@ class IndependenceTester:
     candidate.  Pivots are distinct, so at most ``dimension`` vectors are
     accepted; a full tester rejects every candidate without reducing it.
 
-    In exact mode a candidate is first reduced mod ``PRIME`` against an
-    echelon form of residues with unit pivots.  A nonzero remainder accepts
-    it at once, and it waits in ``_pending`` until the exact echelon is
-    needed: by a zero remainder, which an exact reduction must confirm, or
-    by a read of ``pivots``.
+    In exact mode a candidate the screen accepts waits in ``_pending``
+    until the exact echelon is needed (module docstring).  ``generators``
+    is ``(root, steps)`` when every candidate is the column vector ``root``
+    times integer matrices in ``steps`` on the left, M v, which a row z
+    kills exactly when z M kills v.  A span certificate can then make the
+    tester full early.
     """
 
     def __init__(self, dimension: int, mode: str = EXACT,
-                 tolerance: float = DEFAULT_TOLERANCE):
+                 tolerance: float = DEFAULT_TOLERANCE, generators=None):
         if dimension < 0:
             raise ValueError("dimension must be non-negative")
         if mode not in MODES:
@@ -140,10 +206,18 @@ class IndependenceTester:
         self._residues: list[list[int]] = []
         self._residue_pivots: list[int] = []
         self._screen = mode == EXACT
+        self._generators = generators
+        self._certificate_rank = -1  # rank of the last certificate tried
+        self._spanned = False  # certified: every vector offered is dependent
 
     @property
     def rank(self) -> int:
         return len(self._rows) + len(self._pending)
+
+    @property
+    def full(self) -> bool:
+        """Whether every further candidate is known to be dependent."""
+        return self._spanned or self.rank == self.dimension
 
     @property
     def pivots(self) -> tuple[int, ...]:
@@ -213,6 +287,14 @@ class IndependenceTester:
         if self._screened(vector):
             self._pending.append(vector)
             return True
+        k, n = self.rank, self.dimension
+        if (self._generators and k != self._certificate_rank
+                and (n - k) * n <= k * k):  # once per rank, where cheap
+            self._certificate_rank = k
+            if _certified(self._residues, self._residue_pivots, n,
+                          *self._generators):
+                self._spanned = True
+                return False
         self._catch_up()
         if not self._insert_exact(vector):
             return False
@@ -237,8 +319,8 @@ class IndependenceTester:
         if len(vector) != self.dimension:
             raise ValueError(
                 f"vector has length {len(vector)}, expected {self.dimension}")
-        if self.rank == self.dimension:
-            return False  # ``dimension`` independent vectors span everything
+        if self.full:
+            return False  # the accepted vectors span every candidate
         if self.mode == EXACT:
             return self._try_exact(vector)
         r = self._reduced_float(vector)

@@ -3,10 +3,13 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 # the decision entry points are named test_*, which pytest would otherwise
 # try to collect from this module; keep them behind the module name
 from finitary import equivalence
+from finitary.basis import compute_basis
 from finitary.equivalence import (
     ALL_CHECKS_PASSED,
     BASIC_MATRIX_MISMATCH,
@@ -219,6 +222,97 @@ def test_each_vector_is_stepped_once(monkeypatch, kind):
     assert v.equivalent and v.dim_x == v.dim_y > 1
     assert len(built) > 4 * v.dim_x
     assert set(built.values()) == {1}
+
+
+def test_each_word_is_compared_once(monkeypatch):
+    # a word w a v with w a in J or a v in I is compared in the block pass,
+    # and a block word with two splits w v at its first: on an equal pair
+    # the check takes two dot products per distinct word w m v
+    rng = random.Random(8)
+    hmm = g.random_hmm(rng, 8, 2)
+    x, y = compile_model(hmm), compile_model(g.permute_hmm(rng, hmm))
+    calls = []
+    dot = equivalence.dot
+
+    def counting(u, v):
+        calls.append(1)
+        return dot(u, v)
+    monkeypatch.setattr(equivalence, "dot", counting)
+    v = equivalence.test_equivalence(x, y)
+    basis = compute_basis(x)
+    triples = [w + m + v for w in basis.col_words for m in [(), (0,), (1,)]
+               for v in basis.row_words]
+    assert v.equivalent and v.dim_x == 8
+    assert len(calls) == 2 * len(set(triples)) < len(triples)
+
+
+def _every_triple(lr_x, lr_y):
+    """(equivalent, reason, witness, details) from comparing p(w m v) by
+    ``prob`` on every triple, in the check's order: the block, then, at
+    equal dimensions, each symbol; w outermost, then m, then v."""
+    basis_x, basis_y = compute_basis(lr_x), compute_basis(lr_y)
+    big = basis_y if basis_y.dim > basis_x.dim else basis_x
+    same_dim = basis_x.dim == basis_y.dim
+    passes = [[()]]
+    if same_dim:
+        passes.append([(a,) for a in range(len(lr_x.alphabet))])
+    for middles in passes:
+        for w in big.col_words:
+            for m in middles:
+                for v in big.row_words:
+                    p_x, p_y = lr_x.prob(w + m + v), lr_y.prob(w + m + v)
+                    if p_x == p_y:
+                        continue
+                    if m:
+                        reason = ONE_STEP_MISMATCH
+                    elif not same_dim:
+                        reason = DIMENSION_MISMATCH
+                    elif w == ():
+                        reason = INITIAL_ROW_MISMATCH
+                    else:
+                        reason = BASIC_MATRIX_MISMATCH
+                    return False, reason, w + m + v, (p_x, p_y)
+    return (same_dim, ALL_CHECKS_PASSED if same_dim else DIMENSION_MISMATCH,
+            None, None)
+
+
+def _redrawn_last_step(rng):
+    """A random representation over three symbols and a copy with the last
+    symbol's step redrawn.  When the scans fill before reaching that
+    symbol the blocks agree, and the pair first differs one step out."""
+    n = rng.randint(2, 3)
+
+    def entry():
+        return F(rng.randint(-3, 3), rng.randint(1, 4))
+
+    def matrix():
+        return tuple(tuple(entry() for _ in range(n)) for _ in range(n))
+    steps = [matrix() for _ in range(3)]
+    init = tuple(entry() for _ in range(n))
+    fin = tuple(entry() for _ in range(n))
+    return [LinearRepresentation.from_matrices(g.alphabet(3), m, init, fin,
+                                               EXACT)
+            for m in (steps, steps[:2] + [matrix()])]
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 2**32 - 1))
+def test_the_check_reports_what_comparing_every_triple_reports(seed):
+    # skipping the words compared before changes no verdict, reason,
+    # witness or value, in either order
+    rng = random.Random(seed)
+    hmm = g.random_hmm(rng, rng.randint(1, 5), rng.randint(1, 3))
+    pairs = [
+        _redrawn_last_step(rng),
+        [compile_model(hmm), compile_model(g.permute_hmm(rng, hmm))],
+        [compile_model(hmm), compile_model(g.split_hmm_state(rng, hmm))],
+        [compile_model(hmm), compile_model(g.random_hmm(
+            rng, rng.randint(1, 5), len(hmm.alphabet)))],
+    ]
+    for x, y in pairs + [pair[::-1] for pair in pairs]:
+        v = equivalence.test_equivalence(x, y)
+        assert (v.equivalent, v.reason, v.witness, v.details) == \
+            _every_triple(x, y)
 
 
 class TestCrossClass:

@@ -1,7 +1,9 @@
 """The exact tester screens candidates mod ``linalg.PRIME`` and confirms
-only rejections exactly.  Every output must be the same as with any other
-prime, however unlucky, and the screen must leave a full-rank scan almost
-no exact elimination to do."""
+only rejections exactly, unless a span certificate shows that its scan
+cannot grow.  Every output must be the same as with any other prime,
+however unlucky, and as without the certificate; the screen must leave a
+full-rank scan, and the certificate a scan that cannot fill, almost no
+exact elimination to do."""
 
 import random
 
@@ -13,25 +15,33 @@ from finitary import linalg
 from finitary.basis import column_basis, compute_basis, row_generator
 from finitary.equivalence import test_equivalence as decide
 from finitary.linalg import IndependenceTester
-from finitary.representation import compile_model, compile_pfa
+from finitary.representation import (LinearRepresentation, compile_model,
+                                     compile_pfa)
+from finitary.scalars import EXACT
 
 import generators as g
+from test_integer_path import padded_hmm_lr
 
 UNLUCKY = (2, 3, 101)
 
 
 def _model_pairs(rng):
     """(compile, x, y) triples: seeded HMMs against permuted, split and
-    blended copies and against independent models, automata and walks."""
+    blended copies and against independent models, automata and walks.
+    The split and blended copies of an HMM with at least 8 states run the
+    span certificate."""
     hmm = g.random_hmm(rng, rng.randint(1, 6), rng.randint(1, 3))
     other = g.random_hmm(rng, hmm.num_states, len(hmm.alphabet))
     pfa = g.random_pfa(rng, rng.randint(1, 5), rng.randint(1, 3))
     k = rng.randint(2, 3)
     qrw = g.random_qrw(rng, k, rng.randint(1, k))
+    big = g.random_hmm(rng, rng.randint(8, 10), 2)
     return [
         (compile_model, hmm, g.permute_hmm(rng, hmm)),
         (compile_model, hmm, g.split_hmm_state(rng, hmm)),
         (compile_model, g.blend_hmm_state(rng, hmm), hmm),
+        (compile_model, big, g.split_hmm_state(rng, big)),
+        (compile_model, g.blend_hmm_state(rng, big), big),
         (compile_model, hmm, other),
         (compile_pfa, pfa, g.permute_pfa(rng, pfa)),
         (compile_pfa, pfa, g.random_pfa(rng, pfa.num_states,
@@ -116,3 +126,121 @@ def test_a_square_pairing_block_keeps_its_rows_without_exact_work(
         cols, _, keep = column_basis(lr, words, backwards)
         assert len(cols) == n and keep == list(range(n))
         assert events[-1] == "full"
+
+
+def _counting_reductions(monkeypatch):
+    calls = []
+    reduced = IndependenceTester._reduced_exact
+
+    def counting(self, vector):
+        calls.append(vector)
+        return reduced(self, vector)
+    monkeypatch.setattr(IndependenceTester, "_reduced_exact", counting)
+    return calls
+
+
+@pytest.mark.parametrize("rewrite", [g.split_hmm_state, g.blend_hmm_state])
+def test_a_row_scan_that_cannot_fill_certifies_its_span(monkeypatch,
+                                                        rewrite):
+    # a cloned state keeps the row scan of n + 1 coordinates at n rows.
+    # Its late rejection is settled by the span certificate, so the only
+    # exact work is the structural rejection of the last one-letter
+    # candidate (the root, the first letter and the candidate), where
+    # the certificate is too costly to try; without it a scan reduces its
+    # n accepted vectors and n + 1 late rejections exactly
+    calls = _counting_reductions(monkeypatch)
+    for n in (8, 16, 32):
+        rng = random.Random(n)
+        lr = compile_model(rewrite(rng, g.random_hmm(rng, n, 2)))
+        calls.clear()
+        words, _, iterations = row_generator(lr)
+        assert len(words) == n == lr.dimension - 1
+        assert iterations == 2 * n and len(calls) == 3
+
+
+def _certificate_models(rng):
+    lrs = []
+    for rewrite in (g.split_hmm_state, g.blend_hmm_state):
+        for n in (2, 5, 9):
+            lrs.append(compile_model(rewrite(rng, g.random_hmm(rng, n, 2))))
+    lrs += [padded_hmm_lr(rng) for _ in range(10)]
+    lrs += [compile_pfa(g.random_pfa(rng, rng.randint(1, 6),
+                                     rng.randint(1, 3))) for _ in range(10)]
+    lrs += [compile_model(g.random_qrw(rng, k, rng.randint(1, k)))
+            for k in (2, 2, 3, 3, 4)]
+    return lrs
+
+
+def test_the_certificate_changes_no_basis(monkeypatch):
+    # the certificate only settles rejections sooner: every basis is the
+    # one the exact confirmation of each rejection gives
+    lrs = _certificate_models(random.Random(15))
+    results = []
+    certified = linalg._certified
+
+    def recording(*args):
+        results.append(certified(*args))
+        return results[-1]
+    monkeypatch.setattr(linalg, "_certified", recording)
+    expected = [compute_basis(lr) for lr in lrs]
+    assert results.count(True) >= 6 and False in results
+    monkeypatch.setattr(linalg, "_certified", lambda *args: False)
+    assert [compute_basis(lr) for lr in lrs] == expected
+
+
+def test_a_walk_tries_the_certificate_only_where_it_is_cheap(monkeypatch):
+    # the certificate costs about (n - k) * n per step and annihilator row;
+    # a tester tries it only at rank k with (n - k) * n <= k * k, so a
+    # walk whose row rank r is below that never tries it
+    attempts = []
+    certified = linalg._certified
+
+    def recording(rows, pivots, dimension, *generators):
+        attempts.append((dimension, len(rows)))
+        return certified(rows, pivots, dimension, *generators)
+    monkeypatch.setattr(linalg, "_certified", recording)
+    rng = random.Random(16)
+    cheap = 0
+    for _ in range(20):
+        k = rng.randint(2, 4)
+        lr = compile_model(g.random_qrw(rng, k, rng.randint(1, k)))
+        attempts.clear()
+        r = len(row_generator(lr)[0])
+        n = lr.dimension
+        assert all((n - rank) * n <= rank * rank for _, rank in attempts)
+        if (n - r) * n > r * r:
+            cheap += 1
+            assert attempts == []
+    assert cheap > 5
+
+
+def test_a_refused_certificate_falls_back_to_exact_confirmation():
+    # backward vectors e1, e2 and e1 + p e3 (one symbol): mod p the third
+    # is dependent and e3 spans the annihilator, which the step maps to
+    # (0, p, 1), e3 again mod p.  In integers (0, p, 1) is outside the span
+    # of e3, so the certificate is refused and the exact reduction accepts
+    # e1 + p e3, as the exact-only scan does
+    p = 101
+    lr = LinearRepresentation.from_matrices(
+        g.alphabet(1), [((0, 1, 0), (1, 0, 0), (0, p, 1))], (1, 0, 0),
+        (1, 0, 0), EXACT)
+    reference = (row_generator(lr), compute_basis(lr))
+    checks = []
+    closed = linalg._closed
+
+    def recording(*args):
+        checks.append(closed(*args))
+        return checks[-1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "PRIME", p)
+        mp.setattr(linalg, "_closed", recording)
+        calls = _counting_reductions(mp)
+        words, backwards, iterations = row_generator(lr)
+        assert checks == [True, False] and len(calls) == 3
+        assert (words, backwards, iterations) == reference[0]
+        assert compute_basis(lr) == reference[1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(IndependenceTester, "_try_exact",
+                   IndependenceTester._insert_exact)
+        assert (row_generator(lr), compute_basis(lr)) == reference
+    assert reference[0][0] == [(), (0,), (0, 0)]
