@@ -8,9 +8,11 @@ O(n * rank), instead of refactoring the whole collection.
 Exact mode works on integers.  Independence does not change when a vector
 is scaled by a nonzero number, so ``integral`` splits an exact vector into
 one rational scale and coprime integer coordinates; that scale is the one
-``Fraction`` it builds.  ``primitive`` does the same for an integer vector
-with an integer content and builds none; the scans call it after every
-integer step, and the tester on every vector it reduces exactly.
+``Fraction`` it builds.  ``gaussian`` splits a walk's complex entries the
+same way, into ``(re, im)`` integer pairs.  ``primitive`` does the same
+for an integer vector with an integer content and builds none; the scans
+call it after every integer step, and the tester on every vector it
+reduces exactly.
 
 The exact tester screens each candidate mod ``PRIME``.  It keeps the
 residues of the accepted vectors in echelon form with unit pivots and
@@ -74,6 +76,19 @@ def integral(vector, mode: str):
     content, coords = primitive([x.numerator * (den // x.denominator)
                                  for x in vector])
     return Fraction(content, den), coords
+
+
+def gaussian(entries, mode: str):
+    """``(scale, pairs)`` with entry ``i == scale * complex(*pairs[i])``:
+    ``integral`` of the real and imaginary parts together, so an exact
+    walk's entries become Gaussian integers over one denominator."""
+    scale, flat = integral([x for z in entries for x in (z.re, z.im)], mode)
+    return scale, list(zip(flat[0::2], flat[1::2]))
+
+
+def times_conj(x, y):
+    """``x * conj(y)`` for complex numbers as ``(re, im)`` pairs."""
+    return (x[0] * y[0] + x[1] * y[1], x[1] * y[0] - x[0] * y[1])
 
 
 def primitive(ints):

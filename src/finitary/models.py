@@ -15,15 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from .linalg import gaussian, times_conj
 from .scalars import (
     DEFAULT_TOLERANCE,
     EXACT,
     MODES,
-    ComplexScalar,
     as_complex,
     as_scalar,
     format_scalar,
     one,
+    scalars_equal,
     zero,
 )
 
@@ -251,22 +252,24 @@ def _validate_hmm(model: HmmModel, tol: float) -> list[str]:
 def _validate_qrw(model: QrwModel, tol: float) -> list[str]:
     v: list[str] = []
     k = model.num_coordinates
-    exact = model.mode == EXACT
+    mode = model.mode
+    scale, u = gaussian([z for row in model.evolution for z in row], mode)
+    s2 = scale ** 2
     for i in range(k):
         for j in range(k):
-            entry = ComplexScalar(zero(model.mode), zero(model.mode))
+            re = im = 0
             for m in range(k):
-                entry = entry + model.evolution[i][m] * model.evolution[j][m].conjugate()
-            want = one(model.mode) if i == j else zero(model.mode)
-            ok = (entry.re == want and entry.im == 0) if exact else (
-                abs(entry.re - want) <= tol and abs(entry.im) <= tol)
-            if not ok:
+                x, y = times_conj(u[i * k + m], u[j * k + m])
+                re, im = re + x, im + y
+            if not (scalars_equal(s2 * re, int(i == j), mode, tol)
+                    and scalars_equal(s2 * im, 0, mode, tol)):
                 v.append(f"unitarity violated at entry ({i},{j})")
-    norm = zero(model.mode)
-    for z in model.wave:
-        norm = norm + z.abs_squared()
-    ok = (norm == 1) if exact else (abs(norm - 1) <= tol)
-    if not ok:
+    scale, wave = gaussian(model.wave, mode)
+    total = 0
+    for x, y in wave:
+        total = total + (x * x + y * y)
+    norm = scale ** 2 * total
+    if not scalars_equal(norm, 1, mode, tol):
         v.append(f"psi0 has squared norm {format_scalar(norm)}")
     used = set(model.labels)
     for a, symbol in enumerate(model.alphabet.symbols):

@@ -25,8 +25,13 @@ A representation stores one step per symbol as ``(scale, M)`` with
 T[a] = scale * M: in exact mode M is a coprime integer matrix and scale a
 ``Fraction``; in float mode scale is 1.0 and M is T[a] itself.  That is its
 only stored form.  ``compile_hmm`` builds it from each transition row's
-integer form with one rational product per state and symbol; other models
-pass their matrices to ``LinearRepresentation.from_matrices``.
+integer form with one rational product per state and symbol.
+``compile_qrw`` splits U and psi0 once each with ``linalg.gaussian`` into
+``(re, im)`` pairs, Gaussian integers over one denominator in exact mode
+and the floats themselves in float mode, and builds every coordinate from
+products of those pairs: T[a] is the square of U's scale times an integer
+matrix, and no complex rational is multiplied.  Automata pass their
+matrices to ``LinearRepresentation.from_matrices``.
 
 A forward vector (init times a prefix product) and a backward vector (a
 suffix product times fin) extend by one symbol in O(n^2) and pair up via
@@ -49,9 +54,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import dot, integral, mat_vec, primitive, vec_mat
+from .linalg import (dot, gaussian, integral, mat_vec, primitive,
+                     times_conj, vec_mat)
 from .models import HmmModel, Model, PfaModel, QrwModel, Word
-from .scalars import EXACT, ComplexScalar, complex_i, one, zero
+from .scalars import EXACT, one, zero
 
 
 @dataclass(frozen=True)
@@ -81,13 +87,8 @@ class LinearRepresentation:
                       mode: str) -> "LinearRepresentation":
         """The representation with step matrices ``matrices``, one n x n
         matrix per symbol in alphabet order."""
-        steps = []
-        for m in matrices:
-            n = len(m)
-            scale, flat = integral([x for row in m for x in row], mode)
-            steps.append((scale, tuple(tuple(flat[i * n:(i + 1) * n])
-                                       for i in range(n))))
-        return cls(alphabet, tuple(steps), init, fin, mode)
+        return cls(alphabet, tuple(_integer_step(m, mode) for m in matrices),
+                   init, fin, mode)
 
     @property
     def dimension(self) -> int:
@@ -175,6 +176,13 @@ class LinearRepresentation:
                 f"dimension {self.dimension}")
 
 
+def _integer_step(matrix, mode: str):
+    """``(scale, M)`` with ``matrix == scale * M``, by ``integral``."""
+    n = len(matrix)
+    scale, flat = integral([x for row in matrix for x in row], mode)
+    return scale, tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
+
+
 def compile_hmm(hmm: HmmModel) -> LinearRepresentation:
     """T[a][i][j] = E[i][a] * M[i][j].  With row i of M split by
     ``integral`` as s_i * r_i, T[a] is the integer matrix with rows
@@ -204,62 +212,48 @@ def _coordinate_pairs(k: int):
     return re_pairs, im_pairs
 
 
-def _coords_of(matrix, re_pairs, im_pairs) -> tuple:
-    re_part = [matrix[m1][m2].re for (m1, m2) in re_pairs]
-    im_part = [matrix[m1][m2].im for (m1, m2) in im_pairs]
-    return tuple(re_part + im_part)
-
-
 def compile_qrw(qrw: QrwModel) -> LinearRepresentation:
+    """Row j of T[a] holds the coordinates of x y* + y x* for the basis
+    element j = (m1, m2), with x and y columns m1 and m2 of Pa U: x x*
+    alone for a diagonal Re element, and i x in place of x for an Im
+    element.  U and psi0 are split by ``gaussian`` once each, so in exact
+    mode every product is of integers and T[a] is u_scale**2 times an
+    integer matrix."""
     k = qrw.num_coordinates
     mode = qrw.mode
     re_pairs, im_pairs = _coordinate_pairs(k)
-    n = len(re_pairs) + len(im_pairs)
-    z, o = zero(mode), one(mode)
-    czero = ComplexScalar(z, z)
-    iunit = complex_i(mode)
+    u_scale, u = gaussian([z for row in qrw.evolution for z in row], mode)
+    w_scale, wave = gaussian(qrw.wave, mode)
 
-    def outer(u, w):
-        conj = [x.conjugate() for x in w]
-        return [[ui * wj for wj in conj] for ui in u]
+    def coords(x, y):
+        """Coordinates of x y* + y x*, or of x x* when y is x."""
+        h = {}
+        for p, q in re_pairs:
+            re, im = times_conj(x[p], y[q])
+            if y is not x:
+                re2, im2 = times_conj(y[p], x[q])
+                re, im = re + re2, im + im2
+            h[p, q] = re, im
+        return [h[pq][0] for pq in re_pairs] + [h[pq][1] for pq in im_pairs]
 
-    def madd(a, b):
-        return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-    def msub(a, b):
-        return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-    def scale_i(m):
-        return [[iunit * x for x in row] for row in m]
-
-    matrices = []
+    u2 = u_scale ** 2
+    steps = []
     for a in range(len(qrw.alphabet)):
-        # columns of Pa U: evolution with rows not labeled a zeroed out
-        cols = []
-        for m in range(k):
-            cols.append([qrw.evolution[i][m] if qrw.labels[i] == a else czero
-                         for i in range(k)])
-        # image of each coordinate basis element under Q -> (PaU) Q (PaU)*
-        images = []
-        for (m1, m2) in re_pairs:
-            if m1 == m2:
-                images.append(outer(cols[m1], cols[m1]))
-            else:
-                images.append(madd(outer(cols[m1], cols[m2]),
-                                   outer(cols[m2], cols[m1])))
-        for (m1, m2) in im_pairs:
-            images.append(msub(scale_i(outer(cols[m1], cols[m2])),
-                               scale_i(outer(cols[m2], cols[m1]))))
-        # transposed coordinate matrix: row j is the image of basis element j
-        matrices.append(tuple(_coords_of(img, re_pairs, im_pairs)
-                              for img in images))
+        # columns of Pa U: rows not labeled a are multiplied by 0
+        kept = [label == a for label in qrw.labels]
+        cols = [[(re * on, im * on) for (re, im), on in zip(u[m::k], kept)]
+                for m in range(k)]
+        rows = [coords(cols[m1], cols[m2]) for m1, m2 in re_pairs]
+        rows += [coords([(-im, re) for re, im in cols[m1]], cols[m2])
+                 for m1, m2 in im_pairs]
+        scale, m = _integer_step(rows, mode)
+        steps.append((u2 * scale, m))
 
-    density = outer(list(qrw.wave), list(qrw.wave))
-    init = _coords_of(density, re_pairs, im_pairs)
-    fin = tuple(o if m1 == m2 else z for (m1, m2) in re_pairs) + \
-        tuple(z for _ in im_pairs)
-    return LinearRepresentation.from_matrices(qrw.alphabet, matrices, init,
-                                              fin, mode)
+    w2 = w_scale ** 2
+    init = tuple(w2 * x for x in coords(wave, wave))
+    fin = tuple(one(mode) if m1 == m2 else zero(mode)
+                for (m1, m2) in re_pairs) + tuple(zero(mode) for _ in im_pairs)
+    return LinearRepresentation(qrw.alphabet, tuple(steps), init, fin, mode)
 
 
 def compile_model(model: Model) -> LinearRepresentation:

@@ -4,12 +4,15 @@ Every model fixes one scalar mode at load time.  Exact mode keeps a
 ``fractions.Fraction`` for each value that can be reported: a model entry,
 a scale, a witness value or the sum in a violation message.  Everything in
 between runs on integers.  ``parse_scalar`` reads ``p/q`` as two ``int``;
-validation sums each row law over one common denominator; the compiled
-representation holds integer step matrices with one rational scale each;
-and the scans and the equivalence check compute on integer vectors (see
-``linalg.integral``).  All comparisons are literal equality.  Float mode
-stores machine floats and defers to a tolerance, which callers thread
-through explicitly.  The two modes are never mixed inside one model.
+validation sums each row law over one common denominator; a walk's
+complex entries, parsed as ``ComplexScalar`` values, are validated and
+compiled as Gaussian-integer numerators over one denominator (see
+``linalg.gaussian``); the compiled representation holds integer step
+matrices with one rational scale each; and the scans and the equivalence
+check compute on integer vectors (see ``linalg.integral``).  All
+comparisons are literal equality.  Float mode stores machine floats and
+defers to a tolerance, which callers thread through explicitly.  The two
+modes are never mixed inside one model.
 """
 
 from __future__ import annotations
@@ -99,36 +102,12 @@ def scalars_equal(x, y, mode: str, tolerance: float = DEFAULT_TOLERANCE) -> bool
 
 @dataclass(frozen=True)
 class ComplexScalar:
-    """Complex number over the current scalar mode (Gaussian rational or
-    float pair).  Only the operations the wave-function algebra needs."""
+    """A parsed complex entry of a walk: a pair of scalars in the model's
+    mode.  It carries no arithmetic; walks compute on ``(re, im)`` pairs
+    split by ``linalg.gaussian``."""
 
     re: Scalar
     im: Scalar
-
-    def __add__(self, other: "ComplexScalar") -> "ComplexScalar":
-        return ComplexScalar(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ComplexScalar") -> "ComplexScalar":
-        return ComplexScalar(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "ComplexScalar") -> "ComplexScalar":
-        return ComplexScalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __neg__(self) -> "ComplexScalar":
-        return ComplexScalar(-self.re, -self.im)
-
-    def conjugate(self) -> "ComplexScalar":
-        return ComplexScalar(self.re, -self.im)
-
-    def abs_squared(self) -> Scalar:
-        return self.re * self.re + self.im * self.im
-
-
-def complex_i(mode: str) -> ComplexScalar:
-    return ComplexScalar(zero(mode), one(mode))
 
 
 def as_complex(value, mode: str) -> ComplexScalar:

@@ -114,16 +114,19 @@ def _identity(k: int) -> list:
             for i in range(k)]
 
 
+def _times(x: ComplexScalar, y: ComplexScalar) -> ComplexScalar:
+    return ComplexScalar(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)
+
+
 def _mul(a: list, b: list) -> list:
     k = len(a)
     out = []
     for i in range(k):
         row = []
         for j in range(k):
-            acc = _czero()
-            for m in range(k):
-                acc = acc + a[i][m] * b[m][j]
-            row.append(acc)
+            terms = [_times(a[i][m], b[m][j]) for m in range(k)]
+            row.append(ComplexScalar(sum(t.re for t in terms),
+                                     sum(t.im for t in terms)))
         out.append(row)
     return out
 
@@ -249,7 +252,7 @@ def rephase_qrw(rng: random.Random, qrw: QrwModel) -> QrwModel:
     )
     phase = rng.choice(phases)
     return QrwModel(qrw.alphabet, qrw.labels, qrw.evolution,
-                    tuple(phase * z for z in qrw.wave), qrw.mode)
+                    tuple(_times(phase, z) for z in qrw.wave), qrw.mode)
 
 
 def permute_qrw_block(rng: random.Random, qrw: QrwModel) -> QrwModel:

@@ -612,6 +612,15 @@ class TestOracle:
         assert "one or two" in res.stderr
 
 
+# unitary, with denominators 5, 13 and 65 side by side
+MIXED_WALK = ("kind: qrw\nmode: exact\nalphabet: a b\nk: 2\nlabels: a b\nU:\n"
+              "3/5+0i -4/13-48/65i\n4/5+0i 3/13+36/65i\n"
+              "psi0: 3/5+0i 0+4/5i\n")
+FLOAT_WALK = ("kind: qrw\nmode: float\nalphabet: a b\nk: 2\nlabels: a b\nU:\n"
+              "0.6+0.0i 0.8+0.0i\n0.8+0.0i -0.6+0.0i\n"
+              "psi0: 1.0+0.0i 0.0+0.0i\n")
+
+
 class TestValidate:
     def test_ok(self, runner):
         res = runner.invoke(main, ["validate", corpus("coin.hmm")])
@@ -634,6 +643,39 @@ class TestValidate:
         assert res.exit_code == 2
         assert json.loads(res.stdout) == {"ok": False,
                                           "violations": ["pi sums to 1/2"]}
+
+    @pytest.mark.parametrize("text,violations", [
+        (MIXED_WALK, []),
+        (MIXED_WALK.replace("4/5+0i 3/13", "81/100+0i 3/13"),
+         ["unitarity violated at entry (0,1)",
+          "unitarity violated at entry (1,0)",
+          "unitarity violated at entry (1,1)"]),
+        (MIXED_WALK.replace("psi0: 3/5+0i 0+4/5i", "psi0: 3/5+0i 1/65+4/5i"),
+         ["psi0 has squared norm 4226/4225"]),
+    ])
+    def test_exact_walk(self, runner, tmp_path, text, violations):
+        path = tmp_path / "walk.qrw"
+        path.write_text(text)
+        res = runner.invoke(main, ["validate", str(path)])
+        assert res.exit_code == (2 if violations else 0)
+        assert res.stdout == "".join(v + "\n" for v in violations or ["ok"])
+
+    @pytest.mark.parametrize("text,violation", [
+        (FLOAT_WALK.replace("0.6+0.0i 0.8", "0.6000001+0.0i 0.8"),
+         "unitarity violated at entry (0,0)"),
+        (FLOAT_WALK.replace("psi0: 1.0", "psi0: 1.00000005"),
+         "psi0 has squared norm 1.0000001000000023"),
+    ])
+    def test_float_walk_off_by_1e_7(self, runner, tmp_path, text, violation):
+        path = tmp_path / "walk.qrw"
+        path.write_text(text)
+        res = runner.invoke(main, ["validate", str(path)])
+        assert res.exit_code == 2
+        assert res.stdout.splitlines()[0] == violation
+        res = runner.invoke(main, ["validate", str(path),
+                                   "--tolerance", "1e-6"])
+        assert res.exit_code == 0
+        assert res.stdout == "ok\n"
 
     def test_syntax_error_reported(self, runner, tmp_path):
         bad = tmp_path / "bad.hmm"

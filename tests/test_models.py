@@ -16,7 +16,7 @@ from finitary.models import (
     validate,
 )
 from finitary.representation import compile_hmm
-from finitary.scalars import FLOAT, ComplexScalar
+from finitary.scalars import EXACT, FLOAT, ComplexScalar
 
 import generators as g
 from conftest import corpus_names, load_corpus_model
@@ -89,6 +89,26 @@ class TestShapeChecks:
             HmmModel(Alphabet(("a",)), (), (), ())
 
 
+def _walk(u, psi, mode=EXACT):
+    """A two-coordinate walk over a b from (re, im) pairs."""
+    def c(z):
+        return ComplexScalar(*z)
+    return QrwModel(Alphabet(("a", "b")), (0, 1),
+                    tuple(tuple(c(z) for z in row) for row in u),
+                    tuple(c(z) for z in psi), mode)
+
+
+# a 3/5 4/5 rotation with its second column turned by 5/13 + 12/13 i:
+# unitary, with denominators 5, 13 and 65 side by side
+MIXED_U = (((F(3, 5), F(0)), (F(-4, 13), F(-48, 65))),
+           ((F(4, 5), F(0)), (F(3, 13), F(36, 65))))
+MIXED_PSI = ((F(3, 5), F(0)), (F(0), F(4, 5)))
+FLOAT_U = (((0.6, 0.0), (0.8, 0.0)), ((0.8, 0.0), (-0.6, 0.0)))
+FLOAT_U_OFF = (((0.6 + 1e-7, 0.0), (0.8, 0.0)), FLOAT_U[1])
+FLOAT_PSI = ((1.0, 0.0), (0.0, 0.0))
+FLOAT_PSI_OFF = ((1.00000005, 0.0), (0.0, 0.0))
+
+
 class TestValidate:
     def test_clean_corpus(self):
         for name in corpus_names():
@@ -124,6 +144,35 @@ class TestValidate:
         one = ComplexScalar(F(1), F(0))
         m = QrwModel(Alphabet(("a", "b")), (0,), ((one,),), (one,))
         assert "symbol b labels no coordinate" in validate(m)
+
+    def test_qrw_mixed_denominators(self):
+        assert validate(_walk(MIXED_U, MIXED_PSI)) == []
+
+    def test_qrw_perturbed_entry_names_its_row(self):
+        # U[1][0] + 1/100: row 1 loses its norm and its orthogonality to
+        # row 0, and row 0 keeps its norm
+        u = (MIXED_U[0], ((F(81, 100), F(0)), MIXED_U[1][1]))
+        assert validate(_walk(u, MIXED_PSI)) == [
+            "unitarity violated at entry (0,1)",
+            "unitarity violated at entry (1,0)",
+            "unitarity violated at entry (1,1)"]
+
+    def test_qrw_perturbed_wave_norm(self):
+        psi = (MIXED_PSI[0], (F(1, 65), F(4, 5)))
+        assert validate(_walk(MIXED_U, psi)) == [
+            "psi0 has squared norm 4226/4225"]
+
+    def test_float_qrw_unitarity_within_tolerance(self):
+        m = _walk(FLOAT_U_OFF, FLOAT_PSI, FLOAT)
+        assert validate(m) == ["unitarity violated at entry (0,0)",
+                               "unitarity violated at entry (0,1)",
+                               "unitarity violated at entry (1,0)"]
+        assert validate(m, tolerance=1e-6) == []
+
+    def test_float_qrw_norm_within_tolerance(self):
+        m = _walk(FLOAT_U, FLOAT_PSI_OFF, FLOAT)
+        assert validate(m) == ["psi0 has squared norm 1.0000001000000023"]
+        assert validate(m, tolerance=1e-6) == []
 
     def test_pfa_outgoing_mass(self):
         m = PfaModel(Alphabet(("a",)), (F(1),), (((F(1, 3),),),), (F(1, 3),))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finitary.linalg import integral, mat_vec, vec_mat
-from finitary.models import HmmModel
+from finitary.models import HmmModel, QrwModel, validate
 from finitary.oracle import prefix_vector, suffix_vector
 from finitary.representation import (
     ScaledVector,
@@ -18,7 +18,7 @@ from finitary.representation import (
     compile_pfa,
     compile_qrw,
 )
-from finitary.scalars import EXACT
+from finitary.scalars import EXACT, FLOAT, ComplexScalar
 
 import generators as g
 from conftest import corpus_names, load_corpus_model, step_matrices
@@ -113,7 +113,74 @@ class TestHmmCompilation:
         assert all(x == 1 for x in lr.fin)
 
 
+def walk_prob(qrw, word):
+    """||P_vt U ... P_v1 U psi0||^2 straight from the walk's definition,
+    on (re, im) tuples in the walk's scalars."""
+    u = [[(z.re, z.im) for z in row] for row in qrw.evolution]
+    psi = [(z.re, z.im) for z in qrw.wave]
+    for a in word:
+        step = []
+        for row, label in zip(u, qrw.labels):
+            re = im = 0
+            if label == a:
+                for (ur, ui), (pr, pi) in zip(row, psi):
+                    re += ur * pr - ui * pi
+                    im += ur * pi + ui * pr
+            step.append((re, im))
+        psi = step
+    return sum(re * re + im * im for re, im in psi)
+
+
+def floated(qrw):
+    def f(z):
+        return ComplexScalar(float(z.re), float(z.im))
+    return QrwModel(qrw.alphabet, qrw.labels,
+                    tuple(tuple(f(z) for z in row) for row in qrw.evolution),
+                    tuple(f(z) for z in qrw.wave), FLOAT)
+
+
+def reference_walks():
+    walks = [load_corpus_model(name) for name in corpus_names()
+             if name.endswith(".qrw")]
+    for k in range(1, 7):
+        for seed in range(3):
+            rng = random.Random(100 * k + seed)
+            walks.append(g.random_qrw(rng, k, rng.randint(1, min(k, 3))))
+    return walks
+
+
 class TestQrwCompilation:
+    @pytest.mark.parametrize("qrw", reference_walks())
+    def test_prob_matches_the_walk_definition(self, qrw):
+        words = [w for t in range(4)
+                 for w in itertools.product(range(len(qrw.alphabet)),
+                                            repeat=t)]
+        if qrw.mode == EXACT:
+            lr = compile_qrw(qrw)
+            for w in words:
+                assert lr.prob(w) == walk_prob(qrw, w), w
+        copy = floated(qrw)
+        lr = compile_qrw(copy)
+        for w in words:
+            assert lr.prob(w) == pytest.approx(walk_prob(copy, w), abs=1e-12)
+
+    def test_fraction_products_in_compile_and_validate(self, monkeypatch):
+        # U and psi0 are split into integers once; each step then needs
+        # one rational product for its scale, init one per coordinate, and
+        # each entry of U U* one per part
+        qrw = g.random_qrw(random.Random(6), 6, 3)
+        calls = []
+        for name in ("__mul__", "__rmul__"):
+            def counting(self, other, original=getattr(Fraction, name)):
+                calls.append(1)
+                return original(self, other)
+            monkeypatch.setattr(Fraction, name, counting)
+        compile_qrw(qrw)
+        assert len(calls) <= 2 * 3 + 2 * 6 * 6
+        calls.clear()
+        validate(qrw)
+        assert len(calls) <= 2 * 6 * 6 + 2
+
     def test_dimension_is_k_squared(self):
         assert corpus_lr("swap.qrw").dimension == 4
         assert corpus_lr("trivial_vertex_k3.qrw").dimension == 9

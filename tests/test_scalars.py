@@ -12,7 +12,6 @@ from finitary.scalars import (
     ComplexScalar,
     as_complex,
     as_scalar,
-    complex_i,
     format_complex,
     format_scalar,
     parse_complex,
@@ -145,21 +144,6 @@ class TestComparison:
 
 
 class TestComplexScalar:
-    def test_product(self):
-        # (1+2i)(3-i) = 5+5i
-        z = ComplexScalar(Fraction(1), Fraction(2)) * ComplexScalar(
-            Fraction(3), Fraction(-1))
-        assert z == ComplexScalar(Fraction(5), Fraction(5))
-
-    def test_conjugate_and_norm(self):
-        z = ComplexScalar(Fraction(3, 5), Fraction(4, 5))
-        assert z.conjugate() == ComplexScalar(Fraction(3, 5), Fraction(-4, 5))
-        assert z.abs_squared() == 1
-
-    def test_constants(self):
-        assert complex_i(EXACT) * complex_i(EXACT) == \
-            ComplexScalar(Fraction(-1), Fraction(0))
-
     def test_as_complex_promotes_real(self):
         assert as_complex(2, EXACT) == ComplexScalar(Fraction(2), Fraction(0))
 
