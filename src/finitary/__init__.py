@@ -21,9 +21,6 @@ from .models import (
     HmmModel,
     PfaModel,
     QrwModel,
-    STOP_SYMBOL,
-    acceptance_probability,
-    pfa_to_hmm,
     validate,
 )
 from .model_io import (
@@ -74,8 +71,6 @@ __all__ = [
     "PfaModel",
     "ProbTable",
     "QrwModel",
-    "STOP_SYMBOL",
-    "acceptance_probability",
     "brute_equiv",
     "compile_hmm",
     "compile_model",
@@ -85,7 +80,6 @@ __all__ = [
     "enumerate_probs",
     "hankel_rank",
     "parse_model",
-    "pfa_to_hmm",
     "process_dimension",
     "serialize_model",
     "test_equivalence",

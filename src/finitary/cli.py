@@ -3,14 +3,17 @@
 Exit codes: 0 success (for ``equiv``: equivalent; for ``oracle`` with two
 models: agreement up to the length bound), 1 an established difference,
 2 usage, syntax, validation, or budget errors, and internal failures.
-Output is deterministic; ``--format json`` switches every command to a
-machine-readable report.
+Output is deterministic.  Every command builds its report both as a JSON
+payload and as text lines and prints it through ``_emit``, the one place
+that reads ``--format``.  Model files and WORD are read as UTF-8, whatever
+the locale.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -18,7 +21,7 @@ import click
 from click.core import ParameterSource
 
 from .basis import compute_basis
-from .equivalence import EquivalenceVerdict, test_equivalence, test_equivalence_pfa
+from .equivalence import test_equivalence, test_equivalence_pfa
 from .model_io import ModelSyntaxError, ModelValidationError, parse_model
 from .models import PfaModel
 from .oracle import BudgetExceededError, DEFAULT_BUDGET, brute_equiv, enumerate_probs
@@ -71,11 +74,23 @@ def _fail(message: str):
     sys.exit(2)
 
 
+def _emit(fmt: str, payload: dict, lines):
+    """Print a report: ``payload`` as JSON under ``--format json``, otherwise
+    each of the text ``lines``."""
+    if fmt == "json":
+        click.echo(json.dumps(payload, indent=2))
+    else:
+        for line in lines:
+            click.echo(line)
+
+
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         _fail(str(exc))
+    except UnicodeDecodeError as exc:
+        _fail(f"{path}: not UTF-8 text ({exc})")
 
 
 def _load(path: str, tolerance: float = DEFAULT_TOLERANCE):
@@ -136,42 +151,33 @@ def equiv(model_a, model_b, tolerance, fmt):
                                        tolerance)
     except ValueError as exc:
         _fail(str(exc))
-    _report_verdict(verdict, fmt)
-    sys.exit(0 if verdict.equivalent else 1)
-
-
-def _report_verdict(verdict: EquivalenceVerdict, fmt: str):
     witness_text = (None if verdict.witness is None
                     else verdict.alphabet.format_word(verdict.witness))
     values = (None if verdict.details is None
               else [format_scalar(x) for x in verdict.details])
-    if fmt == "json":
-        click.echo(json.dumps({
-            "equivalent": verdict.equivalent,
-            "reason": verdict.reason,
-            "dim_x": verdict.dim_x,
-            "dim_y": verdict.dim_y,
-            "i_size": verdict.dim_x,
-            "j_size": verdict.dim_x,
-            "witness": witness_text,
-            "values": values,
-            "mode": verdict.mode,
-            "tolerance": verdict.tolerance,
-        }, indent=2))
-        return
     if verdict.equivalent:
-        if verdict.mode == FLOAT:
-            click.echo(f"equivalent within tolerance {verdict.tolerance}")
-        else:
-            click.echo("equivalent (exact)")
-        click.echo(f"dim: {verdict.dim_x}")
+        lines = [f"equivalent within tolerance {verdict.tolerance}"
+                 if verdict.mode == FLOAT else "equivalent (exact)",
+                 f"dim: {verdict.dim_x}"]
     else:
-        click.echo(f"not equivalent: {verdict.reason}")
-        click.echo(f"dims: {verdict.dim_x} vs {verdict.dim_y}")
+        lines = [f"not equivalent: {verdict.reason}",
+                 f"dims: {verdict.dim_x} vs {verdict.dim_y}"]
         if witness_text is not None:
-            click.echo(f"witness: {witness_text}")
-            click.echo(f"left:  {values[0]}")
-            click.echo(f"right: {values[1]}")
+            lines += [f"witness: {witness_text}", f"left:  {values[0]}",
+                      f"right: {values[1]}"]
+    _emit(fmt, {
+        "equivalent": verdict.equivalent,
+        "reason": verdict.reason,
+        "dim_x": verdict.dim_x,
+        "dim_y": verdict.dim_y,
+        "i_size": verdict.dim_x,
+        "j_size": verdict.dim_x,
+        "witness": witness_text,
+        "values": values,
+        "mode": verdict.mode,
+        "tolerance": verdict.tolerance,
+    }, lines)
+    sys.exit(0 if verdict.equivalent else 1)
 
 
 @main.command()
@@ -182,10 +188,7 @@ def dim(model_file, tolerance, fmt):
     """Process dimension of one model file."""
     lr = compile_model(_load(model_file, tolerance))
     result = compute_basis(lr, tolerance)
-    if fmt == "json":
-        click.echo(json.dumps({"dim": result.dim}, indent=2))
-    else:
-        click.echo(str(result.dim))
+    _emit(fmt, {"dim": result.dim}, [str(result.dim)])
 
 
 @main.command()
@@ -196,21 +199,14 @@ def basis(model_file, tolerance, fmt):
     """Basis words and the invertible block for one model file."""
     lr = compile_model(_load(model_file, tolerance))
     result = compute_basis(lr, tolerance)
-    words = lr.alphabet.format_word
-    if fmt == "json":
-        click.echo(json.dumps({
-            "dim": result.dim,
-            "row_words": [words(v) for v in result.row_words],
-            "col_words": [words(w) for w in result.col_words],
-            "matrix": [[format_scalar(x) for x in row] for row in result.matrix],
-        }, indent=2))
-        return
-    click.echo(f"dim: {result.dim}")
-    click.echo("rows (I): " + " ".join(words(v) for v in result.row_words))
-    click.echo("cols (J): " + " ".join(words(w) for w in result.col_words))
-    click.echo("block:")
-    for row in result.matrix:
-        click.echo("  " + " ".join(format_scalar(x) for x in row))
+    rows = [lr.alphabet.format_word(v) for v in result.row_words]
+    cols = [lr.alphabet.format_word(w) for w in result.col_words]
+    matrix = [[format_scalar(x) for x in row] for row in result.matrix]
+    _emit(fmt, {"dim": result.dim, "row_words": rows, "col_words": cols,
+                "matrix": matrix},
+          [f"dim: {result.dim}", "rows (I): " + " ".join(rows),
+           "cols (J): " + " ".join(cols), "block:",
+           *("  " + " ".join(row) for row in matrix)])
 
 
 @main.command()
@@ -227,22 +223,24 @@ def prob(model_file, word, decimal, fmt):
     all symbols are single characters, or "" / the empty-word glyph.
     """
     lr = compile_model(_load(model_file))
+    try:  # argv's bytes as UTF-8, whatever the locale decoded them as
+        text = os.fsencode(word).decode("utf-8")
+    except UnicodeEncodeError:  # no argv decoding made it: a caller's text
+        text = word
+    except UnicodeDecodeError as exc:
+        _fail(f"WORD is not UTF-8 text ({exc})")
     try:
-        parsed = lr.alphabet.parse_word(word)
+        parsed = lr.alphabet.parse_word(text)
     except ValueError as exc:
         _fail(str(exc))
     value = lr.prob(parsed)
-    if fmt == "json":
-        payload = {"word": lr.alphabet.format_word(parsed),
-                   "prob": format_scalar(value)}
-        if decimal and lr.mode == EXACT:
-            payload["decimal"] = float(value)
-        click.echo(json.dumps(payload, indent=2))
-        return
+    payload = {"word": lr.alphabet.format_word(parsed),
+               "prob": format_scalar(value)}
+    line = payload["prob"]
     if decimal and lr.mode == EXACT:
-        click.echo(f"{format_scalar(value)} ≈ {float(value)!r}")
-    else:
-        click.echo(format_scalar(value))
+        payload["decimal"] = float(value)
+        line += f" ≈ {float(value)!r}"
+    _emit(fmt, payload, [line])
 
 
 @main.command()
@@ -265,39 +263,29 @@ def oracle(model_files, max_len, budget, tolerance, fmt):
     models = [_load(p, tolerance) for p in model_files]
     _check_same_class(models)
     lrs = [compile_model(m) for m in models]
+    words = lrs[0].alphabet.format_word
     try:
         if len(lrs) == 1:
+            # shortlex order, as the table is built
             table = enumerate_probs(lrs[0], max_len, budget)
-            words = lrs[0].alphabet.format_word
-            items = sorted(table.entries.items(), key=lambda kv: (len(kv[0]), kv[0]))
-            if fmt == "json":
-                click.echo(json.dumps({
-                    "max_len": max_len,
-                    "entries": {words(w): format_scalar(p) for w, p in items},
-                }, indent=2))
-            else:
-                for w, p in items:
-                    click.echo(f"{words(w)} {format_scalar(p)}")
+            entries = {words(w): format_scalar(p)
+                       for w, p in table.entries.items()}
+            _emit(fmt, {"max_len": max_len, "entries": entries},
+                  [f"{w} {p}" for w, p in entries.items()])
             return
         tol = tolerance if lrs[0].mode == FLOAT else 0.0
         result = brute_equiv(lrs[0], lrs[1], max_len, tol, budget)
     except (BudgetExceededError, ValueError) as exc:
         _fail(str(exc))
-    words = lrs[0].alphabet.format_word
-    if fmt == "json":
-        click.echo(json.dumps({
-            "max_len": max_len,
-            "equal_up_to": result.equal_up_to,
-            "witness": None if result.witness is None else words(result.witness),
-            "values": (None if result.values is None
-                       else [format_scalar(x) for x in result.values]),
-        }, indent=2))
-    elif result.equal_up_to:
-        click.echo(f"equal on all words up to length {max_len}")
+    if result.equal_up_to:
+        witness = values = None
+        line = f"equal on all words up to length {max_len}"
     else:
-        click.echo(f"differs at {words(result.witness)}: "
-                   f"{format_scalar(result.values[0])} vs "
-                   f"{format_scalar(result.values[1])}")
+        witness = words(result.witness)
+        values = [format_scalar(x) for x in result.values]
+        line = f"differs at {witness}: {values[0]} vs {values[1]}"
+    _emit(fmt, {"max_len": max_len, "equal_up_to": result.equal_up_to,
+                "witness": witness, "values": values}, [line])
     sys.exit(0 if result.equal_up_to else 1)
 
 
@@ -310,19 +298,12 @@ def validate(model_file, tolerance, fmt):
     try:
         parse_model(_read(model_file), tolerance)
     except ModelValidationError as exc:
-        if fmt == "json":
-            click.echo(json.dumps({"ok": False, "violations": exc.violations},
-                                  indent=2))
-        else:
-            for violation in exc.violations:
-                click.echo(violation)
+        _emit(fmt, {"ok": False, "violations": exc.violations},
+              exc.violations)
         sys.exit(2)
     except ModelSyntaxError as exc:
         _fail(f"{model_file}: {exc}")
-    if fmt == "json":
-        click.echo(json.dumps({"ok": True, "violations": []}, indent=2))
-    else:
-        click.echo("ok")
+    _emit(fmt, {"ok": True, "violations": []}, ["ok"])
 
 
 if __name__ == "__main__":

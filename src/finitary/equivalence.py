@@ -70,13 +70,13 @@ class EquivalenceVerdict:
 
 def test_equivalence(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
                      tolerance: float = DEFAULT_TOLERANCE) -> EquivalenceVerdict:
-    """Verdict for two representations over the same alphabet and mode.
+    """Verdict for two representations over the same symbols and mode; y's
+    steps are read in x's alphabet order, and a witness is a word over x's.
 
     In float mode a dimension mismatch whose block entries all agree within
     the tolerance is reported without a witness.
     """
-    if lr_x.alphabet != lr_y.alphabet:
-        raise ValueError("alphabet mismatch")
+    lr_y = lr_y.in_order_of(lr_x.alphabet)
     if lr_x.mode != lr_y.mode:
         raise ValueError("scalar mode mismatch")
     mode = lr_x.mode

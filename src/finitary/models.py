@@ -370,13 +370,3 @@ def pfa_to_hmm(pfa: PfaModel) -> HmmModel:
 
     return HmmModel(extended, tuple(initial), tuple(transition),
                     tuple(emission), mode)
-
-
-def acceptance_probability(pfa: PfaModel, word: Word):
-    """Probability that the automaton emits exactly ``word`` and stops."""
-    row = list(pfa.initial)
-    n = pfa.num_states
-    for a in word:
-        matrix = pfa.transitions[a]
-        row = [sum(row[i] * matrix[i][j] for i in range(n)) for j in range(n)]
-    return sum(row[i] * pfa.final[i] for i in range(n))

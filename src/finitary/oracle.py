@@ -83,7 +83,7 @@ def enumerate_probs(lr: LinearRepresentation, max_len: int,
 
     Left-to-right products, one generation of words per length, each
     extending the prefix vectors of the one before; the prefix vector is
-    the only reuse.
+    the only reuse.  The entries come in that order, shortlex.
     """
     ns = len(lr.alphabet)
     _check_budget(_word_count(ns, max_len), budget, "probability table")
@@ -110,22 +110,19 @@ def brute_equiv(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
                 max_len: int, tolerance: float = 0.0,
                 budget: int = DEFAULT_BUDGET) -> BruteResult:
     """Compare every word up to ``max_len``; first difference wins, scanning
-    shorter words first and symbols in alphabet order.  ``tolerance`` zero
-    means literal equality.  Both representations must share the alphabet
-    and the scalar mode, as in ``test_equivalence``."""
-    if lr_x.alphabet != lr_y.alphabet:
-        raise ValueError("alphabet mismatch")
+    x's table in the order it is built: shorter words first and symbols in
+    x's alphabet order.  ``tolerance`` zero means literal equality.  Both
+    representations must have the same symbols and the scalar mode, as in
+    ``test_equivalence``; words are over x's alphabet."""
+    lr_y = lr_y.in_order_of(lr_x.alphabet)
     if lr_x.mode != lr_y.mode:
         raise ValueError("scalar mode mismatch")
     table_x = enumerate_probs(lr_x, max_len, budget)
     table_y = enumerate_probs(lr_y, max_len, budget)
-    ns = len(lr_x.alphabet)
-    for t in range(max_len + 1):
-        for word in itertools.product(range(ns), repeat=t):
-            px = table_x.entries[word]
-            py = table_y.entries[word]
-            if (px != py) if tolerance == 0.0 else (abs(px - py) > tolerance):
-                return BruteResult(False, word, (px, py))
+    for word, px in table_x.entries.items():
+        py = table_y.entries[word]
+        if (px != py) if tolerance == 0.0 else (abs(px - py) > tolerance):
+            return BruteResult(False, word, (px, py))
     return BruteResult(True, None, None)
 
 

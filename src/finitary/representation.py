@@ -51,7 +51,7 @@ suffix products the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .linalg import (dot, gaussian, integral, mat_vec, primitive,
@@ -89,6 +89,17 @@ class LinearRepresentation:
         matrix per symbol in alphabet order."""
         return cls(alphabet, tuple(_integer_step(m, mode) for m in matrices),
                    init, fin, mode)
+
+    def in_order_of(self, alphabet) -> "LinearRepresentation":
+        """This representation with its steps in ``alphabet``'s symbol
+        order: itself, cache and all, when the order is already that one."""
+        if alphabet == self.alphabet:
+            return self
+        if set(alphabet.symbols) != set(self.alphabet.symbols):
+            raise ValueError("alphabet mismatch")
+        return replace(self, alphabet=alphabet, integer_steps=tuple(
+            self.integer_steps[self.alphabet.index(s)]
+            for s in alphabet.symbols))
 
     @property
     def dimension(self) -> int:

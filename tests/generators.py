@@ -83,6 +83,18 @@ def random_pfa(rng: random.Random, num_states: int,
     )
 
 
+def acceptance_probability(pfa: PfaModel, word: tuple):
+    """Probability that the automaton emits exactly ``word`` and stops, by
+    plain row-times-matrix loops: the reference the automaton series is
+    checked against."""
+    row = list(pfa.initial)
+    n = pfa.num_states
+    for a in word:
+        matrix = pfa.transitions[a]
+        row = [sum(row[i] * matrix[i][j] for i in range(n)) for j in range(n)]
+    return sum(row[i] * pfa.final[i] for i in range(n))
+
+
 # exact unitary building blocks: c*c + s*s == 1 rotations and unit phases
 _ROTATIONS = (
     (Fraction(3, 5), Fraction(4, 5)),
@@ -276,3 +288,19 @@ def permute_qrw_block(rng: random.Random, qrw: QrwModel) -> QrwModel:
         tuple(qrw.wave[order[i]] for i in range(k)),
         qrw.mode,
     )
+
+
+def reverse_alphabet(model):
+    """The same model with its alphabet listed in reverse order: the
+    symbols keep their meaning, only their indices change."""
+    last = len(model.alphabet) - 1
+    alphabet = Alphabet(model.alphabet.symbols[::-1])
+    if isinstance(model, HmmModel):
+        return HmmModel(alphabet, model.initial, model.transition,
+                        tuple(row[::-1] for row in model.emission),
+                        model.mode)
+    if isinstance(model, QrwModel):
+        return QrwModel(alphabet, tuple(last - a for a in model.labels),
+                        model.evolution, model.wave, model.mode)
+    return PfaModel(alphabet, model.initial, model.transitions[::-1],
+                    model.final, model.mode)

@@ -14,12 +14,12 @@ from click.testing import CliRunner
 from finitary import equivalence, oracle
 from finitary.basis import compute_basis
 from finitary.cli import main
-from finitary.models import acceptance_probability
 from finitary.representation import compile_model
 
 import criteria
 from conftest import CORPUS_DIR, corpus_names, load_corpus_model
 from generators import (
+    acceptance_probability,
     blend_hmm_state,
     permute_hmm,
     permute_pfa,

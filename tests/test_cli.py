@@ -11,7 +11,6 @@ from click.testing import CliRunner
 from finitary import cli
 from finitary.cli import main
 from finitary.model_io import parse_model, serialize_model
-from finitary.models import acceptance_probability
 from finitary.scalars import format_scalar
 
 import generators as g
@@ -294,6 +293,107 @@ class TestModuleEntry:
         assert done.returncode == 2
         assert done.stdout == "pi sums to 1/2\n"
 
+    # model files and WORD are UTF-8 whatever the locale: the cases below
+    # run under an ASCII locale and compare bytes
+    GREEK = ("kind: hmm\nmode: exact\nalphabet: α β\nn: 1\npi: 1\nM: 1\n"
+             "E: 1/3 2/3\n")
+
+    def python_ascii(self, *args):
+        env = {**os.environ, "PYTHONPATH": str(CORPUS_DIR.parent / "src"),
+               "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        return subprocess.run([sys.executable, *args], capture_output=True,
+                              env=env, timeout=120)
+
+    def run_ascii(self, *args):
+        return self.python_ascii("-m", "finitary.cli", *args)
+
+    def test_symbols_outside_ascii(self, tmp_path):
+        greek = tmp_path / "greek.hmm"
+        greek.write_bytes(self.GREEK.encode("utf-8"))
+        done = self.run_ascii("validate", str(greek))
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"ok\n", b"")
+        done = self.run_ascii("prob", str(greek), "βα".encode("utf-8"))
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"2/9\n", b"")
+
+    def test_empty_word_glyph(self):
+        done = self.run_ascii("prob", corpus("coin.hmm"), "□".encode("utf-8"))
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"1\n", b"")
+
+    def test_word_given_in_process(self):
+        # a caller's str is taken as it is, even where the locale cannot
+        # encode it
+        done = self.python_ascii(
+            "-c", "from click.testing import CliRunner\n"
+            "from finitary.cli import main\n"
+            f"res = CliRunner().invoke(main, ['prob', {corpus('coin.hmm')!r}, "
+            "'\\u25a1'])\n"
+            "print(res.exit_code, repr(res.output))\n")
+        assert (done.returncode, done.stdout) == (0, b"0 '1\\n'\n")
+
+    def test_word_not_utf8(self):
+        done = self.run_ascii("prob", corpus("coin.hmm"), b"a\xff")
+        assert done.returncode == 2
+        assert done.stdout == b""
+        assert done.stderr.startswith(b"error: WORD is not UTF-8 text (")
+
+    def test_file_not_utf8(self, tmp_path):
+        latin1 = tmp_path / "latin1.hmm"
+        latin1.write_bytes(b"# caf\xe9\n"
+                           + (CORPUS_DIR / "coin.hmm").read_bytes())
+        done = self.run_ascii("validate", str(latin1))
+        assert done.returncode == 2
+        assert done.stdout == b""
+        assert done.stderr.startswith(
+            f"error: {latin1}: not UTF-8 text (".encode())
+        assert b"internal error" not in done.stderr
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        marked = tmp_path / "marked.hmm"
+        marked.write_bytes(b"\xef\xbb\xbf" + self.GREEK.encode("utf-8"))
+        done = self.run_ascii("dim", str(marked))
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"1\n", b"")
+
+
+class TestReorderedAlphabet:
+    """A pair whose alphabets list the same symbols in another order is
+    compared symbol by symbol, and reported in the first file's alphabet."""
+
+    MODELS = {"hmm": lambda rng: g.random_hmm(rng, 3, 2),
+              "qrw": lambda rng: g.random_qrw(rng, 3, 2),
+              "pfa": lambda rng: g.random_pfa(rng, 3, 2)}
+
+    def write(self, tmp_path, name, model):
+        path = tmp_path / name
+        path.write_text(serialize_model(model))
+        return str(path)
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    @pytest.mark.parametrize("command", ["equiv", "oracle"])
+    def test_reordered_copy_is_equivalent(self, runner, tmp_path, kind,
+                                          command):
+        model = self.MODELS[kind](random.Random(3))
+        x = self.write(tmp_path, "x", model)
+        y = self.write(tmp_path, "y", g.reverse_alphabet(model))
+        res = runner.invoke(main, [command, x, y])
+        assert res.exit_code == 0, res.output
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    @pytest.mark.parametrize("command", [["equiv"], ["oracle", "-L", "3"]])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_differing_pair_reports_as_in_one_order(self, runner, tmp_path,
+                                                    kind, command, fmt):
+        rng = random.Random(4)
+        model_x, model_y = self.MODELS[kind](rng), self.MODELS[kind](rng)
+        x = self.write(tmp_path, "x", model_x)
+        y = self.write(tmp_path, "y", model_y)
+        y_reordered = self.write(tmp_path, "y_ba", g.reverse_alphabet(model_y))
+        plain = runner.invoke(main, [*command, x, y, "--format", fmt])
+        reordered = runner.invoke(main, [*command, x, y_reordered,
+                                         "--format", fmt])
+        assert plain.exit_code == 1, plain.output
+        assert (reordered.exit_code, reordered.stdout, reordered.stderr) == \
+            (plain.exit_code, plain.stdout, plain.stderr)
+
 
 def pfa_text(pi, final, moves):
     """A two-symbol automaton file; ``moves`` maps a symbol to its rows."""
@@ -349,7 +449,8 @@ class TestPfaAcceptance:
         payload = json.loads(res.stdout)
         x, y = parse_model(QUARTER_STEPS), parse_model(QUARTER_THEN_TRAP)
         word = x.alphabet.parse_word(payload["witness"])
-        px, py = acceptance_probability(x, word), acceptance_probability(y, word)
+        px = g.acceptance_probability(x, word)
+        py = g.acceptance_probability(y, word)
         assert px != py
         assert payload["values"] == [str(px), str(py)]
 
@@ -383,7 +484,7 @@ class TestPfaAcceptance:
             assert len(table) == len(words)
             for word in words:
                 text_word = pfa.alphabet.format_word(word)
-                want = format_scalar(acceptance_probability(pfa, word))
+                want = format_scalar(g.acceptance_probability(pfa, word))
                 assert call("prob", text_word) == want + "\n", (text, word)
                 assert table[text_word] == want, (text, word)
 

@@ -17,7 +17,7 @@ from finitary.equivalence import (
     INITIAL_ROW_MISMATCH,
     ONE_STEP_MISMATCH,
 )
-from finitary.models import Alphabet, HmmModel, acceptance_probability
+from finitary.models import Alphabet, HmmModel
 from finitary.representation import (LinearRepresentation, compile_model,
                                      compile_pfa)
 from finitary.scalars import EXACT, FLOAT
@@ -379,8 +379,8 @@ class TestPfaVerdicts:
         assert (v.dim_x, v.dim_y) == (1, 1)
         assert v.witness == ()
         assert v.details == (F(1, 2), F(1))
-        assert acceptance_probability(x, v.witness) != \
-            acceptance_probability(y, v.witness)
+        assert g.acceptance_probability(x, v.witness) != \
+            g.acceptance_probability(y, v.witness)
 
     def test_random_pfa_witnesses_certify(self):
         rng = random.Random(55)
@@ -389,8 +389,8 @@ class TestPfaVerdicts:
             y = g.random_pfa(rng, rng.randint(1, 3), 2)
             v = equivalence.test_equivalence_pfa(x, y)
             if not v.equivalent:
-                assert v.details == (acceptance_probability(x, v.witness),
-                                     acceptance_probability(y, v.witness))
+                assert v.details == (g.acceptance_probability(x, v.witness),
+                                     g.acceptance_probability(y, v.witness))
                 assert v.details[0] != v.details[1]
 
     def test_alphabet_mismatch_rejected(self):

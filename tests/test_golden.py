@@ -8,11 +8,17 @@ class (file suffix), and of ``basis --format json`` for every corpus file.
 file's: each base model against a state-permuted copy, a state-split copy
 and an unrelated model, plus a pair of different sizes.  It stores the model
 files it was recorded on, so it does not depend on the generators staying
-the same.  Regenerate a file only when an output change is intended:
+the same.  ``golden/cli_corpus.json`` records the exit code, stdout and stderr
+of every other report in both formats on the corpus: ``dim``, ``prob`` on
+four words with and without ``--decimal``, ``oracle -L 3`` on each file and
+on each pair that ``equiv_corpus.json`` uses, ``validate``, and text-format
+``equiv`` and ``basis``.  Regenerate a file only when an output change is
+intended:
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden/equiv_corpus.json
     PYTHONPATH=src python tests/test_golden.py generated \
         > tests/golden/equiv_generated.json
+    PYTHONPATH=src python tests/test_golden.py cli > tests/golden/cli_corpus.json
 """
 
 import json
@@ -32,6 +38,7 @@ HERE = pathlib.Path(__file__).resolve().parent
 CORPUS_DIR = HERE.parent / "corpus"
 GOLDEN = HERE / "golden" / "equiv_corpus.json"
 GOLDEN_GENERATED = HERE / "golden" / "equiv_generated.json"
+GOLDEN_CLI = HERE / "golden" / "cli_corpus.json"
 
 
 def _names():
@@ -129,8 +136,61 @@ def test_generated_reports_unchanged(golden_generated, tmp_path):
         golden_generated
 
 
+PROB_WORDS = ("", "a", "ab", "z")  # "z" is in no corpus alphabet
+
+
+def cli_cases() -> dict[str, list[str]]:
+    """Name to argument list of every call ``cli_corpus.json`` records."""
+    cases = {}
+    for fmt in ("text", "json"):
+        for name in _names():
+            path = str(CORPUS_DIR / name)
+            cases[f"dim {name} {fmt}"] = ["dim", path]
+            for word in PROB_WORDS:
+                cases[f"prob {name} {word!r} {fmt}"] = ["prob", path, word]
+                cases[f"prob {name} {word!r} --decimal {fmt}"] = [
+                    "prob", path, word, "--decimal"]
+            cases[f"oracle {name} {fmt}"] = ["oracle", path, "-L", "3"]
+            cases[f"validate {name} {fmt}"] = ["validate", path]
+        for x, y in _pairs():
+            paths = [str(CORPUS_DIR / x), str(CORPUS_DIR / y)]
+            cases[f"oracle {x} {y} {fmt}"] = ["oracle", *paths, "-L", "3"]
+    for name in _names():
+        cases[f"basis {name} text"] = ["basis", str(CORPUS_DIR / name)]
+    for x, y in _pairs():
+        cases[f"equiv {x} {y} text"] = [
+            "equiv", str(CORPUS_DIR / x), str(CORPUS_DIR / y)]
+    return {key: [*args, "--format", key.rsplit(" ", 1)[1]]
+            for key, args in cases.items()}
+
+
+def _call(args):
+    res = CliRunner().invoke(main, args)
+    return {"exit": res.exit_code, "stdout": res.stdout, "stderr": res.stderr}
+
+
+def record_cli():
+    return {key: _call(args) for key, args in cli_cases().items()}
+
+
+@pytest.fixture(scope="module")
+def golden_cli():
+    return json.loads(GOLDEN_CLI.read_text())
+
+
+def test_cli_golden_covers_its_cases(golden_cli):
+    assert sorted(golden_cli) == sorted(cli_cases())
+
+
+@pytest.mark.parametrize("key", sorted(cli_cases()))
+def test_cli_output_unchanged(golden_cli, key):
+    assert _call(cli_cases()[key]) == golden_cli[key]
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] == ["generated"]:
+    if sys.argv[1:] == ["cli"]:
+        result = record_cli()
+    elif sys.argv[1:] == ["generated"]:
         import tempfile
         with tempfile.TemporaryDirectory() as scratch:
             result = record_generated(generated_models(),

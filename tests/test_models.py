@@ -11,7 +11,6 @@ from finitary.models import (
     HmmModel,
     PfaModel,
     QrwModel,
-    acceptance_probability,
     pfa_to_hmm,
     validate,
 )
@@ -278,11 +277,11 @@ class TestStopReduction:
             for t in range(4):
                 for word in itertools.product(range(ns), repeat=t):
                     assert lr.prob(word + (stop,)) == \
-                        acceptance_probability(pfa, word)
+                        g.acceptance_probability(pfa, word)
 
     def test_half_stop_acceptances(self):
         # one state, emits a with 1/2 and stops with 1/2:
         # P(stop at once) = 1/2, P(a then stop) = 1/4
         pfa = load_corpus_model("half_stop.pfa")
-        assert acceptance_probability(pfa, ()) == F(1, 2)
-        assert acceptance_probability(pfa, (0,)) == F(1, 4)
+        assert g.acceptance_probability(pfa, ()) == F(1, 2)
+        assert g.acceptance_probability(pfa, (0,)) == F(1, 4)

@@ -336,3 +336,30 @@ class TestCompileDispatch:
     def test_rejects_non_model(self):
         with pytest.raises(TypeError):
             compile_model(object())
+
+
+class TestInOrderOf:
+    MODELS = {"hmm": lambda rng: g.random_hmm(rng, 3, 3),
+              "qrw": lambda rng: g.random_qrw(rng, 3, 3),
+              "pfa": lambda rng: g.random_pfa(rng, 3, 3)}
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_steps_follow_the_other_order(self, kind):
+        model = self.MODELS[kind](random.Random(5))
+        lr = compile_model(model)
+        reversed_lr = compile_model(g.reverse_alphabet(model))
+        assert reversed_lr != lr
+        assert reversed_lr.in_order_of(lr.alphabet) == lr
+        assert lr.in_order_of(reversed_lr.alphabet) == reversed_lr
+
+    def test_same_order_keeps_the_cache(self):
+        lr = corpus_lr("coin.hmm")
+        lr.scaled_forward((0, 1))
+        same = lr.in_order_of(load_corpus_model("biased.hmm").alphabet)
+        assert same is lr
+
+    def test_other_symbols_rejected(self):
+        lr = corpus_lr("coin.hmm")
+        for other in ("half_stop.pfa", "trivial_vertex_k2.qrw"):
+            with pytest.raises(ValueError, match="alphabet mismatch"):
+                lr.in_order_of(load_corpus_model(other).alphabet)
