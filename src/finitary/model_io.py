@@ -7,11 +7,20 @@ after it, and are reshaped by count.  ``#`` starts a comment.  Exact files
 use integer and p/q literals, float files decimal literals; complex entries
 read ``re+imi``.  Serialization is canonical: fixed field order, lowest
 terms, full-form complex values, so parse and serialize round-trip exactly.
+
+Lines end at ``\n``, ``\r\n`` or ``\r``, the line ends ``open()``
+translates; other Unicode line separators are whitespace between tokens.
+An exact hidden Markov model or automaton is read without a ``Fraction``
+per entry: each distinct literal is read once, as an integer pair by
+``scalars.parse_ratio``, and each row law goes straight into the model's
+integer form (``scalars.row_law``, ``models``).  Float files and walks
+build their scalars as they are read.
 """
 
 from __future__ import annotations
 
 import re
+from functools import cache, partial
 
 from .models import (
     Alphabet,
@@ -23,11 +32,15 @@ from .models import (
 )
 from .scalars import (
     DEFAULT_TOLERANCE,
+    EXACT,
     MODES,
+    any_digits,
     format_complex,
     format_scalar,
     parse_complex,
+    parse_ratio,
     parse_scalar,
+    row_law,
 )
 
 _HEADER_RE = re.compile(r"^\s*([^:]+?)\s*:\s*(.*)$")
@@ -77,8 +90,9 @@ def _scan(text: str) -> dict[str, _Record]:
     # ``position`` finds the entries ``split`` made
     records: dict[str, _Record] = {}
     current: _Record | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.partition("#")[0]
         header = _HEADER_RE.match(line) if ":" in line else None
         if header:
             name = " ".join(header.group(1).split())
@@ -128,18 +142,17 @@ def _positive_int(record: _Record) -> int:
     return int(token)
 
 
-def _numbers(record: _Record, count: int, mode: str, parse) -> list:
+def _numbers(record: _Record, count: int, parse) -> list:
     if len(record.tokens) != count:
         raise ModelSyntaxError(
             f"line {record.line}: field {record.name!r} has "
             f"{len(record.tokens)} entries, expected {count}")
-    out = []
-    for index, token in enumerate(record.tokens):
-        try:
-            out.append(parse(token, mode))
-        except ValueError as exc:
-            raise ModelSyntaxError(
-                f"{_where(record, index)}: {exc}") from None
+    out: list = []
+    try:
+        out.extend(map(parse, record.tokens))
+    except ValueError as exc:
+        # ``extend`` keeps the entries read before the one that failed
+        raise ModelSyntaxError(f"{_where(record, len(out))}: {exc}") from None
     return out
 
 
@@ -148,6 +161,13 @@ def _reshape(flat: list, rows: int, cols: int) -> tuple:
 
 
 def parse_model(text: str, tolerance: float = DEFAULT_TOLERANCE) -> Model:
+    """The valid model that ``text`` describes; integers of any length are
+    read and reported in full."""
+    with any_digits():
+        return _parse(text, tolerance)
+
+
+def _parse(text: str, tolerance: float) -> Model:
     records = _scan(text)
 
     kind_rec = _take(records, "kind", "any")
@@ -168,13 +188,19 @@ def parse_model(text: str, tolerance: float = DEFAULT_TOLERANCE) -> Model:
         raise ModelSyntaxError(f"line {alpha_rec.line}: {exc}") from None
     ns = len(alphabet)
 
+    if mode == EXACT:
+        # each distinct literal is read once; the pairs go into row laws
+        read, law = cache(parse_ratio), row_law
+    else:
+        read, law = partial(parse_scalar, mode=mode), tuple
     if kind == "hmm":
         n = _positive_int(_take(records, "n", kind))
-        pi = _numbers(_take(records, "pi", kind), n, mode, parse_scalar)
-        m_flat = _numbers(_take(records, "M", kind), n * n, mode, parse_scalar)
-        e_flat = _numbers(_take(records, "E", kind), n * ns, mode, parse_scalar)
-        model: Model = HmmModel(alphabet, tuple(pi), _reshape(m_flat, n, n),
-                                _reshape(e_flat, n, ns), mode)
+        pi = _numbers(_take(records, "pi", kind), n, read)
+        m_flat = _numbers(_take(records, "M", kind), n * n, read)
+        e_flat = _numbers(_take(records, "E", kind), n * ns, read)
+        model: Model = HmmModel(alphabet, mode=mode, laws=(
+            law(pi), tuple(map(law, _reshape(m_flat, n, n))),
+            tuple(map(law, _reshape(e_flat, n, ns)))))
     elif kind == "qrw":
         k = _positive_int(_take(records, "k", kind))
         label_rec = _take(records, "labels", kind)
@@ -189,21 +215,23 @@ def parse_model(text: str, tolerance: float = DEFAULT_TOLERANCE) -> Model:
             except ValueError as exc:
                 raise ModelSyntaxError(
                     f"{_where(label_rec, index)}: {exc}") from None
-        u_flat = _numbers(_take(records, "U", kind), k * k, mode, parse_complex)
-        psi = _numbers(_take(records, "psi0", kind), k, mode, parse_complex)
+        complex_entry = partial(parse_complex, mode=mode)
+        u_flat = _numbers(_take(records, "U", kind), k * k, complex_entry)
+        psi = _numbers(_take(records, "psi0", kind), k, complex_entry)
         model = QrwModel(alphabet, tuple(labels), _reshape(u_flat, k, k),
                          tuple(psi), mode)
     else:
         n = _positive_int(_take(records, "n", kind))
-        pi = _numbers(_take(records, "pi", kind), n, mode, parse_scalar)
-        final = _numbers(_take(records, "F", kind), n, mode, parse_scalar)
-        per_symbol = []
-        for symbol in alphabet.symbols:
-            rec = _take(records, f"Ma {symbol}", kind)
-            flat = _numbers(rec, n * n, mode, parse_scalar)
-            per_symbol.append(_reshape(flat, n, n))
-        model = PfaModel(alphabet, tuple(pi), tuple(per_symbol),
-                         tuple(final), mode)
+        pi = _numbers(_take(records, "pi", kind), n, read)
+        final = _numbers(_take(records, "F", kind), n, read)
+        flats = [_numbers(_take(records, f"Ma {symbol}", kind), n * n, read)
+                 for symbol in alphabet.symbols]
+        # state i's law: F[i], then row i of each Ma in alphabet order
+        states = tuple(
+            law([final[i]] + [x for flat in flats
+                              for x in flat[i * n:(i + 1) * n]])
+            for i in range(n))
+        model = PfaModel(alphabet, mode=mode, laws=(law(pi), states))
 
     if records:
         stray = next(iter(records.values()))

@@ -7,13 +7,24 @@ then stopping.
 Words are tuples of symbol indices into the model's ``Alphabet``.
 ``validate`` reports every probability-law violation; shape errors are
 raised at construction.
+
+A hidden Markov model or an automaton keeps each row law in one form,
+its ``laws``: in exact mode the integer numerators over one denominator
+that ``scalars.row_law`` gives, in float mode the floats.  ``validate``
+checks an exact law with one integer sum and a sign test, and
+``representation`` compiles the laws, so neither builds a ``Fraction``
+per entry.  The entries (``initial``, ``transition``, ``emission``,
+``final``, ``transitions``) are built from the laws on first read; a
+model built from scalars keeps the scalars it was given.  A walk's U and
+psi0 are split once each by ``linalg.gaussian`` (``QrwModel.split``),
+for its validation and its compilation alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
 
 from .linalg import gaussian, times_conj
 from .scalars import (
@@ -24,6 +35,7 @@ from .scalars import (
     as_scalar,
     format_scalar,
     one,
+    row_law,
     scalars_equal,
     zero,
 )
@@ -93,40 +105,95 @@ def _scalar_rows(rows, mode):
     return tuple(tuple(as_scalar(x, mode) for x in row) for row in rows)
 
 
-@dataclass(frozen=True)
+def _law(row: tuple, mode: str):
+    """A row of scalars as a law: ``row_law`` of its pairs in exact mode,
+    the row itself in float mode."""
+    if mode == EXACT:
+        return row_law([x.as_integer_ratio() for x in row])
+    return row
+
+
+def _entries(law, mode: str, start: int = 0, stop: int | None = None):
+    """Entries ``start:stop`` of a law, as ``Fraction``s in exact mode."""
+    if mode == EXACT:
+        den, nums = law
+        return tuple(Fraction(p, den) for p in nums[start:stop])
+    return law[start:stop]
+
+
+def _from_entries(mode: str, laws, *entries) -> bool:
+    """Whether a model is built from its entries rather than its laws; it
+    takes one or the other."""
+    if mode not in MODES:
+        raise ValueError(f"unknown scalar mode: {mode!r}")
+    if (laws is None) != all(x is not None for x in entries):
+        raise TypeError("a model takes its entries or their laws")
+    return laws is None
+
+
+def _init(model, alphabet, laws, mode: str, **entries):
+    """Set a model's fields, and the entries it was built from, if any."""
+    fields = {"alphabet": alphabet, "laws": laws, "mode": mode, **entries}
+    for name, value in fields.items():
+        object.__setattr__(model, name, value)
+
+
+@dataclass(frozen=True, init=False)
 class HmmModel:
     """Hidden Markov model: per-state emission row, then a state transition.
 
     ``initial`` is the starting distribution, ``transition`` the state
     matrix (rows sum to 1), ``emission`` the per-state symbol distributions.
+
+    The model keeps one law per row, ``laws == (pi, M rows, E rows)``: in
+    exact mode each is ``scalars.row_law`` of its entries, in float mode
+    the entries themselves.  Validation and ``compile_hmm`` read the laws;
+    ``initial``, ``transition`` and ``emission`` are built from them on
+    first read, unless the model was built from those scalars.  Equality
+    compares the laws, which equal rows share.
     """
 
     alphabet: Alphabet
-    initial: tuple
-    transition: tuple
-    emission: tuple
+    laws: tuple
     mode: str = EXACT
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown scalar mode: {self.mode!r}")
-        initial = tuple(as_scalar(x, self.mode) for x in self.initial)
-        transition = _scalar_rows(self.transition, self.mode)
-        emission = _scalar_rows(self.emission, self.mode)
+    def __init__(self, alphabet, initial=None, transition=None,
+                 emission=None, mode=EXACT, *, laws=None):
+        """From the entries, as scalars of ``mode``, or from their laws
+        alone, whose shapes are not checked."""
+        if not _from_entries(mode, laws, initial, transition, emission):
+            _init(self, alphabet, laws, mode)
+            return
+        initial = tuple(as_scalar(x, mode) for x in initial)
+        transition = _scalar_rows(transition, mode)
+        emission = _scalar_rows(emission, mode)
         n = len(initial)
         if n == 0:
             raise ValueError("model needs at least one state")
         if len(transition) != n or any(len(r) != n for r in transition):
             raise ValueError("transition matrix must be n x n")
-        if len(emission) != n or any(len(r) != len(self.alphabet) for r in emission):
+        if len(emission) != n or any(len(r) != len(alphabet) for r in emission):
             raise ValueError("emission matrix must be n x |alphabet|")
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "transition", transition)
-        object.__setattr__(self, "emission", emission)
+        _init(self, alphabet, (
+            _law(initial, mode), tuple(_law(r, mode) for r in transition),
+            tuple(_law(r, mode) for r in emission)), mode,
+            initial=initial, transition=transition, emission=emission)
+
+    @cached_property
+    def initial(self) -> tuple:
+        return _entries(self.laws[0], self.mode)
+
+    @cached_property
+    def transition(self) -> tuple:
+        return tuple(_entries(law, self.mode) for law in self.laws[1])
+
+    @cached_property
+    def emission(self) -> tuple:
+        return tuple(_entries(law, self.mode) for law in self.laws[2])
 
     @property
     def num_states(self) -> int:
-        return len(self.initial)
+        return len(self.laws[1])
 
 
 @dataclass(frozen=True)
@@ -168,72 +235,108 @@ class QrwModel:
     def num_coordinates(self) -> int:
         return len(self.wave)
 
+    @cached_property
+    def split(self) -> tuple:
+        """``(gaussian of U's entries row by row, gaussian of psi0)``, each
+        ``(scale, pairs)`` as ``linalg.gaussian`` returns it, made once per
+        model for its validation and its compilation."""
+        return (gaussian([z for row in self.evolution for z in row],
+                         self.mode),
+                gaussian(self.wave, self.mode))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class PfaModel:
     """Probabilistic finite automaton with per-symbol transitions and
     stopping probabilities.  ``transitions[a][i][j]`` is the chance of
     emitting symbol ``a`` while moving i -> j; ``final[i]`` the chance of
-    stopping in state i."""
+    stopping in state i.
+
+    As in ``HmmModel``, the model keeps one law per row,
+    ``laws == (pi, state laws)``.  State i's law is its outgoing mass:
+    ``final[i]``, then row i of each ``transitions[a]`` in alphabet order.
+    The entries are built from the laws on first read.
+    """
 
     alphabet: Alphabet
-    initial: tuple
-    transitions: tuple
-    final: tuple
+    laws: tuple
     mode: str = EXACT
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown scalar mode: {self.mode!r}")
-        initial = tuple(as_scalar(x, self.mode) for x in self.initial)
-        final = tuple(as_scalar(x, self.mode) for x in self.final)
-        transitions = tuple(_scalar_rows(m, self.mode) for m in self.transitions)
+    def __init__(self, alphabet, initial=None, transitions=None, final=None,
+                 mode=EXACT, *, laws=None):
+        """From the entries, as scalars of ``mode``, or from their laws
+        alone, whose shapes are not checked."""
+        if not _from_entries(mode, laws, initial, transitions, final):
+            _init(self, alphabet, laws, mode)
+            return
+        initial = tuple(as_scalar(x, mode) for x in initial)
+        final = tuple(as_scalar(x, mode) for x in final)
+        transitions = tuple(_scalar_rows(m, mode) for m in transitions)
         n = len(initial)
         if n == 0:
             raise ValueError("model needs at least one state")
         if len(final) != n:
             raise ValueError("final vector must have n entries")
-        if len(transitions) != len(self.alphabet):
+        if len(transitions) != len(alphabet):
             raise ValueError("one transition matrix per symbol required")
         for m in transitions:
             if len(m) != n or any(len(r) != n for r in m):
                 raise ValueError("transition matrices must be n x n")
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "final", final)
-        object.__setattr__(self, "transitions", transitions)
+        states = tuple(
+            _law((final[i],) + tuple(x for m in transitions for x in m[i]),
+                 mode) for i in range(n))
+        _init(self, alphabet, (_law(initial, mode), states), mode,
+              initial=initial, final=final, transitions=transitions)
+
+    @cached_property
+    def initial(self) -> tuple:
+        return _entries(self.laws[0], self.mode)
+
+    @cached_property
+    def final(self) -> tuple:
+        if self.mode != EXACT:
+            return tuple(law[0] for law in self.laws[1])
+        return tuple(Fraction(nums[0], den) for den, nums in self.laws[1])
+
+    @cached_property
+    def transitions(self) -> tuple:
+        n = self.num_states
+        return tuple(
+            tuple(_entries(law, self.mode, 1 + a * n, 1 + (a + 1) * n)
+                  for law in self.laws[1])
+            for a in range(len(self.alphabet)))
 
     @property
     def num_states(self) -> int:
-        return len(self.initial)
+        return len(self.laws[1])
 
 
 Model = HmmModel | QrwModel | PfaModel
 
 
-def _negative(x, mode, tol) -> bool:
-    return (x.numerator < 0) if mode == EXACT else (x < -tol)
-
-
-def _bad_total(entries, mode, tol):
-    """The sum of ``entries`` when it is not 1 (beyond ``tol`` in float
-    mode), else None.  An exact row is summed as integers over one common
-    denominator, and a ``Fraction`` is built only for a sum to report."""
+def _survey(law, mode, tol):
+    """The indices of a row law's negative entries, and its sum when that
+    is not 1 (beyond ``tol`` in float mode), else None.  An exact law is
+    one integer sum and a sign test; a ``Fraction`` is built only for a
+    sum to report."""
     if mode == EXACT:
-        den = lcm(*(x.denominator for x in entries))
-        total = sum(x.numerator * (den // x.denominator) for x in entries)
-        return None if total == den else Fraction(total, den)
+        den, nums = law
+        total = sum(nums)
+        negative = ([i for i, p in enumerate(nums) if p < 0]
+                    if min(nums) < 0 else [])
+        return negative, (None if total == den else Fraction(total, den))
     total = 0.0
-    for x in entries:
+    for x in law:
         total = total + x
-    return total if abs(total - 1) > tol else None
+    return ([i for i, x in enumerate(law) if x < -tol],
+            total if abs(total - 1) > tol else None)
 
 
-def _check_distribution(entries, name, row_label, violations, mode, tol):
-    for idx, x in enumerate(entries):
-        if _negative(x, mode, tol):
-            violations.append(f"{name}[{idx}] is negative" if row_label is None
-                              else f"{name}[{row_label}][{idx}] is negative")
-    total = _bad_total(entries, mode, tol)
+def _check_distribution(law, name, row_label, violations, mode, tol):
+    negative, total = _survey(law, mode, tol)
+    for idx in negative:
+        violations.append(f"{name}[{idx}] is negative" if row_label is None
+                          else f"{name}[{row_label}][{idx}] is negative")
     if total is not None:
         where = name if row_label is None else f"{name} row {row_label}"
         violations.append(f"{where} sums to {format_scalar(total)}")
@@ -241,11 +344,12 @@ def _check_distribution(entries, name, row_label, violations, mode, tol):
 
 def _validate_hmm(model: HmmModel, tol: float) -> list[str]:
     v: list[str] = []
-    _check_distribution(model.initial, "pi", None, v, model.mode, tol)
-    for i, row in enumerate(model.transition):
-        _check_distribution(row, "M", i, v, model.mode, tol)
-    for i, row in enumerate(model.emission):
-        _check_distribution(row, "E", i, v, model.mode, tol)
+    pi, transition, emission = model.laws
+    _check_distribution(pi, "pi", None, v, model.mode, tol)
+    for i, law in enumerate(transition):
+        _check_distribution(law, "M", i, v, model.mode, tol)
+    for i, law in enumerate(emission):
+        _check_distribution(law, "E", i, v, model.mode, tol)
     return v
 
 
@@ -253,7 +357,7 @@ def _validate_qrw(model: QrwModel, tol: float) -> list[str]:
     v: list[str] = []
     k = model.num_coordinates
     mode = model.mode
-    scale, u = gaussian([z for row in model.evolution for z in row], mode)
+    (scale, u), (w_scale, wave) = model.split
     s2 = scale ** 2
     for i in range(k):
         for j in range(k):
@@ -264,11 +368,10 @@ def _validate_qrw(model: QrwModel, tol: float) -> list[str]:
             if not (scalars_equal(s2 * re, int(i == j), mode, tol)
                     and scalars_equal(s2 * im, 0, mode, tol)):
                 v.append(f"unitarity violated at entry ({i},{j})")
-    scale, wave = gaussian(model.wave, mode)
     total = 0
     for x, y in wave:
         total = total + (x * x + y * y)
-    norm = scale ** 2 * total
+    norm = w_scale ** 2 * total
     if not scalars_equal(norm, 1, mode, tol):
         v.append(f"psi0 has squared norm {format_scalar(norm)}")
     used = set(model.labels)
@@ -281,18 +384,18 @@ def _validate_qrw(model: QrwModel, tol: float) -> list[str]:
 def _validate_pfa(model: PfaModel, tol: float) -> list[str]:
     v: list[str] = []
     mode = model.mode
-    _check_distribution(model.initial, "pi", None, v, mode, tol)
-    for i in range(model.num_states):
-        if _negative(model.final[i], mode, tol):
-            v.append(f"F[{i}] is negative")
-        outgoing = [model.final[i]]
-        for a, symbol in enumerate(model.alphabet.symbols):
-            row = model.transitions[a][i]
-            for j, x in enumerate(row):
-                if _negative(x, mode, tol):
-                    v.append(f"Ma {symbol}[{i}][{j}] is negative")
-            outgoing.extend(row)
-        total = _bad_total(outgoing, mode, tol)
+    n = model.num_states
+    pi, states = model.laws
+    _check_distribution(pi, "pi", None, v, mode, tol)
+    for i, law in enumerate(states):
+        negative, total = _survey(law, mode, tol)
+        for idx in negative:
+            if idx == 0:
+                v.append(f"F[{i}] is negative")
+            else:
+                a, j = divmod(idx - 1, n)
+                v.append(f"Ma {model.alphabet.symbols[a]}[{i}][{j}] "
+                         "is negative")
         if total is not None:
             v.append(f"state {i} outgoing mass sums to {format_scalar(total)}")
     return v

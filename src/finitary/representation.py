@@ -24,14 +24,17 @@ twists:
 A representation stores one step per symbol as ``(scale, M)`` with
 T[a] = scale * M: in exact mode M is a coprime integer matrix and scale a
 ``Fraction``; in float mode scale is 1.0 and M is T[a] itself.  That is its
-only stored form.  ``compile_hmm`` builds it from each transition row's
-integer form with one rational product per state and symbol.
-``compile_qrw`` splits U and psi0 once each with ``linalg.gaussian`` into
-``(re, im)`` pairs, Gaussian integers over one denominator in exact mode
-and the floats themselves in float mode, and builds every coordinate from
-products of those pairs: T[a] is the square of U's scale times an integer
-matrix, and no complex rational is multiplied.  Automata pass their
-matrices to ``LinearRepresentation.from_matrices``.
+only stored form.  In exact mode ``compile_hmm`` and ``compile_pfa``
+read it off the model's integer row laws (see ``models``), so the
+``Fraction``s they build are one scale per symbol and the entries of
+init and fin; float automata pass their matrices to
+``LinearRepresentation.from_matrices``.  ``compile_qrw`` takes U and psi0
+as the walk split them once each with ``linalg.gaussian``
+(``QrwModel.split``): ``(re, im)`` pairs, Gaussian integers over one
+denominator in exact mode and the floats themselves in float mode.  It
+builds every coordinate from products of those pairs: T[a] is the square
+of U's scale times an integer matrix, and no complex rational is
+multiplied.
 
 A forward vector (init times a prefix product) and a backward vector (a
 suffix product times fin) extend by one symbol in O(n^2) and pair up via
@@ -53,8 +56,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import lcm
 
-from .linalg import (dot, gaussian, integral, mat_vec, primitive,
+from .linalg import (dot, integral, mat_vec, primitive,
                      times_conj, vec_mat)
 from .models import HmmModel, Model, PfaModel, QrwModel, Word
 from .scalars import EXACT, one, zero
@@ -195,26 +199,61 @@ def _integer_step(matrix, mode: str):
 
 
 def compile_hmm(hmm: HmmModel) -> LinearRepresentation:
-    """T[a][i][j] = E[i][a] * M[i][j].  With row i of M split by
-    ``integral`` as s_i * r_i, T[a] is the integer matrix with rows
-    w_i * r_i times one scale, where (scale, w) = integral(E[i][a] * s_i)."""
-    rows = [integral(row, hmm.mode) for row in hmm.transition]
-    steps = []
-    for a in range(len(hmm.alphabet)):
-        scale, weights = integral([e[a] * s for e, (s, _) in
-                                   zip(hmm.emission, rows)], hmm.mode)
-        steps.append((scale, tuple(tuple(w * x for x in r)
-                                   for w, (_, r) in zip(weights, rows))))
-    fin = tuple(one(hmm.mode) for _ in range(hmm.num_states))
+    """T[a][i][j] = E[i][a] * M[i][j].  With row i of M split as s_i * r_i,
+    r_i coprime integers, T[a] is the integer matrix with rows w_i * r_i
+    times one scale, where (scale, w) = integral(E[i][a] * s_i).  In exact
+    mode all of it is read off the row laws, with one common denominator
+    for the products E[i][a] * s_i, so the only ``Fraction``s built are
+    the |A| scales, the entries of pi and fin's 1."""
+    n = hmm.num_states
+    symbols = range(len(hmm.alphabet))
+    mode = hmm.mode
+    _, transition, emission = hmm.laws
+    if mode != EXACT:
+        steps = [(1.0, tuple(tuple(e[a] * x for x in row)
+                             for e, row in zip(emission, transition)))
+                 for a in symbols]
+    else:
+        # row i of M is s_i * r_i with s_i = content / den
+        rows = [(den, *primitive(nums)) for den, nums in transition]
+        # E[i][a] * s_i == e_nums[a] * content / (e_den * den)
+        dens = [e_den * den for (e_den, _), (den, _, _) in zip(emission, rows)]
+        common = lcm(*dens)
+        lifts = [content * (common // d)
+                 for (_, content, _), d in zip(rows, dens)]
+        steps = []
+        for a in symbols:
+            content, weights = primitive([e_nums[a] * lift for (_, e_nums),
+                                          lift in zip(emission, lifts)])
+            steps.append((Fraction(content, common),
+                          tuple(tuple([w * x for x in r])
+                                for w, (_, _, r) in zip(weights, rows))))
+    fin = (one(mode),) * n
     return LinearRepresentation(hmm.alphabet, tuple(steps), hmm.initial, fin,
-                                hmm.mode)
+                                mode)
 
 
 def compile_pfa(pfa: PfaModel) -> LinearRepresentation:
     """The acceptance series pi . M_v . F: the probability of reading v and
-    then stopping (Tzeng, SIAM J. Comput. 21(2), 1992)."""
-    return LinearRepresentation.from_matrices(
-        pfa.alphabet, pfa.transitions, pfa.initial, pfa.final, pfa.mode)
+    then stopping (Tzeng, SIAM J. Comput. 21(2), 1992).  In exact mode each
+    M_a is read off the state laws over their common denominator, one
+    ``Fraction`` scale per symbol."""
+    if pfa.mode != EXACT:
+        return LinearRepresentation.from_matrices(
+            pfa.alphabet, pfa.transitions, pfa.initial, pfa.final, pfa.mode)
+    n = pfa.num_states
+    _, states = pfa.laws
+    common = lcm(*(den for den, _ in states))
+    lifted = [[p * (common // den) for p in nums] for den, nums in states]
+    steps = []
+    for a in range(len(pfa.alphabet)):
+        start = 1 + a * n
+        content, flat = primitive([p for nums in lifted
+                                   for p in nums[start:start + n]])
+        steps.append((Fraction(content, common),
+                      tuple(flat[i * n:(i + 1) * n] for i in range(n))))
+    return LinearRepresentation(pfa.alphabet, tuple(steps), pfa.initial,
+                                pfa.final, EXACT)
 
 
 def _coordinate_pairs(k: int):
@@ -227,14 +266,13 @@ def compile_qrw(qrw: QrwModel) -> LinearRepresentation:
     """Row j of T[a] holds the coordinates of x y* + y x* for the basis
     element j = (m1, m2), with x and y columns m1 and m2 of Pa U: x x*
     alone for a diagonal Re element, and i x in place of x for an Im
-    element.  U and psi0 are split by ``gaussian`` once each, so in exact
-    mode every product is of integers and T[a] is u_scale**2 times an
-    integer matrix."""
+    element.  U and psi0 come split by ``gaussian`` (``qrw.split``), so
+    in exact mode every product is of integers and T[a] is u_scale**2
+    times an integer matrix."""
     k = qrw.num_coordinates
     mode = qrw.mode
     re_pairs, im_pairs = _coordinate_pairs(k)
-    u_scale, u = gaussian([z for row in qrw.evolution for z in row], mode)
-    w_scale, wave = gaussian(qrw.wave, mode)
+    (u_scale, u), (w_scale, wave) = qrw.split
 
     def coords(x, y):
         """Coordinates of x y* + y x*, or of x x* when y is x."""

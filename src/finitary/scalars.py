@@ -1,24 +1,34 @@
 """Scalar handling: exact rationals by default, tolerance-based floats on request.
 
-Every model fixes one scalar mode at load time.  Exact mode keeps a
-``fractions.Fraction`` for each value that can be reported: a model entry,
-a scale, a witness value or the sum in a violation message.  Everything in
-between runs on integers.  ``parse_scalar`` reads ``p/q`` as two ``int``;
-validation sums each row law over one common denominator; a walk's
-complex entries, parsed as ``ComplexScalar`` values, are validated and
-compiled as Gaussian-integer numerators over one denominator (see
-``linalg.gaussian``); the compiled representation holds integer step
-matrices with one rational scale each; and the scans and the equivalence
-check compute on integer vectors (see ``linalg.integral``).  All
-comparisons are literal equality.  Float mode stores machine floats and
-defers to a tolerance, which callers thread through explicitly.  The two
-modes are never mixed inside one model.
+Every model fixes one scalar mode at load time.  Exact mode reports each
+value as a ``fractions.Fraction``: a model entry, a scale, a witness value
+or the sum in a violation message.  Everything in between runs on
+integers.  ``parse_ratio`` reads a literal ``p/q`` as a lowest-terms pair
+of ``int``, and ``row_law`` puts a row of such pairs over one common
+denominator: that is the form in which an exact hidden Markov model or
+automaton keeps its rows, and in which they are validated and compiled,
+so loading such a file builds a ``Fraction`` only for an entry somebody
+reads (see ``models``).  A walk's complex entries, parsed as
+``ComplexScalar`` values, are validated and compiled as Gaussian-integer
+numerators over one denominator (see ``linalg.gaussian``); the compiled
+representation holds integer step matrices with one rational scale each;
+and the scans and the equivalence check compute on integer vectors (see
+``linalg.integral``).  All comparisons are literal equality.  Float mode
+stores machine floats and defers to a tolerance, which callers thread
+through explicitly.  The two modes are never mixed inside one model.
+
+Python caps the conversion between ``int`` and decimal text at 4300
+digits.  Exact values have no such bound, so ``parse_model`` and
+``format_scalar`` lift the cap for their own conversions with
+``any_digits`` and restore the caller's setting afterwards.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,21 +67,56 @@ def as_scalar(value, mode: str) -> Scalar:
     return float(value)
 
 
+@contextmanager
+def any_digits():
+    """Convert integers of any length to and from text inside the block:
+    lift Python's digit cap (``sys.set_int_max_str_digits``, present from
+    3.10.7) and restore the caller's setting on the way out.  The cap is
+    process-wide, so another thread converting meanwhile has none either."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def parse_ratio(text: str) -> tuple[int, int]:
+    """An exact literal, an integer or p/q in ASCII digits, as the
+    lowest-terms pair ``(p, q)`` with ``q > 0``."""
+    if not _RATIONAL_RE.match(text):
+        raise ValueError(f"not an exact rational literal: {text!r}")
+    num, _, den = text.partition("/")
+    p = int(num)
+    if not den:
+        return p, 1
+    q = int(den)
+    if q == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
+def row_law(pairs) -> tuple[int, tuple[int, ...]]:
+    """``(den, nums)`` with entry i equal to ``nums[i] / den``, for a
+    non-empty row of lowest-terms pairs ``(p, q)``: ``den`` is the lcm of
+    the ``q``, so equal rows have equal laws."""
+    nums, dens = zip(*pairs)
+    den = math.lcm(*dens)
+    if den == 1:
+        return 1, nums
+    return den, tuple([p * (den // q) for p, q in pairs])
+
+
 def parse_scalar(text: str, mode: str) -> Scalar:
     """Parse one numeric literal, in ASCII digits.  Exact mode takes
     integers and p/q, float mode takes any ASCII text ``float()`` accepts
     except fraction syntax and ``_`` digit separators."""
     if mode == EXACT:
-        if not _RATIONAL_RE.match(text):
-            raise ValueError(f"not an exact rational literal: {text!r}")
-        num, _, den = text.partition("/")
-        p = int(num)
-        if not den:
-            return Fraction(p)
-        q = int(den)
-        if q == 0:
-            raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(p, q)
+        return Fraction(*parse_ratio(text))
     if "/" in text:
         raise ValueError(f"fraction literal in float mode: {text!r}")
     try:
@@ -91,7 +136,8 @@ def format_scalar(x) -> str:
     """Canonical text form: lowest-terms rational, or shortest float repr."""
     if isinstance(x, float):
         return repr(x + 0.0)  # normalizes -0.0
-    return str(x)  # Fraction and int both print exactly
+    with any_digits():
+        return str(x)  # Fraction and int both print exactly
 
 
 def scalars_equal(x, y, mode: str, tolerance: float = DEFAULT_TOLERANCE) -> bool:

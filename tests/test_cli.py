@@ -611,6 +611,17 @@ class TestProb:
         assert json.loads(res.stdout) == {"word": "ab", "prob": "1/4",
                                           "decimal": 0.25}
 
+    def test_a_value_beyond_the_digit_cap(self, runner):
+        # (1/3)**9500 has a 4533-digit denominator, past Python's default
+        # cap of 4300 digits for int -> str; the caller's cap is restored
+        cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        res = runner.invoke(main, ["prob", corpus("biased.hmm"), "a" * 9500])
+        assert (res.exit_code, res.stderr) == (0, "")
+        num, den = res.stdout.rstrip("\n").split("/")
+        assert num == "1" and len(den) == 4533
+        assert int(den[:200]) == 3 ** 9500 // 10 ** (4533 - 200)
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+
 
 class TestOracle:
     def test_single_model_table(self, runner):

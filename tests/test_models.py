@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -86,6 +87,48 @@ class TestShapeChecks:
     def test_empty_model_rejected(self):
         with pytest.raises(ValueError, match="at least one state"):
             HmmModel(Alphabet(("a",)), (), (), ())
+
+
+class TestRowLaws:
+    def test_laws_are_canonical_integer_rows(self):
+        m = HmmModel(Alphabet(("a", "b")), (F(1, 2), F(1, 2)),
+                     ((F(1, 3), F(2, 3)), (F(1), F(0))),
+                     ((F(1, 4), F(3, 4)), (F(1, 2), F(1, 2))))
+        assert m.laws == ((2, (1, 1)), ((3, (1, 2)), (1, (1, 0))),
+                          ((4, (1, 3)), (2, (1, 1))))
+        pfa = PfaModel(Alphabet(("a", "b")), (F(1), F(0)),
+                       (((F(1, 4), F(0)), (F(0), F(1, 4))),
+                        ((F(0), F(1, 4)), (F(1, 4), F(1, 4)))),
+                       (F(1, 2), F(1, 4)))
+        # state i: F[i], then row i of Ma a and of Ma b
+        assert pfa.laws == ((1, (1, 0)),
+                            ((4, (2, 1, 0, 0, 1)), (4, (1, 0, 1, 1, 1))))
+
+    @pytest.mark.parametrize("name", [n for n in corpus_names()
+                                      if not n.endswith(".qrw")])
+    def test_a_model_built_from_its_laws_reads_back_its_entries(self, name):
+        model = load_corpus_model(name)
+        again = type(model)(model.alphabet, mode=model.mode, laws=model.laws)
+        assert again == model
+        fields = (("initial", "transition", "emission")
+                  if isinstance(model, HmmModel)
+                  else ("initial", "transitions", "final"))
+        for field in fields:
+            assert getattr(again, field) == getattr(model, field)
+
+    def test_replace_keeps_the_laws(self):
+        coin = load_corpus_model("coin.hmm")
+        renamed = dataclasses.replace(coin, alphabet=Alphabet(("x", "y")))
+        assert renamed.laws == coin.laws
+        assert renamed.emission == coin.emission
+
+    def test_entries_or_laws_not_both(self):
+        coin = load_corpus_model("coin.hmm")
+        with pytest.raises(TypeError, match="entries or their laws"):
+            HmmModel(coin.alphabet, coin.initial, coin.transition,
+                     coin.emission, laws=coin.laws)
+        with pytest.raises(TypeError, match="entries or their laws"):
+            PfaModel(coin.alphabet, coin.initial)
 
 
 def _walk(u, psi, mode=EXACT):

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finitary.linalg import integral, mat_vec, vec_mat
+from finitary import models, representation
+from finitary.linalg import gaussian, integral, mat_vec, vec_mat
+from finitary.model_io import parse_model, serialize_model
 from finitary.models import HmmModel, QrwModel, validate
 from finitary.oracle import prefix_vector, suffix_vector
 from finitary.representation import (
@@ -180,6 +182,24 @@ class TestQrwCompilation:
         calls.clear()
         validate(qrw)
         assert len(calls) <= 2 * 6 * 6 + 2
+
+    def test_loading_and_compiling_split_each_entry_once(self, monkeypatch):
+        # one gaussian of U and one of psi0 serve validation and compile
+        calls = []
+
+        def counting(entries, mode):
+            calls.append(len(entries))
+            return gaussian(entries, mode)
+
+        for module in (models, representation):
+            monkeypatch.setattr(module, "gaussian", counting, raising=False)
+        for qrw in reference_walks():
+            calls.clear()
+            text = serialize_model(qrw)
+            lr = compile_model(parse_model(text))
+            assert sorted(calls) == sorted([qrw.num_coordinates ** 2,
+                                            qrw.num_coordinates])
+            assert lr == compile_qrw(qrw)
 
     def test_dimension_is_k_squared(self):
         assert corpus_lr("swap.qrw").dimension == 4
