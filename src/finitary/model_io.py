@@ -10,11 +10,12 @@ terms, full-form complex values, so parse and serialize round-trip exactly.
 
 Lines end at ``\n``, ``\r\n`` or ``\r``, the line ends ``open()``
 translates; other Unicode line separators are whitespace between tokens.
-An exact hidden Markov model or automaton is read without a ``Fraction``
-per entry: each distinct literal is read once, as an integer pair by
-``scalars.parse_ratio``, and each row law goes straight into the model's
-integer form (``scalars.row_law``, ``models``).  Float files and walks
-build their scalars as they are read.
+A hidden Markov model or automaton is read straight into its row laws
+(``models``).  An exact one is read without a ``Fraction`` per entry: each
+distinct literal is read once, as an integer pair by
+``scalars.parse_ratio``, and each row's pairs go into one law
+(``scalars.row_law``).  A float row's law is ``(1, row)``.  Walks build
+their scalars as they are read.
 """
 
 from __future__ import annotations
@@ -160,6 +161,12 @@ def _reshape(flat: list, rows: int, cols: int) -> tuple:
     return tuple(tuple(flat[r * cols:(r + 1) * cols]) for r in range(rows))
 
 
+def _float_law(row: list) -> tuple:
+    """The law of a row of parsed floats: ``scalars.scalar_law`` without
+    coercing each entry again, which would slow parsing a float file."""
+    return 1, tuple(row)
+
+
 def parse_model(text: str, tolerance: float = DEFAULT_TOLERANCE) -> Model:
     """The valid model that ``text`` describes; integers of any length are
     read and reported in full."""
@@ -192,7 +199,7 @@ def _parse(text: str, tolerance: float) -> Model:
         # each distinct literal is read once; the pairs go into row laws
         read, law = cache(parse_ratio), row_law
     else:
-        read, law = partial(parse_scalar, mode=mode), tuple
+        read, law = partial(parse_scalar, mode=mode), _float_law
     if kind == "hmm":
         n = _positive_int(_take(records, "n", kind))
         pi = _numbers(_take(records, "pi", kind), n, read)

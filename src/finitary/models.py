@@ -9,15 +9,17 @@ Words are tuples of symbol indices into the model's ``Alphabet``.
 raised at construction.
 
 A hidden Markov model or an automaton keeps each row law in one form,
-its ``laws``: in exact mode the integer numerators over one denominator
-that ``scalars.row_law`` gives, in float mode the floats.  ``validate``
-checks an exact law with one integer sum and a sign test, and
-``representation`` compiles the laws, so neither builds a ``Fraction``
-per entry.  The entries (``initial``, ``transition``, ``emission``,
-``final``, ``transitions``) are built from the laws on first read; a
-model built from scalars keeps the scalars it was given.  A walk's U and
-psi0 are split once each by ``linalg.gaussian`` (``QrwModel.split``),
-for its validation and its compilation alike.
+its ``laws``: ``(den, nums)`` with entry i equal to ``nums[i] / den``.  In
+exact mode ``nums`` are the integer numerators over one denominator that
+``scalars.row_law`` gives; in float mode ``den`` is 1 and ``nums`` are the
+floats.  ``validate`` checks a law with one left-to-right sum and a sign
+test, and ``representation`` compiles the laws, so in exact mode neither
+builds a ``Fraction`` per entry.  A model stores its alphabet, laws and
+mode and nothing else, whether it was parsed or built from scalars; the
+entries (``initial``, ``transition``, ``emission``, ``final``,
+``transitions``) are built from the laws on first read.  A walk's U and
+psi0 are split once each by ``linalg.gaussian`` (``QrwModel.split``), for
+its validation and its compilation alike.
 """
 
 from __future__ import annotations
@@ -32,10 +34,9 @@ from .scalars import (
     EXACT,
     MODES,
     as_complex,
-    as_scalar,
     format_scalar,
     one,
-    row_law,
+    scalar_law,
     scalars_equal,
     zero,
 )
@@ -101,24 +102,12 @@ class Alphabet:
         return sep.join(self.symbols[a] for a in word)
 
 
-def _scalar_rows(rows, mode):
-    return tuple(tuple(as_scalar(x, mode) for x in row) for row in rows)
-
-
-def _law(row: tuple, mode: str):
-    """A row of scalars as a law: ``row_law`` of its pairs in exact mode,
-    the row itself in float mode."""
-    if mode == EXACT:
-        return row_law([x.as_integer_ratio() for x in row])
-    return row
-
-
 def _entries(law, mode: str, start: int = 0, stop: int | None = None):
     """Entries ``start:stop`` of a law, as ``Fraction``s in exact mode."""
+    den, nums = law
     if mode == EXACT:
-        den, nums = law
         return tuple(Fraction(p, den) for p in nums[start:stop])
-    return law[start:stop]
+    return nums[start:stop]
 
 
 def _from_entries(mode: str, laws, *entries) -> bool:
@@ -131,11 +120,10 @@ def _from_entries(mode: str, laws, *entries) -> bool:
     return laws is None
 
 
-def _init(model, alphabet, laws, mode: str, **entries):
-    """Set a model's fields, and the entries it was built from, if any."""
-    fields = {"alphabet": alphabet, "laws": laws, "mode": mode, **entries}
-    for name, value in fields.items():
-        object.__setattr__(model, name, value)
+def _init(model, alphabet, laws, mode: str):
+    object.__setattr__(model, "alphabet", alphabet)
+    object.__setattr__(model, "laws", laws)
+    object.__setattr__(model, "mode", mode)
 
 
 @dataclass(frozen=True, init=False)
@@ -145,12 +133,11 @@ class HmmModel:
     ``initial`` is the starting distribution, ``transition`` the state
     matrix (rows sum to 1), ``emission`` the per-state symbol distributions.
 
-    The model keeps one law per row, ``laws == (pi, M rows, E rows)``: in
-    exact mode each is ``scalars.row_law`` of its entries, in float mode
-    the entries themselves.  Validation and ``compile_hmm`` read the laws;
-    ``initial``, ``transition`` and ``emission`` are built from them on
-    first read, unless the model was built from those scalars.  Equality
-    compares the laws, which equal rows share.
+    The model keeps one law per row, ``laws == (pi, M rows, E rows)``,
+    each ``scalars.scalar_law`` of its entries.  Validation and
+    ``compile_hmm`` read the laws; ``initial``, ``transition`` and
+    ``emission`` are built from them on first read.  Equality compares
+    the laws, which equal rows share.
     """
 
     alphabet: Alphabet
@@ -159,25 +146,22 @@ class HmmModel:
 
     def __init__(self, alphabet, initial=None, transition=None,
                  emission=None, mode=EXACT, *, laws=None):
-        """From the entries, as scalars of ``mode``, or from their laws
-        alone, whose shapes are not checked."""
-        if not _from_entries(mode, laws, initial, transition, emission):
-            _init(self, alphabet, laws, mode)
-            return
-        initial = tuple(as_scalar(x, mode) for x in initial)
-        transition = _scalar_rows(transition, mode)
-        emission = _scalar_rows(emission, mode)
-        n = len(initial)
-        if n == 0:
-            raise ValueError("model needs at least one state")
-        if len(transition) != n or any(len(r) != n for r in transition):
-            raise ValueError("transition matrix must be n x n")
-        if len(emission) != n or any(len(r) != len(alphabet) for r in emission):
-            raise ValueError("emission matrix must be n x |alphabet|")
-        _init(self, alphabet, (
-            _law(initial, mode), tuple(_law(r, mode) for r in transition),
-            tuple(_law(r, mode) for r in emission)), mode,
-            initial=initial, transition=transition, emission=emission)
+        """From the entries, sequences of numbers of ``mode`` (see
+        ``scalars.as_scalar``), or from their laws alone, whose shapes are
+        not checked."""
+        if _from_entries(mode, laws, initial, transition, emission):
+            n = len(initial)
+            if n == 0:
+                raise ValueError("model needs at least one state")
+            if len(transition) != n or any(len(r) != n for r in transition):
+                raise ValueError("transition matrix must be n x n")
+            if (len(emission) != n
+                    or any(len(r) != len(alphabet) for r in emission)):
+                raise ValueError("emission matrix must be n x |alphabet|")
+            laws = (scalar_law(initial, mode),
+                    tuple(scalar_law(r, mode) for r in transition),
+                    tuple(scalar_law(r, mode) for r in emission))
+        _init(self, alphabet, laws, mode)
 
     @cached_property
     def initial(self) -> tuple:
@@ -264,29 +248,24 @@ class PfaModel:
 
     def __init__(self, alphabet, initial=None, transitions=None, final=None,
                  mode=EXACT, *, laws=None):
-        """From the entries, as scalars of ``mode``, or from their laws
-        alone, whose shapes are not checked."""
-        if not _from_entries(mode, laws, initial, transitions, final):
-            _init(self, alphabet, laws, mode)
-            return
-        initial = tuple(as_scalar(x, mode) for x in initial)
-        final = tuple(as_scalar(x, mode) for x in final)
-        transitions = tuple(_scalar_rows(m, mode) for m in transitions)
-        n = len(initial)
-        if n == 0:
-            raise ValueError("model needs at least one state")
-        if len(final) != n:
-            raise ValueError("final vector must have n entries")
-        if len(transitions) != len(alphabet):
-            raise ValueError("one transition matrix per symbol required")
-        for m in transitions:
-            if len(m) != n or any(len(r) != n for r in m):
-                raise ValueError("transition matrices must be n x n")
-        states = tuple(
-            _law((final[i],) + tuple(x for m in transitions for x in m[i]),
-                 mode) for i in range(n))
-        _init(self, alphabet, (_law(initial, mode), states), mode,
-              initial=initial, final=final, transitions=transitions)
+        """From the entries, sequences of numbers of ``mode`` (see
+        ``scalars.as_scalar``), or from their laws alone, whose shapes are
+        not checked."""
+        if _from_entries(mode, laws, initial, transitions, final):
+            n = len(initial)
+            if n == 0:
+                raise ValueError("model needs at least one state")
+            if len(final) != n:
+                raise ValueError("final vector must have n entries")
+            if len(transitions) != len(alphabet):
+                raise ValueError("one transition matrix per symbol required")
+            for m in transitions:
+                if len(m) != n or any(len(r) != n for r in m):
+                    raise ValueError("transition matrices must be n x n")
+            laws = (scalar_law(initial, mode), tuple(
+                scalar_law([final[i], *(x for m in transitions for x in m[i])],
+                           mode) for i in range(n)))
+        _init(self, alphabet, laws, mode)
 
     @cached_property
     def initial(self) -> tuple:
@@ -294,9 +273,8 @@ class PfaModel:
 
     @cached_property
     def final(self) -> tuple:
-        if self.mode != EXACT:
-            return tuple(law[0] for law in self.laws[1])
-        return tuple(Fraction(nums[0], den) for den, nums in self.laws[1])
+        return tuple(x for law in self.laws[1]
+                     for x in _entries(law, self.mode, 0, 1))
 
     @cached_property
     def transitions(self) -> tuple:
@@ -315,21 +293,23 @@ Model = HmmModel | QrwModel | PfaModel
 
 
 def _survey(law, mode, tol):
-    """The indices of a row law's negative entries, and its sum when that
-    is not 1 (beyond ``tol`` in float mode), else None.  An exact law is
-    one integer sum and a sign test; a ``Fraction`` is built only for a
-    sum to report."""
-    if mode == EXACT:
-        den, nums = law
-        total = sum(nums)
-        negative = ([i for i, p in enumerate(nums) if p < 0]
-                    if min(nums) < 0 else [])
-        return negative, (None if total == den else Fraction(total, den))
-    total = 0.0
-    for x in law:
+    """The indices of a row law's negative entries (below ``-tol`` in float
+    mode), and its sum when that is not 1 (within ``tol`` in float mode,
+    so a NaN sum is reported), else None.  An exact law is one integer sum
+    and a sign test; a ``Fraction`` is built only for a sum to report."""
+    den, nums = law
+    # left to right: from Python 3.12 the builtin ``sum`` compensates float
+    # rounding, which would make float messages depend on the version
+    total = 0
+    for x in nums:
         total = total + x
-    return ([i for i, x in enumerate(law) if x < -tol],
-            total if abs(total - 1) > tol else None)
+    # ``min`` is below 0 or NaN whenever an entry is negative
+    negative = [] if min(nums) >= 0 else [
+        i for i, x in enumerate(nums)
+        if x < 0 and not scalars_equal(x, 0, mode, tol)]
+    if scalars_equal(total, den, mode, tol):
+        return negative, None
+    return negative, _entries((den, (total,)), mode)[0]
 
 
 def _check_distribution(law, name, row_label, violations, mode, tol):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import isqrt
 
 from .linalg import IndependenceTester, dot, mat_vec, rank, vec_mat
 from .models import Word
@@ -54,14 +55,20 @@ def suffix_vector(lr: LinearRepresentation, word: Word) -> tuple:
     return col
 
 
-def _word_count(num_symbols: int, max_len: int) -> int:
-    return sum(num_symbols ** t for t in range(max_len + 1))
-
-
-def _check_budget(amount: int, budget: int, what: str):
-    if amount > budget:
+def _check_budget(num_symbols: int, max_len: int, budget: int, what: str,
+                  pairs: bool = False):
+    """Raise unless a table of all words up to ``max_len`` (of all pairs
+    of them, with ``pairs``) fits ``budget`` entries, counting no further
+    than the budget: a full count could run to millions of digits."""
+    limit = isqrt(max(budget, 0)) if pairs else budget
+    count, length = (max_len + 1, max_len) if num_symbols == 1 else (1, 0)
+    while count <= limit and length < max_len:
+        length += 1
+        count += num_symbols ** length
+    if count > limit:
         raise BudgetExceededError(
-            f"{what} needs {amount} entries, budget is {budget}")
+            f"{what} needs {'at least ' if length < max_len else ''}"
+            f"{count * count if pairs else count} entries, budget is {budget}")
 
 
 def _all_words(num_symbols: int, max_len: int) -> list[Word]:
@@ -86,7 +93,7 @@ def enumerate_probs(lr: LinearRepresentation, max_len: int,
     the only reuse.  The entries come in that order, shortlex.
     """
     ns = len(lr.alphabet)
-    _check_budget(_word_count(ns, max_len), budget, "probability table")
+    _check_budget(ns, max_len, budget, "probability table")
     entries: dict = {}
     origin = zero(lr.mode)  # a float table holds floats even where dot is 0
     generation = [((), lr.init)]
@@ -133,8 +140,8 @@ def hankel_rank(lr: LinearRepresentation, max_len: int,
     ``max_len``.  Stabilizes at the process dimension once ``max_len``
     reaches the representation dimension."""
     ns = len(lr.alphabet)
+    _check_budget(ns, max_len, budget, "Hankel block", pairs=True)
     words = _all_words(ns, max_len)
-    _check_budget(len(words) * len(words), budget, "Hankel block")
     prefix_rows = [prefix_vector(lr, w) for w in words]
     suffix_cols = [suffix_vector(lr, v) for v in words]
     block = [[dot(row, col) for row in prefix_rows] for col in suffix_cols]

@@ -24,12 +24,13 @@ twists:
 A representation stores one step per symbol as ``(scale, M)`` with
 T[a] = scale * M: in exact mode M is a coprime integer matrix and scale a
 ``Fraction``; in float mode scale is 1.0 and M is T[a] itself.  That is its
-only stored form.  In exact mode ``compile_hmm`` and ``compile_pfa``
-read it off the model's integer row laws (see ``models``), so the
-``Fraction``s they build are one scale per symbol and the entries of
-init and fin; float automata pass their matrices to
-``LinearRepresentation.from_matrices``.  ``compile_qrw`` takes U and psi0
-as the walk split them once each with ``linalg.gaussian``
+only stored form, and one routine, ``_step``, builds it from the rows of
+T[a], each given as a weight times an integer row.  ``compile_hmm`` and
+``compile_pfa`` read those rows off the model's row laws (see
+``models``), so in exact mode the ``Fraction``s they build are one scale
+per symbol and the entries of init and fin; ``from_matrices`` makes
+laws of the matrices it is given.  ``compile_qrw`` takes U and psi0 as
+the walk split them once each with ``linalg.gaussian``
 (``QrwModel.split``): ``(re, im)`` pairs, Gaussian integers over one
 denominator in exact mode and the floats themselves in float mode.  It
 builds every coordinate from products of those pairs: T[a] is the square
@@ -58,10 +59,9 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
 
-from .linalg import (dot, integral, mat_vec, primitive,
-                     times_conj, vec_mat)
+from .linalg import dot, integral, mat_vec, primitive, times_conj, vec_mat
 from .models import HmmModel, Model, PfaModel, QrwModel, Word
-from .scalars import EXACT, one, zero
+from .scalars import EXACT, one, scalar_law, zero
 
 
 @dataclass(frozen=True)
@@ -90,9 +90,10 @@ class LinearRepresentation:
     def from_matrices(cls, alphabet, matrices, init, fin,
                       mode: str) -> "LinearRepresentation":
         """The representation with step matrices ``matrices``, one n x n
-        matrix per symbol in alphabet order."""
-        return cls(alphabet, tuple(_integer_step(m, mode) for m in matrices),
-                   init, fin, mode)
+        matrix per symbol in alphabet order, with entries of ``mode``."""
+        return cls(alphabet, tuple(
+            _step([_row_parts(scalar_law(row, mode), mode) for row in m],
+                  mode) for m in matrices), init, fin, mode)
 
     def in_order_of(self, alphabet) -> "LinearRepresentation":
         """This representation with its steps in ``alphabet``'s symbol
@@ -191,69 +192,61 @@ class LinearRepresentation:
                 f"dimension {self.dimension}")
 
 
-def _integer_step(matrix, mode: str):
-    """``(scale, M)`` with ``matrix == scale * M``, by ``integral``."""
-    n = len(matrix)
-    scale, flat = integral([x for row in matrix for x in row], mode)
-    return scale, tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
+def _row_parts(law, mode: str, start: int = 0, stop: int | None = None):
+    """Entries ``start:stop`` of a row law ``(den, nums)`` as a row for
+    ``_step``: ``(content, den, r)`` with ``r`` coprime integers in exact
+    mode, ``(1, 1, entries)`` in float mode."""
+    den, nums = law
+    if mode != EXACT:
+        return 1, 1, nums[start:stop]
+    content, r = primitive(nums[start:stop])
+    return content, den, r
+
+
+def _step(rows, mode: str):
+    """``(scale, M)`` for the matrix whose row i is ``num / den * r`` for
+    ``rows[i] == (num, den, r)``, each ``r`` coprime integers in exact
+    mode: the rows go over the lcm of the ``den``, and only the weights
+    ``num`` are made coprime, so an integer row is split once however
+    many steps share it.  In float mode ``den`` is 1 and scale 1.0."""
+    if mode != EXACT:
+        return 1.0, tuple([tuple([num * x for x in r]) for num, _, r in rows])
+    common = lcm(*[den for _, den, _ in rows])
+    content, weights = primitive([num * (common // den)
+                                  for num, den, _ in rows])
+    return Fraction(content, common), tuple([
+        tuple([w * x for x in r]) for w, (_, _, r) in zip(weights, rows)])
 
 
 def compile_hmm(hmm: HmmModel) -> LinearRepresentation:
-    """T[a][i][j] = E[i][a] * M[i][j].  With row i of M split as s_i * r_i,
-    r_i coprime integers, T[a] is the integer matrix with rows w_i * r_i
-    times one scale, where (scale, w) = integral(E[i][a] * s_i).  In exact
-    mode all of it is read off the row laws, with one common denominator
-    for the products E[i][a] * s_i, so the only ``Fraction``s built are
-    the |A| scales, the entries of pi and fin's 1."""
-    n = hmm.num_states
-    symbols = range(len(hmm.alphabet))
+    """T[a][i][j] = E[i][a] * M[i][j].  Row i of M is split once as
+    s_i * r_i, r_i coprime integers (``_row_parts``), so row i of T[a] is
+    E[i][a] * s_i times r_i for every symbol a.  In exact mode the only
+    ``Fraction``s built are the |A| scales, the entries of pi and fin's 1."""
     mode = hmm.mode
     _, transition, emission = hmm.laws
-    if mode != EXACT:
-        steps = [(1.0, tuple(tuple(e[a] * x for x in row)
-                             for e, row in zip(emission, transition)))
-                 for a in symbols]
-    else:
-        # row i of M is s_i * r_i with s_i = content / den
-        rows = [(den, *primitive(nums)) for den, nums in transition]
-        # E[i][a] * s_i == e_nums[a] * content / (e_den * den)
-        dens = [e_den * den for (e_den, _), (den, _, _) in zip(emission, rows)]
-        common = lcm(*dens)
-        lifts = [content * (common // d)
-                 for (_, content, _), d in zip(rows, dens)]
-        steps = []
-        for a in symbols:
-            content, weights = primitive([e_nums[a] * lift for (_, e_nums),
-                                          lift in zip(emission, lifts)])
-            steps.append((Fraction(content, common),
-                          tuple(tuple([w * x for x in r])
-                                for w, (_, _, r) in zip(weights, rows))))
-    fin = (one(mode),) * n
-    return LinearRepresentation(hmm.alphabet, tuple(steps), hmm.initial, fin,
-                                mode)
+    rows = [_row_parts(law, mode) for law in transition]
+    steps = tuple(
+        _step([(e_nums[a] * content, e_den * den, r)
+               for (e_den, e_nums), (content, den, r) in zip(emission, rows)],
+              mode)
+        for a in range(len(hmm.alphabet)))
+    fin = (one(mode),) * hmm.num_states
+    return LinearRepresentation(hmm.alphabet, steps, hmm.initial, fin, mode)
 
 
 def compile_pfa(pfa: PfaModel) -> LinearRepresentation:
     """The acceptance series pi . M_v . F: the probability of reading v and
-    then stopping (Tzeng, SIAM J. Comput. 21(2), 1992).  In exact mode each
-    M_a is read off the state laws over their common denominator, one
-    ``Fraction`` scale per symbol."""
-    if pfa.mode != EXACT:
-        return LinearRepresentation.from_matrices(
-            pfa.alphabet, pfa.transitions, pfa.initial, pfa.final, pfa.mode)
+    then stopping (Tzeng, SIAM J. Comput. 21(2), 1992).  Row i of M_a is a
+    slice of state i's law."""
     n = pfa.num_states
     _, states = pfa.laws
-    common = lcm(*(den for den, _ in states))
-    lifted = [[p * (common // den) for p in nums] for den, nums in states]
-    steps = []
-    for a in range(len(pfa.alphabet)):
-        start = 1 + a * n
-        content, flat = primitive([p for nums in lifted
-                                   for p in nums[start:start + n]])
-        steps.append((Fraction(content, common),
-                      tuple(flat[i * n:(i + 1) * n] for i in range(n))))
-    return LinearRepresentation(pfa.alphabet, tuple(steps), pfa.initial,
-                                pfa.final, EXACT)
+    steps = tuple(
+        _step([_row_parts(law, pfa.mode, 1 + a * n, 1 + (a + 1) * n)
+               for law in states], pfa.mode)
+        for a in range(len(pfa.alphabet)))
+    return LinearRepresentation(pfa.alphabet, steps, pfa.initial,
+                                pfa.final, pfa.mode)
 
 
 def _coordinate_pairs(k: int):
@@ -295,7 +288,7 @@ def compile_qrw(qrw: QrwModel) -> LinearRepresentation:
         rows = [coords(cols[m1], cols[m2]) for m1, m2 in re_pairs]
         rows += [coords([(-im, re) for re, im in cols[m1]], cols[m2])
                  for m1, m2 in im_pairs]
-        scale, m = _integer_step(rows, mode)
+        scale, m = _step([_row_parts((1, row), mode) for row in rows], mode)
         steps.append((u2 * scale, m))
 
     w2 = w_scale ** 2

@@ -111,6 +111,15 @@ def row_law(pairs) -> tuple[int, tuple[int, ...]]:
     return den, tuple([p * (den // q) for p, q in pairs])
 
 
+def scalar_law(row, mode: str) -> tuple:
+    """A non-empty row of numbers, each coerced by ``as_scalar``, as a row
+    law: ``row_law`` of their pairs in exact mode, ``(1, row)`` in float."""
+    row = tuple(as_scalar(x, mode) for x in row)
+    if mode == EXACT:
+        return row_law([x.as_integer_ratio() for x in row])
+    return 1, row
+
+
 def parse_scalar(text: str, mode: str) -> Scalar:
     """Parse one numeric literal, in ASCII digits.  Exact mode takes
     integers and p/q, float mode takes any ASCII text ``float()`` accepts

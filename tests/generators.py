@@ -83,6 +83,16 @@ def random_pfa(rng: random.Random, num_states: int,
     )
 
 
+def random_float_pfa(rng: random.Random, num_states: int,
+                     num_symbols: int) -> PfaModel:
+    """``random_pfa`` with its entries as floats."""
+    pfa = random_pfa(rng, num_states, num_symbols)
+    return PfaModel(pfa.alphabet, [float(x) for x in pfa.initial],
+                    [[[float(x) for x in row] for row in m]
+                     for m in pfa.transitions],
+                    [float(x) for x in pfa.final], FLOAT)
+
+
 def acceptance_probability(pfa: PfaModel, word: tuple):
     """Probability that the automaton emits exactly ``word`` and stops, by
     plain row-times-matrix loops: the reference the automaton series is

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -711,6 +712,26 @@ class TestOracle:
                                    "-L", "10", "--budget", "100"])
         assert res.exit_code == 2
         assert res.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("model, length", [
+        ("coin.hmm", 20000), ("coin.hmm", 60000), ("one state", 30000000)])
+    def test_a_refusal_past_the_budget_is_quick(self, runner, tmp_path,
+                                                 model, length):
+        # the exact count of words up to 20000 has over 6000 digits
+        if model == "one state":
+            path = tmp_path / "one.hmm"
+            path.write_text("kind: hmm\nmode: exact\nalphabet: a\nn: 1\n"
+                            "pi: 1\nM: 1\nE: 1\n")
+        else:
+            path = corpus(model)
+        start = time.perf_counter()
+        res = runner.invoke(main, ["oracle", str(path), "-L", str(length)])
+        elapsed = time.perf_counter() - start
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: probability table needs ")
+        assert res.stderr.endswith(" entries, budget is 1000000\n")
+        assert elapsed < 1.0
 
     def test_negative_length_rejected(self, runner):
         res = runner.invoke(main, ["oracle", corpus("coin.hmm"), "-L", "-1"])

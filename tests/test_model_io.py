@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finitary.linalg import integral
 from finitary.model_io import (
     ModelSyntaxError,
     ModelValidationError,
@@ -15,7 +16,7 @@ from finitary.model_io import (
 )
 from finitary.models import HmmModel, PfaModel, QrwModel
 from finitary.representation import LinearRepresentation, compile_model
-from finitary.scalars import EXACT
+from finitary.scalars import EXACT, one
 
 import generators as g
 from conftest import CORPUS_DIR, corpus_names, load_corpus_model
@@ -445,18 +446,25 @@ def _spelled_text(rng: random.Random, model) -> str:
 
 
 def _reference_compile(model) -> LinearRepresentation:
-    """The representation of ``model`` from its ``Fraction`` entries, with
-    each step split by ``integral``: no row law involved."""
-    if isinstance(model, PfaModel):
-        return LinearRepresentation.from_matrices(
-            model.alphabet, model.transitions, model.initial, model.final,
-            EXACT)
+    """The representation of ``model`` from its entries, straight from the
+    definition: T[a] = Ma for an automaton, T[a][i][j] = E[i][a] * M[i][j]
+    for a hidden Markov model.  An exact step is split by ``integral``, a
+    float step is ``(1.0, T[a])``; no row law is involved."""
     n = model.num_states
-    products = [[[model.emission[i][a] * model.transition[i][j]
-                  for j in range(n)] for i in range(n)]
-                for a in range(len(model.alphabet))]
-    return LinearRepresentation.from_matrices(
-        model.alphabet, products, model.initial, (Fraction(1),) * n, EXACT)
+    if isinstance(model, PfaModel):
+        matrices, fin = model.transitions, model.final
+    else:
+        matrices = [tuple(tuple(model.emission[i][a] * model.transition[i][j]
+                                for j in range(n)) for i in range(n))
+                    for a in range(len(model.alphabet))]
+        fin = (one(model.mode),) * n
+    steps = []
+    for m in matrices:
+        scale, flat = integral([x for row in m for x in row], model.mode)
+        steps.append((scale, tuple(tuple(flat[i * n:(i + 1) * n])
+                                   for i in range(n))))
+    return LinearRepresentation(model.alphabet, tuple(steps), model.initial,
+                                fin, model.mode)
 
 
 def _entries(model) -> tuple:
@@ -497,7 +505,8 @@ class TestParsedEqualsBuilt:
         assert parsed == built and hash(parsed) == hash(built)
         entries = _entries(parsed)
         assert entries == _entries(built)
-        assert all(type(x) is Fraction for x in _flat(entries))
+        kind = Fraction if built.mode == EXACT else float
+        assert all(type(x) is kind for x in _flat(entries))
         reference = _reference_compile(built)
         for lr in (compile_model(parsed), compile_model(built)):
             assert lr.integer_steps == reference.integer_steps
@@ -518,6 +527,15 @@ class TestParsedEqualsBuilt:
         built = (g.random_hmm(rng, n, ns) if rng.random() < 0.5
                  else g.random_pfa(rng, n, ns))
         self._check(parse_model(_spelled_text(rng, built)), built)
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_float_models(self, seed):
+        rng = random.Random(seed)
+        n, ns = rng.randint(1, 6), rng.randint(1, 3)
+        built = (g.random_dense_float_hmm(rng, n, ns) if rng.random() < 0.5
+                 else g.random_float_pfa(rng, n, ns))
+        self._check(parse_model(serialize_model(built)), built)
 
 
 def test_loading_builds_fractions_per_row_not_per_entry(monkeypatch):

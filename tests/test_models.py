@@ -116,6 +116,31 @@ class TestRowLaws:
         for field in fields:
             assert getattr(again, field) == getattr(model, field)
 
+    def test_a_float_law_is_its_row_over_one(self):
+        m = HmmModel(Alphabet(("a", "b")), (0.5, 0.5),
+                     ((0.25, 0.75), (1.0, 0.0)), ((1, 0), (0.5, 0.5)), FLOAT)
+        assert m.laws == ((1, (0.5, 0.5)), ((1, (0.25, 0.75)), (1, (1.0, 0.0))),
+                          ((1, (1.0, 0.0)), (1, (0.5, 0.5))))
+        pfa = PfaModel(Alphabet(("a",)), (1.0,), (((0.25,),),), (0.75,),
+                       FLOAT)
+        assert pfa.laws == ((1, (1.0,)), ((1, (0.75, 0.25)),))
+        assert pfa.final == (0.75,) and type(pfa.final[0]) is float
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_a_built_model_stores_only_its_laws(self, mode):
+        rng = random.Random(7)
+        if mode == EXACT:
+            hmm, pfa = g.random_hmm(rng, 3, 2), g.random_pfa(rng, 3, 2)
+        else:
+            hmm = g.random_dense_float_hmm(rng, 3, 2)
+            pfa = g.random_float_pfa(rng, 3, 2)
+        for model, fields in ((hmm, ("initial", "transition", "emission")),
+                              (pfa, ("initial", "transitions", "final"))):
+            assert set(vars(model)) == {"alphabet", "laws", "mode"}
+            for field in fields:
+                getattr(model, field)
+            assert set(vars(model)) == {"alphabet", "laws", "mode", *fields}
+
     def test_replace_keeps_the_laws(self):
         coin = load_corpus_model("coin.hmm")
         renamed = dataclasses.replace(coin, alphabet=Alphabet(("x", "y")))
@@ -225,6 +250,27 @@ class TestValidate:
                      ((0.5, 0.5 + 1e-12),), mode=FLOAT)
         assert validate(m) == []
         assert validate(m, tolerance=1e-15) != []
+
+    def test_float_nan_entries_are_reported(self):
+        nan = float("nan")
+        m = HmmModel(Alphabet(("a",)), (nan,), ((1.0,),), ((1.0,),), FLOAT)
+        assert validate(m) == ["pi sums to nan"]
+        pfa = PfaModel(Alphabet(("a",)), (1.0,), (((nan,),),), (0.5,), FLOAT)
+        assert validate(pfa) == ["state 0 outgoing mass sums to nan"]
+
+    def test_float_sums_run_left_to_right(self):
+        # ten 0.1s added one at a time make 0.9999999999999999; a
+        # compensated sum (the builtin from Python 3.12) makes 1.0
+        m = HmmModel(Alphabet(("a",)), (0.1,) * 10,
+                     tuple(tuple(float(i == j) for j in range(10))
+                           for i in range(10)),
+                     ((1.0,),) * 10, FLOAT)
+        assert validate(m, tolerance=0.0) == ["pi sums to 0.9999999999999999"]
+
+    def test_exact_negative_entries_ignore_the_tolerance(self):
+        m = HmmModel(Alphabet(("a", "b")), (F(1),), ((F(1),),),
+                     ((F(-1, 10**12), F(1) + F(1, 10**12)),))
+        assert validate(m, tolerance=1.0) == ["E[0][0] is negative"]
 
 
 def _spoiled(rng, row):

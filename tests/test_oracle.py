@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from finitary import representation
+from finitary import oracle, representation
 from finitary.basis import compute_basis
 from finitary.models import Alphabet, HmmModel
 from finitary.oracle import (
@@ -157,6 +157,43 @@ class TestRankOracles:
             hankel_rank(lr, 12, budget=100)
         with pytest.raises(BudgetExceededError):
             process_dimension(lr, budget=2)
+
+    def test_hankel_budget_is_checked_before_enumerating(self, monkeypatch):
+        def enumerate_all(*args):
+            raise AssertionError("words enumerated before the budget check")
+
+        monkeypatch.setattr(oracle, "_all_words", enumerate_all)
+        with pytest.raises(BudgetExceededError,
+                           match="Hankel block needs at least 49 entries, "
+                                 "budget is 10"):
+            hankel_rank(corpus_lr("swap.qrw"), 12, budget=10)
+        # a count that is complete is printed as it is
+        with pytest.raises(BudgetExceededError,
+                           match="Hankel block needs 225 entries, "
+                                 "budget is 100"):
+            hankel_rank(corpus_lr("coin.hmm"), 3, budget=100)
+
+
+class TestBudgetCounts:
+    @pytest.mark.parametrize("max_len, message", [
+        (6, "probability table needs 127 entries, budget is 100"),
+        (7, "probability table needs at least 127 entries, budget is 100"),
+        (60000, "probability table needs at least 127 entries, "
+                "budget is 100"),
+    ])
+    def test_a_refusal_counts_no_further_than_the_budget(self, max_len,
+                                                         message):
+        with pytest.raises(BudgetExceededError) as info:
+            enumerate_probs(corpus_lr("coin.hmm"), max_len, budget=100)
+        assert str(info.value) == message
+
+    def test_one_symbol_counts_in_one_step(self):
+        one = Alphabet(("a",))
+        lr = compile_model(HmmModel(one, (F(1),), ((F(1),),), ((F(1),),)))
+        with pytest.raises(BudgetExceededError) as info:
+            enumerate_probs(lr, 30_000_000, budget=100)
+        assert str(info.value) == ("probability table needs 30000001 "
+                                   "entries, budget is 100")
 
 
 def test_reference_never_takes_the_scans_steps(monkeypatch):

@@ -358,6 +358,29 @@ class TestCompileDispatch:
             compile_model(object())
 
 
+class TestFromMatrices:
+    def test_exact_matrices_split_into_scale_and_integers(self):
+        lr = representation.LinearRepresentation.from_matrices(
+            g.alphabet(2), [((F(1, 2), 0), (F(1, 4), F(3, 4))),
+                            ((0, 0), (0, 0))], (F(1), 0), (1, 1), EXACT)
+        assert lr.integer_steps == ((F(1, 4), ((2, 0), (1, 3))),
+                                    (0, ((0, 0), (0, 0))))
+        assert all(type(x) is int for _, m in lr.integer_steps
+                   for row in m for x in row)
+
+    def test_float_matrices_are_their_own_steps(self):
+        lr = representation.LinearRepresentation.from_matrices(
+            g.alphabet(1), [((0.5, 0.25), (0.0, 1.0))], (1.0, 0.0),
+            (1.0, 1.0), FLOAT)
+        assert lr.integer_steps == ((1.0, ((0.5, 0.25), (0.0, 1.0))),)
+
+    def test_a_float_in_an_exact_matrix_is_refused(self):
+        with pytest.raises(TypeError,
+                           match="float entry in an exact-mode model"):
+            representation.LinearRepresentation.from_matrices(
+                g.alphabet(1), [((0.5,),)], (F(1),), (F(1),), EXACT)
+
+
 class TestInOrderOf:
     MODELS = {"hmm": lambda rng: g.random_hmm(rng, 3, 3),
               "qrw": lambda rng: g.random_qrw(rng, 3, 3),
