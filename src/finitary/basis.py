@@ -22,16 +22,16 @@ rank.  It is found in three steps:
      dot(f_w, b_v), one per accepted row.
 3. The rows kept leave a square invertible block, by one rule.  When
    there are as many columns as rows, every row is kept.  Otherwise the
-   kept rows are the sorted pivot rows of a tester that judged the block's
-   columns: step 2's own tester on the pairing route, or, on the forward
-   route, a fresh one fed the pairings of each accepted column.  In exact
-   mode a pivot is the first nonzero entry of a reduced column, and each
-   reduced column is zero at the pivots found before it, so the number of
-   pivots up to row i is the rank of rows 0..i of the accepted columns:
-   the pivot rows are exactly the rows independent of their predecessors
+   kept rows are the sorted pivot rows of a fresh tester fed the pairings
+   of each accepted column, on either route.  A rejected candidate leaves
+   a tester as it was, so on the pairing route it ends where step 2's
+   tester did, in both modes, and has ``dim`` pivots.  In exact mode a
+   pivot is the first nonzero entry of a reduced column, and each reduced
+   column is zero at the pivots found before it, so the number of pivots
+   up to row i is the rank of rows 0..i of the accepted columns: the
+   pivot rows are exactly the rows independent of their predecessors
    (``reduce_rows``).  In float mode the pivots come from partial
-   pivoting; there are always ``dim`` of them, and the tolerance judges
-   the block's entries once, in step 2.
+   pivoting.
 
 Candidates are processed first-in-first-out, created in alphabet order.  The
 queue holds (accepted word, symbol) pairs, and a candidate's vector is
@@ -116,8 +116,8 @@ def _scan(tester: IndependenceTester, vector, extend, entry,
 
 def row_generator(lr: LinearRepresentation,
                   tolerance: float = DEFAULT_TOLERANCE):
-    """Accepted row words with scaled backward vectors, plus the candidate
-    count.
+    """Scaled backward vectors of the accepted row words, each carrying its
+    word, plus the candidate count.
 
     A zero final vector yields no rows: the series is zero.
     """
@@ -125,17 +125,17 @@ def row_generator(lr: LinearRepresentation,
     generators = ((lr.scaled_backward(()).coords,
                    [m for _, m in lr.integer_steps])
                   if lr.mode == EXACT else None)
-    backwards, iterations = _scan(
+    return _scan(
         IndependenceTester(lr.dimension, lr.mode, tolerance, generators),
         lr.scaled_backward, lambda v, a: (a,) + v, lambda bv: bv.coords,
         len(lr.alphabet))
-    return [bv.word for bv in backwards], backwards, iterations
 
 
-def column_basis(lr: LinearRepresentation, row_words, backwards,
+def column_basis(lr: LinearRepresentation, backwards,
                  tolerance: float = DEFAULT_TOLERANCE):
-    """Accepted column words with scaled forward vectors, and the indices
-    of the rows kept, in scan order, given the row scan output.
+    """Scaled forward vectors of the accepted column words, each carrying
+    its word, and the indices of the rows kept, in scan order, given the
+    row scan's vectors.
 
     In exact mode with full row rank (as many rows as the representation
     dimension) the matrix B of backward vectors is invertible, so the
@@ -144,28 +144,26 @@ def column_basis(lr: LinearRepresentation, row_words, backwards,
     values p(w v) up to one nonzero factor per row and one per column,
     which leaves the independence of columns (and of rows) unchanged.  A
     square block keeps every row; otherwise the kept rows are the pivot
-    rows of a tester that judged the pairings.  The columns are not kept.
-    A zero empty-word column yields no columns: the series is zero.
+    rows of a fresh tester fed the accepted columns' pairings.  The
+    columns are not kept.  A zero empty-word column yields no columns: the
+    series is zero.
     """
-    r = len(row_words)
+    r = len(backwards)
     full = lr.mode == EXACT and r == lr.dimension
-    tester = IndependenceTester(r, lr.mode, tolerance)
 
     def pairings(fv: ScaledVector) -> tuple:
         return tuple(dot(fv.coords, bv.coords) for bv in backwards)
 
-    forwards, _ = _scan(tester, lr.scaled_forward, lambda w, a: w + (a,),
+    forwards, _ = _scan(IndependenceTester(r, lr.mode, tolerance),
+                        lr.scaled_forward, lambda w, a: w + (a,),
                         (lambda fv: fv.coords) if full else pairings,
                         len(lr.alphabet))
     if len(forwards) == r:
-        keep = list(range(r))
-    else:
-        if full:
-            tester = IndependenceTester(r)
-            for fv in forwards:
-                tester.try_insert(pairings(fv))
-        keep = sorted(tester.pivots)
-    return [fv.word for fv in forwards], forwards, keep
+        return forwards, list(range(r))
+    tester = IndependenceTester(r, lr.mode, tolerance)
+    for fv in forwards:
+        tester.try_insert(pairings(fv))
+    return forwards, sorted(tester.pivots)
 
 
 def reduce_rows(matrix, mode: str = EXACT,
@@ -184,14 +182,14 @@ def reduce_rows(matrix, mode: str = EXACT,
 
 def compute_basis(lr: LinearRepresentation,
                   tolerance: float = DEFAULT_TOLERANCE) -> Basis:
-    row_words, backwards, iterations = row_generator(lr, tolerance)
-    col_words, forwards, keep = column_basis(
-        lr, row_words, backwards, tolerance)
+    backwards, iterations = row_generator(lr, tolerance)
+    forwards, keep = column_basis(lr, backwards, tolerance)
+    kept = tuple(backwards[i] for i in keep)
     return Basis(
-        row_words=tuple(row_words[i] for i in keep),
-        col_words=tuple(col_words),
-        backwards=tuple(backwards[i] for i in keep),
+        row_words=tuple(bv.word for bv in kept),
+        col_words=tuple(fv.word for fv in forwards),
+        backwards=kept,
         forwards=tuple(forwards),
-        dim=len(col_words),
+        dim=len(forwards),
         row_iterations=iterations,
     )

@@ -37,9 +37,11 @@ late rejection exactly.  Given the scan's generators, a zero remainder at
 rank k of n first tries a span certificate, once per rank and only when
 (n - k) * n <= k * k, as it costs about (n - k) * |A| * n * n word-size
 operations.  The free-column basis Z of the null space of the residue
-echelon must kill the root and be mapped into its own span by every
-step, mod ``PRIME`` (failing fast), then exactly with each entry lifted
-by rational reconstruction (bound sqrt(PRIME / 2); ibid.).  The lifted Z
+echelon is lifted by rational reconstruction (bound sqrt(PRIME / 2);
+ibid.) and checked once, in integers: it must kill the root and be mapped
+into its own span by every step.  A lifted entry a / b has a = b x mod
+``PRIME`` with b < ``PRIME``, so the integer Z is the residue Z times a
+unit, and a check mod ``PRIME`` would refuse nothing more.  The lifted Z
 is the identity on its free columns, so its null space has dimension k;
 holding the root and closed under the steps, it holds every vector of the
 scan, and the k accepted vectors, independent over Q, span it.  The
@@ -159,31 +161,27 @@ def _rational(x: int):
     return Fraction(r1, s1) if abs(s1) <= bound else None
 
 
-def _closed(free, kernel, scale: int, root, steps, zero) -> bool:
-    """Whether ``zero`` holds for z . root and for the residual of every
-    z . M in the span of the rows z of ``kernel`` (``scale`` at their own
-    free column, 0 at the others)."""
+def _closed(free, kernel, scale: int, root, steps) -> bool:
+    """Whether z . root is zero and z . M lies in the span of the rows z of
+    ``kernel`` (``scale`` at their own free column, 0 at the others), for
+    every such z and step M."""
     images = (vec_mat(z, m) for m in steps for z in kernel)
-    return (all(zero(dot(z, root)) for z in kernel)
-            and all(zero(scale * x - sum(u[f] * z[j] for f, z in
-                                         zip(free, kernel)))
+    return (all(dot(z, root) == 0 for z in kernel)
+            and all(scale * x == sum(u[f] * z[j] for f, z in
+                                     zip(free, kernel))
                     for u in images for j, x in enumerate(u)))
 
 
 def _certified(rows, pivots, dimension: int, root, steps) -> bool:
     """Whether the span certificate (module docstring) holds."""
     free, kernel = _annihilator(rows, pivots, dimension)
-    residues = [[[x % PRIME for x in row] for row in m] for m in steps]
-    if not _closed(free, kernel, 1, root, residues,
-                   lambda x: x % PRIME == 0):
-        return False
     lifted = [[_rational(x) for x in z] for z in kernel]
     if any(None in z for z in lifted):
         return False
     scale = lcm(*(x.denominator for z in lifted for x in z))
     kernel = [[x.numerator * (scale // x.denominator) for x in z]
               for z in lifted]
-    return _closed(free, kernel, scale, root, steps, lambda x: x == 0)
+    return _closed(free, kernel, scale, root, steps)
 
 
 class IndependenceTester:

@@ -17,13 +17,14 @@ from finitary.equivalence import (
     INITIAL_ROW_MISMATCH,
     ONE_STEP_MISMATCH,
 )
+from finitary.linalg import dot
 from finitary.models import Alphabet, HmmModel
 from finitary.representation import (LinearRepresentation, compile_model,
                                      compile_pfa)
-from finitary.scalars import EXACT, FLOAT
+from finitary.scalars import EXACT, FLOAT, scalars_equal
 
 import generators as g
-from conftest import corpus_names, load_corpus_model
+from conftest import corpus_names, exact_copy, load_corpus_model
 
 F = Fraction
 
@@ -249,7 +250,14 @@ def test_each_word_is_compared_once(monkeypatch):
 def _every_triple(lr_x, lr_y):
     """(equivalent, reason, witness, details) from comparing p(w m v) by
     ``prob`` on every triple, in the check's order: the block, then, at
-    equal dimensions, each symbol; w outermost, then m, then v."""
+    equal dimensions, each symbol; w outermost, then m, then v.  In float
+    mode p(w m v) is the split's own value, forward(w) . backward(m v),
+    and two values agree within the default tolerance, at every split."""
+    def value(lr, w, mv):
+        if lr.mode == FLOAT:
+            return dot(lr.scaled_forward(w).coords,
+                       lr.scaled_backward(mv).coords)
+        return lr.prob(w + mv)
     basis_x, basis_y = compute_basis(lr_x), compute_basis(lr_y)
     big = basis_y if basis_y.dim > basis_x.dim else basis_x
     same_dim = basis_x.dim == basis_y.dim
@@ -260,8 +268,8 @@ def _every_triple(lr_x, lr_y):
         for w in big.col_words:
             for m in middles:
                 for v in big.row_words:
-                    p_x, p_y = lr_x.prob(w + m + v), lr_y.prob(w + m + v)
-                    if p_x == p_y:
+                    p_x, p_y = value(lr_x, w, m + v), value(lr_y, w, m + v)
+                    if scalars_equal(p_x, p_y, lr_x.mode):
                         continue
                     if m:
                         reason = ONE_STEP_MISMATCH
@@ -299,20 +307,42 @@ def _redrawn_last_step(rng):
 @given(st.integers(0, 2**32 - 1))
 def test_the_check_reports_what_comparing_every_triple_reports(seed):
     # skipping the words compared before changes no verdict, reason,
-    # witness or value, in either order
+    # witness or value, in either order; in float mode a word is judged at
+    # its first split only, and judging it at every split changes nothing
     rng = random.Random(seed)
     hmm = g.random_hmm(rng, rng.randint(1, 5), rng.randint(1, 3))
+    dense = g.random_dense_float_hmm(rng, rng.randint(2, 12),
+                                     rng.randint(1, 3))
     pairs = [
         _redrawn_last_step(rng),
         [compile_model(hmm), compile_model(g.permute_hmm(rng, hmm))],
         [compile_model(hmm), compile_model(g.split_hmm_state(rng, hmm))],
         [compile_model(hmm), compile_model(g.random_hmm(
             rng, rng.randint(1, 5), len(hmm.alphabet)))],
+        [compile_model(dense), compile_model(g.permute_hmm(rng, dense))],
+        [compile_model(dense), compile_model(g.random_dense_float_hmm(
+            rng, rng.randint(2, 12), len(dense.alphabet)))],
     ]
     for x, y in pairs + [pair[::-1] for pair in pairs]:
         v = equivalence.test_equivalence(x, y)
         assert (v.equivalent, v.reason, v.witness, v.details) == \
             _every_triple(x, y)
+
+
+@pytest.mark.parametrize("n", [10, 20, 40])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_float_dimension_is_at_most_the_exact_one(n, seed):
+    # the same dense float HMM read exactly, each float as the dyadic
+    # rational it is: the float dim is at most the exact one, and a
+    # permuted copy stays equivalent in both modes
+    rng = random.Random(seed)
+    hmm = g.random_dense_float_hmm(rng, n, 2)
+    twin = g.permute_hmm(rng, hmm)
+    x, y = compile_model(hmm), compile_model(twin)
+    assert compute_basis(x).dim <= compute_basis(exact_copy(x)).dim
+    assert equivalence.test_equivalence(x, y).equivalent
+    assert equivalence.test_equivalence(exact_copy(x),
+                                        exact_copy(y)).equivalent
 
 
 class TestCrossClass:

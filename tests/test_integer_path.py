@@ -110,7 +110,7 @@ def test_pivot_rows_are_the_rows_reduce_rows_picks(seed):
     for build in BUILDERS:
         lr = build(rng)
         basis = compute_basis(lr)
-        row_words = row_generator(lr)[0]
+        row_words = [bv.word for bv in row_generator(lr)[0]]
         block = [[lr.prob(w + v) for w in basis.col_words] for v in row_words]
         keep = reduce_rows(block, lr.mode)
         assert basis.row_words == tuple(row_words[i] for i in keep)
@@ -272,8 +272,8 @@ def test_verdict_equals_the_fraction_check(seed):
 def pairing_basis(lr) -> Basis:
     """The basis with every column judged as its pairings dot(forward
     coords, backward coords) with the accepted rows, and the rows kept at
-    that elimination's pivots, at any row rank."""
-    row_words, backwards, iterations = row_generator(lr)
+    that scan's own pivots, at any row rank."""
+    backwards, iterations = row_generator(lr)
     tester = IndependenceTester(len(backwards), lr.mode)
     forwards = []
     queue = deque([(None, None)])
@@ -286,7 +286,7 @@ def pairing_basis(lr) -> Basis:
             queue.extend((fv, a) for a in range(len(lr.alphabet)))
     keep = sorted(tester.pivots)
     return Basis(
-        row_words=tuple(row_words[i] for i in keep),
+        row_words=tuple(backwards[i].word for i in keep),
         col_words=tuple(fv.word for fv in forwards),
         backwards=tuple(backwards[i] for i in keep),
         forwards=tuple(forwards),
@@ -300,8 +300,9 @@ def test_full_row_rank_forward_route_equals_the_pairing_scan():
     # accept the same words with the same vectors and keep the same rows
     # as the scan on pairings, also when the dimension is below the row
     # count (padded HMMs; two states, the second never reached: rows (),
-    # a; one column).  Walks whose dimension is below their row count run
-    # on pairings, and must keep the same rows as well.
+    # a; one column).  Walks and dense float HMMs whose dimension is below
+    # their row count run on pairings, and must keep the same rows as
+    # well.
     rng = random.Random(21)
     lrs = [compile_model(g.random_hmm(rng, rng.randint(1, 8),
                                       rng.randint(1, 3))) for _ in range(30)]
@@ -316,10 +317,13 @@ def test_full_row_rank_forward_route_equals_the_pairing_scan():
             if len(row_generator(lr)[0]) == lr.dimension]
     walks = [lr for lr in (random_qrw_lr(rng) for _ in range(60))
              if compute_basis(lr).dim < len(row_generator(lr)[0])]
+    floats = [lr for lr in (compile_model(g.random_dense_float_hmm(
+        rng, rng.randint(12, 20), 2)) for _ in range(12))
+        if compute_basis(lr).dim < len(row_generator(lr)[0])]
     non_square = [lr for lr in full if compute_basis(lr).dim < lr.dimension]
     assert len(full) > 40 and unreached in full
-    assert len(non_square) > 15 and len(walks) > 5
-    for lr in full + walks:
+    assert len(non_square) > 15 and len(walks) > 5 and len(floats) > 5
+    for lr in full + walks + floats:
         basis = compute_basis(lr)
         assert basis == pairing_basis(lr)
     assert compute_basis(unreached).dim == 1
@@ -340,11 +344,11 @@ def test_full_rank_scans_stop_at_the_nth_acceptance(monkeypatch):
         results.append(insert(self, vector))
         return results[-1]
     monkeypatch.setattr(IndependenceTester, "try_insert", recording)
-    words, backwards, iterations = row_generator(lr)
-    assert len(words) == n and results[-1] and sum(results) == n
+    backwards, iterations = row_generator(lr)
+    assert len(backwards) == n and results[-1] and sum(results) == n
     # every candidate an exhaustive scan decides is still counted
     assert iterations == len(hmm.alphabet) * n
     assert len(results) < iterations + 1
     results.clear()
-    assert len(column_basis(lr, words, backwards)[0]) == n
+    assert len(column_basis(lr, backwards)[0]) == n
     assert results[-1] and sum(results) == n

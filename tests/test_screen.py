@@ -5,6 +5,7 @@ however unlucky, and as without the certificate; the screen must leave a
 full-rank scan, and the certificate a scan that cannot fill, almost no
 exact elimination to do."""
 
+import math
 import random
 
 import pytest
@@ -89,10 +90,10 @@ def test_full_rank_scans_leave_only_the_structural_rejection_exact(
     for n in (12, 24):
         lr = compile_model(g.random_hmm(random.Random(n), n, 2))
         calls.clear()
-        words, backwards, _ = row_generator(lr)
-        assert len(words) == n and len(calls) == 3
+        backwards, _ = row_generator(lr)
+        assert len(backwards) == n and len(calls) == 3
         calls.clear()
-        assert len(column_basis(lr, words, backwards)[0]) == n
+        assert len(column_basis(lr, backwards)[0]) == n
         assert calls == []
 
 
@@ -120,10 +121,10 @@ def test_a_square_pairing_block_keeps_its_rows_without_exact_work(
     for n in (8, 16):
         rng = random.Random(n)
         lr = compile_model(rewrite(rng, g.random_hmm(rng, n, 2)))
-        words, backwards, _ = row_generator(lr)
-        assert len(words) == n < lr.dimension
+        backwards, _ = row_generator(lr)
+        assert len(backwards) == n < lr.dimension
         events.clear()
-        cols, _, keep = column_basis(lr, words, backwards)
+        cols, keep = column_basis(lr, backwards)
         assert len(cols) == n and keep == list(range(n))
         assert events[-1] == "full"
 
@@ -153,8 +154,8 @@ def test_a_row_scan_that_cannot_fill_certifies_its_span(monkeypatch,
         rng = random.Random(n)
         lr = compile_model(rewrite(rng, g.random_hmm(rng, n, 2)))
         calls.clear()
-        words, _, iterations = row_generator(lr)
-        assert len(words) == n == lr.dimension - 1
+        backwards, iterations = row_generator(lr)
+        assert len(backwards) == n == lr.dimension - 1
         assert iterations == 2 * n and len(calls) == 3
 
 
@@ -218,8 +219,8 @@ def test_a_refused_certificate_falls_back_to_exact_confirmation():
     # backward vectors e1, e2 and e1 + p e3 (one symbol): mod p the third
     # is dependent and e3 spans the annihilator, which the step maps to
     # (0, p, 1), e3 again mod p.  In integers (0, p, 1) is outside the span
-    # of e3, so the certificate is refused and the exact reduction accepts
-    # e1 + p e3, as the exact-only scan does
+    # of e3, so the one integer check refuses the certificate and the exact
+    # reduction accepts e1 + p e3, as the exact-only scan does
     p = 101
     lr = LinearRepresentation.from_matrices(
         g.alphabet(1), [((0, 1, 0), (1, 0, 0), (0, p, 1))], (1, 0, 0),
@@ -235,12 +236,84 @@ def test_a_refused_certificate_falls_back_to_exact_confirmation():
         mp.setattr(linalg, "PRIME", p)
         mp.setattr(linalg, "_closed", recording)
         calls = _counting_reductions(mp)
-        words, backwards, iterations = row_generator(lr)
-        assert checks == [True, False] and len(calls) == 3
-        assert (words, backwards, iterations) == reference[0]
+        scan = row_generator(lr)
+        assert checks == [False] and len(calls) == 3
+        assert scan == reference[0]
         assert compute_basis(lr) == reference[1]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(IndependenceTester, "_try_exact",
                    IndependenceTester._insert_exact)
         assert (row_generator(lr), compute_basis(lr)) == reference
-    assert reference[0][0] == [(), (0,), (0, 0)]
+    assert [bv.word for bv in reference[0][0]] == [(), (0,), (0, 0)]
+
+
+def test_a_certified_row_scan_checks_each_certificate_once(monkeypatch):
+    # the lifted annihilator is checked in integers only: one closure
+    # check per certificate tried, and no residue copy of the steps
+    attempts, checks = [], []
+    certified, closed = linalg._certified, linalg._closed
+
+    def recording_certified(*args):
+        attempts.append(certified(*args))
+        return attempts[-1]
+
+    def recording_closed(*args):
+        checks.append(closed(*args))
+        return checks[-1]
+    monkeypatch.setattr(linalg, "_certified", recording_certified)
+    monkeypatch.setattr(linalg, "_closed", recording_closed)
+    for rewrite in (g.split_hmm_state, g.blend_hmm_state):
+        for n in (8, 16):
+            rng = random.Random(n)
+            row_generator(compile_model(rewrite(rng, g.random_hmm(rng, n,
+                                                                   2))))
+    assert attempts.count(True) >= 4
+    assert checks == attempts
+
+
+def _two_pass_closed(free, kernel, scale, root, steps, zero):
+    images = (linalg.vec_mat(z, m) for m in steps for z in kernel)
+    return (all(zero(linalg.dot(z, root)) for z in kernel)
+            and all(zero(scale * x - sum(u[f] * z[j] for f, z in
+                                         zip(free, kernel)))
+                    for u in images for j, x in enumerate(u)))
+
+
+def _two_pass_certified(rows, pivots, dimension, root, steps):
+    """The certificate checked first on residues mod ``PRIME``, then on
+    the lifted integers: the same outcome as the one integer check."""
+    prime = linalg.PRIME
+    free, kernel = linalg._annihilator(rows, pivots, dimension)
+    residues = [[[x % prime for x in row] for row in m] for m in steps]
+    if not _two_pass_closed(free, kernel, 1, root, residues,
+                            lambda x: x % prime == 0):
+        return False
+    lifted = [[linalg._rational(x) for x in z] for z in kernel]
+    if any(None in z for z in lifted):
+        return False
+    scale = math.lcm(*(x.denominator for z in lifted for x in z))
+    kernel = [[x.numerator * (scale // x.denominator) for x in z]
+              for z in lifted]
+    return _two_pass_closed(free, kernel, scale, root, steps,
+                            lambda x: x == 0)
+
+
+@settings(deadline=None, max_examples=5)
+@given(st.integers(0, 2**32 - 1))
+def test_one_integer_check_certifies_what_two_passes_certify(seed):
+    # a residue pass before the integer check could refuse no certificate
+    # the integer check accepts, under any prime
+    lrs = _certificate_models(random.Random(seed))
+    certified = linalg._certified
+    for prime in UNLUCKY + (linalg.PRIME,):
+        outcomes = []
+
+        def comparing(*args):
+            outcomes.append((certified(*args), _two_pass_certified(*args)))
+            return outcomes[-1][0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "PRIME", prime)
+            mp.setattr(linalg, "_certified", comparing)
+            for lr in lrs:
+                compute_basis(lr)
+        assert outcomes and all(a == b for a, b in outcomes), prime
