@@ -148,15 +148,31 @@ def test_a_row_scan_that_cannot_fill_certifies_its_span(monkeypatch,
     # exact work is the structural rejection of the last one-letter
     # candidate (the root, the first letter and the candidate), where
     # the certificate is too costly to try; without it a scan reduces its
-    # n accepted vectors and n + 1 late rejections exactly
+    # n accepted vectors and n + 1 late rejections exactly.  The lifted
+    # certificate is checked once, in integers
     calls = _counting_reductions(monkeypatch)
+    attempts, checks = [], []
+    certified, closed = linalg._certified, linalg._closed
+
+    def recording_certified(*args):
+        attempts.append(certified(*args))
+        return attempts[-1]
+
+    def recording_closed(*args):
+        checks.append(closed(*args))
+        return checks[-1]
+    monkeypatch.setattr(linalg, "_certified", recording_certified)
+    monkeypatch.setattr(linalg, "_closed", recording_closed)
     for n in (8, 16, 32):
         rng = random.Random(n)
         lr = compile_model(rewrite(rng, g.random_hmm(rng, n, 2)))
         calls.clear()
+        attempts.clear()
+        checks.clear()
         backwards, iterations = row_generator(lr)
         assert len(backwards) == n == lr.dimension - 1
         assert iterations == 2 * n and len(calls) == 3
+        assert checks == attempts == [True]
 
 
 def _certificate_models(rng):
@@ -247,31 +263,8 @@ def test_a_refused_certificate_falls_back_to_exact_confirmation():
     assert [bv.word for bv in reference[0][0]] == [(), (0,), (0, 0)]
 
 
-def test_a_certified_row_scan_checks_each_certificate_once(monkeypatch):
-    # the lifted annihilator is checked in integers only: one closure
-    # check per certificate tried, and no residue copy of the steps
-    attempts, checks = [], []
-    certified, closed = linalg._certified, linalg._closed
-
-    def recording_certified(*args):
-        attempts.append(certified(*args))
-        return attempts[-1]
-
-    def recording_closed(*args):
-        checks.append(closed(*args))
-        return checks[-1]
-    monkeypatch.setattr(linalg, "_certified", recording_certified)
-    monkeypatch.setattr(linalg, "_closed", recording_closed)
-    for rewrite in (g.split_hmm_state, g.blend_hmm_state):
-        for n in (8, 16):
-            rng = random.Random(n)
-            row_generator(compile_model(rewrite(rng, g.random_hmm(rng, n,
-                                                                   2))))
-    assert attempts.count(True) >= 4
-    assert checks == attempts
-
-
 def _two_pass_closed(free, kernel, scale, root, steps, zero):
+    """``linalg._closed`` with ``zero`` deciding each residual."""
     images = (linalg.vec_mat(z, m) for m in steps for z in kernel)
     return (all(zero(linalg.dot(z, root)) for z in kernel)
             and all(zero(scale * x - sum(u[f] * z[j] for f, z in
@@ -305,12 +298,13 @@ def test_one_integer_check_certifies_what_two_passes_certify(seed):
     # the integer check accepts, under any prime
     lrs = _certificate_models(random.Random(seed))
     certified = linalg._certified
-    for prime in UNLUCKY + (linalg.PRIME,):
-        outcomes = []
+    outcomes = []
 
-        def comparing(*args):
-            outcomes.append((certified(*args), _two_pass_certified(*args)))
-            return outcomes[-1][0]
+    def comparing(*args):
+        outcomes.append((certified(*args), _two_pass_certified(*args)))
+        return outcomes[-1][0]
+    for prime in UNLUCKY + (linalg.PRIME,):
+        outcomes.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "PRIME", prime)
             mp.setattr(linalg, "_certified", comparing)
