@@ -35,8 +35,6 @@ from .oracle import (
     ProbTable,
     brute_equiv,
     enumerate_probs,
-    hankel_rank,
-    process_dimension,
 )
 from .representation import (
     LinearRepresentation,
@@ -78,9 +76,7 @@ __all__ = [
     "compile_qrw",
     "compute_basis",
     "enumerate_probs",
-    "hankel_rank",
     "parse_model",
-    "process_dimension",
     "serialize_model",
     "test_equivalence",
     "test_equivalence_pfa",

@@ -351,16 +351,3 @@ class IndependenceTester:
         self._pivots.append(best)
         self._scale = max(self._scale, magnitude)
         return True
-
-
-def rank(matrix, mode: str = EXACT, tolerance: float = DEFAULT_TOLERANCE) -> int:
-    rows = [tuple(r) for r in matrix]
-    if not rows:
-        return 0
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("ragged matrix")
-    tester = IndependenceTester(width, mode, tolerance)
-    for r in rows:
-        tester.try_insert(r)
-    return tester.rank

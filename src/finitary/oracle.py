@@ -1,24 +1,21 @@
-"""Brute-force reference answers for cross-checking the basis machinery.
+"""Brute-force word probabilities and comparisons for the ``oracle`` command.
 
-Everything here enumerates words outright and recomputes products with plain
-loops in the model's scalars.  It shares with the candidate-driven scans in
-``basis`` only each representation's stored steps ``(scale, M)``, read here as
-T[a] = scale * M, and the rank and independence routines of ``linalg``; the
-scans' integer vector steps (``step_forward``, ``step_backward``) are never
-called.  Exponential in the word length by design, so every entry point takes
-an explicit budget.
+Everything here enumerates words outright and recomputes products in the
+model's scalars, one ``LinearRepresentation.extend_prefix`` per symbol.  It
+shares with the candidate-driven scans in ``basis`` only each
+representation's stored steps; the scans' integer vector steps
+(``step_forward``, ``step_backward``) are never called.  Exponential in the
+word length by design, so every entry point takes an explicit budget.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import isqrt
 
-from .linalg import IndependenceTester, dot, mat_vec, rank, vec_mat
+from .linalg import dot
 from .models import Word
 from .representation import LinearRepresentation
-from .scalars import DEFAULT_TOLERANCE, zero
+from .scalars import zero
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -27,55 +24,19 @@ class BudgetExceededError(RuntimeError):
     pass
 
 
-def extend_prefix(lr: LinearRepresentation, row: tuple, a: int) -> tuple:
-    """row . T[a], computed as scale * (row . M)."""
-    scale, m = lr.integer_steps[a]
-    return tuple(scale * x for x in vec_mat(row, m))
-
-
-def extend_suffix(lr: LinearRepresentation, a: int, col: tuple) -> tuple:
-    """T[a] . col, computed as scale * (M . col)."""
-    scale, m = lr.integer_steps[a]
-    return tuple(scale * x for x in mat_vec(m, col))
-
-
-def prefix_vector(lr: LinearRepresentation, word: Word) -> tuple:
-    """init . T[w1] ... T[wt], the forward vector of ``word``."""
-    row = lr.init
-    for a in word:
-        row = extend_prefix(lr, row, a)
-    return row
-
-
-def suffix_vector(lr: LinearRepresentation, word: Word) -> tuple:
-    """T[w1] ... T[wt] . fin, the backward vector of ``word``."""
-    col = lr.fin
-    for a in reversed(word):
-        col = extend_suffix(lr, a, col)
-    return col
-
-
-def _check_budget(num_symbols: int, max_len: int, budget: int, what: str,
-                  pairs: bool = False):
-    """Raise unless a table of all words up to ``max_len`` (of all pairs
-    of them, with ``pairs``) fits ``budget`` entries, counting no further
-    than the budget: a full count could run to millions of digits."""
-    limit = isqrt(max(budget, 0)) if pairs else budget
+def _check_budget(num_symbols: int, max_len: int, budget: int):
+    """Raise unless a table of all words up to ``max_len`` fits ``budget``
+    entries, counting no further than the budget: a full count could run
+    to millions of digits."""
     count, length = (max_len + 1, max_len) if num_symbols == 1 else (1, 0)
-    while count <= limit and length < max_len:
+    while count <= budget and length < max_len:
         length += 1
         count += num_symbols ** length
-    if count > limit:
+    if count > budget:
         raise BudgetExceededError(
-            f"{what} needs {'at least ' if length < max_len else ''}"
-            f"{count * count if pairs else count} entries, budget is {budget}")
-
-
-def _all_words(num_symbols: int, max_len: int) -> list[Word]:
-    words: list[Word] = []
-    for t in range(max_len + 1):
-        words.extend(itertools.product(range(num_symbols), repeat=t))
-    return words
+            "probability table needs "
+            f"{'at least ' if length < max_len else ''}{count} entries, "
+            f"budget is {budget}")
 
 
 @dataclass(frozen=True)
@@ -93,14 +54,14 @@ def enumerate_probs(lr: LinearRepresentation, max_len: int,
     the only reuse.  The entries come in that order, shortlex.
     """
     ns = len(lr.alphabet)
-    _check_budget(ns, max_len, budget, "probability table")
+    _check_budget(ns, max_len, budget)
     entries: dict = {}
     origin = zero(lr.mode)  # a float table holds floats even where dot is 0
     generation = [((), lr.init)]
     while generation:
         for word, row in generation:
             entries[word] = origin + dot(row, lr.fin)
-        generation = [(word + (a,), extend_prefix(lr, row, a))
+        generation = [(word + (a,), lr.extend_prefix(row, a))
                       for word, row in generation if len(word) < max_len
                       for a in range(ns)]
     return ProbTable(max_len, entries)
@@ -131,61 +92,3 @@ def brute_equiv(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
         if (px != py) if tolerance == 0.0 else (abs(px - py) > tolerance):
             return BruteResult(False, word, (px, py))
     return BruteResult(True, None, None)
-
-
-def hankel_rank(lr: LinearRepresentation, max_len: int,
-                budget: int = DEFAULT_BUDGET,
-                tolerance: float = DEFAULT_TOLERANCE) -> int:
-    """Rank of the block with rows and columns both over all words up to
-    ``max_len``.  Stabilizes at the process dimension once ``max_len``
-    reaches the representation dimension."""
-    ns = len(lr.alphabet)
-    _check_budget(ns, max_len, budget, "Hankel block", pairs=True)
-    words = _all_words(ns, max_len)
-    prefix_rows = [prefix_vector(lr, w) for w in words]
-    suffix_cols = [suffix_vector(lr, v) for v in words]
-    block = [[dot(row, col) for row in prefix_rows] for col in suffix_cols]
-    return rank(block, lr.mode, tolerance)
-
-
-def process_dimension(lr: LinearRepresentation,
-                      budget: int = DEFAULT_BUDGET,
-                      tolerance: float = DEFAULT_TOLERANCE) -> int:
-    """Process dimension by exhaustive span saturation.
-
-    Enumerates whole generations of prefix products (all words of length t,
-    not just the independent ones) until one full generation adds nothing to
-    the span; the same for suffix products.  A generation that adds nothing
-    proves the span complete, because the next generation consists of
-    one-step extensions of its members.  The process dimension is then the
-    rank of the basis-against-basis pairing, which equals the rank of the
-    unbounded Hankel array.
-    """
-    ns = len(lr.alphabet)
-    n = lr.dimension
-
-    def saturate(start, extend):
-        tester = IndependenceTester(n, lr.mode, tolerance)
-        kept = []
-        if tester.try_insert(start):
-            kept.append(start)
-        generation = [start]
-        seen = 1
-        while True:
-            generation = [extend(vec, a) for vec in generation for a in range(ns)]
-            seen += len(generation)
-            if seen > budget:
-                raise BudgetExceededError(
-                    f"span saturation needs more than {budget} vectors")
-            added = False
-            for vec in generation:
-                if tester.try_insert(vec):
-                    kept.append(vec)
-                    added = True
-            if not added:
-                return kept
-
-    prefix_basis = saturate(lr.init, lambda vec, a: extend_prefix(lr, vec, a))
-    suffix_basis = saturate(lr.fin, lambda vec, a: extend_suffix(lr, a, vec))
-    pairing = [[dot(p, s) for p in prefix_basis] for s in suffix_basis]
-    return rank(pairing, lr.mode, tolerance)

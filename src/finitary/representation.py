@@ -48,9 +48,9 @@ the new scale.  Float vectors carry scale 1.0.  ``scaled_forward`` and
 one step from the cached vector of the word one symbol shorter, and keep
 it; ``step_forward`` and ``step_backward`` take any vector and cache
 nothing.  ``prob`` and ``prob_bilinear`` instead compute in the
-model's scalars, each step as ``scale * (row . M)`` straight from the stored
-steps, and never reduce a vector; ``oracle`` builds its reference prefix and
-suffix products the same way.
+model's scalars straight from the stored steps and never reduce a vector;
+``extend_prefix`` is that step for a row, ``scale * (row . M)``, and
+``oracle``'s probability tables take it too.
 """
 
 from __future__ import annotations
@@ -115,11 +115,15 @@ class LinearRepresentation:
             raise ValueError(f"symbol index out of range: {a}")
         return a
 
+    def extend_prefix(self, row: tuple, a: int) -> tuple:
+        """row . T[a] in the model's scalars, computed as scale * (row . M)."""
+        scale, m = self.integer_steps[self._symbol(a)]
+        return tuple(scale * x for x in vec_mat(row, m))
+
     def prob(self, word: Word):
         row = self.init
         for a in word:
-            scale, m = self.integer_steps[self._symbol(a)]
-            row = tuple(scale * x for x in vec_mat(row, m))
+            row = self.extend_prefix(row, a)
         # ``dot`` skips zero terms, so an all-zero sum is the integer 0
         return zero(self.mode) + dot(row, self.fin)
 

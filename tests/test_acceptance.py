@@ -31,6 +31,12 @@ from generators import (
     rephase_qrw,
     split_hmm_state,
 )
+from reference import (
+    hankel_rank,
+    prefix_vector,
+    process_dimension,
+    suffix_vector,
+)
 
 
 def _check(name: str, ok: bool, detail: str = ""):
@@ -170,15 +176,15 @@ def dim_records():
         lr = compile_model(model)
         basis = compute_basis(lr)
         if lr.dimension <= 4:
-            reference = oracle.hankel_rank(lr, max_len=lr.dimension)
+            reference = hankel_rank(lr, max_len=lr.dimension)
             route = "hankel"
         else:
             # a literal block at L = 9 is out of reach; span saturation
             # computes the same rank and the block at L = dim cross-checks
-            reference = oracle.process_dimension(lr)
+            reference = process_dimension(lr)
             route = "span"
             if basis.dim <= 4:
-                assert oracle.hankel_rank(lr, max_len=basis.dim) == basis.dim
+                assert hankel_rank(lr, max_len=basis.dim) == basis.dim
         records.append((lr, basis, reference, route))
     return records
 
@@ -326,8 +332,8 @@ def test_criterion_7_structural_invariants(hmm_results, qrw_results,
     for lr in reps:
         one = lr.prob(())
         assert one == 1, "empty word must have probability 1"
-        fin = oracle.suffix_vector(lr, ())
-        summed = [sum(oracle.suffix_vector(lr, (a,))[i]
+        fin = suffix_vector(lr, ())
+        summed = [sum(suffix_vector(lr, (a,))[i]
                       for a in range(len(lr.alphabet)))
                   for i in range(lr.dimension)]
         assert list(fin) == summed, "per-symbol one-step masses must add up"
@@ -341,12 +347,12 @@ def test_criterion_7_structural_invariants(hmm_results, qrw_results,
         ns = len(lr.alphabet)
         word = tuple(rng.randrange(ns) for _ in range(rng.randint(0, 6)))
         cut = rng.randint(0, len(word))
-        row = oracle.prefix_vector(lr, word[:cut])
+        row = prefix_vector(lr, word[:cut])
         direct = lr.prob(word)
-        col = oracle.suffix_vector(lr, word[cut:])
+        col = suffix_vector(lr, word[cut:])
         assert lr.prob_bilinear(row, None, col) == direct
         if cut < len(word):
-            col = oracle.suffix_vector(lr, word[cut + 1:])
+            col = suffix_vector(lr, word[cut + 1:])
             assert lr.prob_bilinear(row, word[cut], col) == direct
         splits += 1
 
@@ -372,7 +378,7 @@ def _assert_mass_splits(lr, depth: int):
     for _ in range(depth):
         nxt = []
         for row in frontier:
-            children = [oracle.extend_prefix(lr, row, a) for a in range(ns)]
+            children = [lr.extend_prefix(row, a) for a in range(ns)]
             total = sum(lr.prob_bilinear(c, None, lr.fin) for c in children)
             assert total == lr.prob_bilinear(row, None, lr.fin)
             nxt.extend(children)

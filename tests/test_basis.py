@@ -2,13 +2,13 @@ import random
 from fractions import Fraction
 
 from finitary.basis import compute_basis, reduce_rows, row_generator
-from finitary.linalg import dot, rank
-from finitary.oracle import prefix_vector, suffix_vector
+from finitary.linalg import dot
 from finitary.representation import LinearRepresentation, compile_model
 from finitary.scalars import EXACT
 
 import generators as g
 from conftest import corpus_names, load_corpus_model
+from reference import prefix_vector, rank, suffix_vector
 
 F = Fraction
 

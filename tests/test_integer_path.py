@@ -1,7 +1,7 @@
 """The scans run on integer vectors with one rational scale each; these
 properties tie every value they report back to the reference products in
-the model's scalars (``LinearRepresentation.prob`` and ``oracle``'s
-``prefix_vector``/``suffix_vector``)."""
+the model's scalars (``LinearRepresentation.prob`` and the
+reference ``prefix_vector``/``suffix_vector``)."""
 
 import random
 from collections import deque
@@ -15,12 +15,12 @@ from finitary.basis import (Basis, column_basis, compute_basis, reduce_rows,
                             row_generator)
 from finitary.linalg import IndependenceTester, dot
 from finitary.models import HmmModel, PfaModel
-from finitary.oracle import prefix_vector, suffix_vector
 from finitary.representation import (LinearRepresentation, compile_model,
                                      compile_pfa)
 
 import generators as g
 from conftest import step_matrices
+from reference import prefix_vector, suffix_vector
 
 SEEDS = st.integers(0, 2**32 - 1)
 

@@ -13,10 +13,11 @@ from finitary.linalg import (
     dot,
     integral,
     mat_vec,
-    rank,
     vec_mat,
 )
 from finitary.scalars import EXACT, FLOAT
+
+from reference import rank
 
 F = Fraction
 

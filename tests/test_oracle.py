@@ -5,25 +5,23 @@ from fractions import Fraction
 
 import pytest
 
-from finitary import oracle, representation
+from finitary import representation
 from finitary.basis import compute_basis
 from finitary.models import Alphabet, HmmModel
-from finitary.oracle import (
-    BudgetExceededError,
-    brute_equiv,
-    enumerate_probs,
-    extend_prefix,
+from finitary.oracle import BudgetExceededError, brute_equiv, enumerate_probs
+from finitary.representation import LinearRepresentation, compile_model
+from finitary.scalars import FLOAT
+
+import generators as g
+import reference
+from conftest import corpus_names, load_corpus_model
+from reference import (
     extend_suffix,
     hankel_rank,
     prefix_vector,
     process_dimension,
     suffix_vector,
 )
-from finitary.representation import LinearRepresentation, compile_model
-from finitary.scalars import FLOAT
-
-import generators as g
-from conftest import corpus_names, load_corpus_model
 
 F = Fraction
 
@@ -162,7 +160,7 @@ class TestRankOracles:
         def enumerate_all(*args):
             raise AssertionError("words enumerated before the budget check")
 
-        monkeypatch.setattr(oracle, "_all_words", enumerate_all)
+        monkeypatch.setattr(reference, "_all_words", enumerate_all)
         with pytest.raises(BudgetExceededError,
                            match="Hankel block needs at least 49 entries, "
                                  "budget is 10"):
@@ -216,7 +214,7 @@ def test_reference_never_takes_the_scans_steps(monkeypatch):
         p = lr.prob(word)
         row, col = prefix_vector(lr, (0,)), suffix_vector(lr, (1,))
         assert lr.prob_bilinear(row, 1, col) == p
-        assert lr.prob_bilinear(extend_prefix(lr, row, 1), None, col) == p
+        assert lr.prob_bilinear(lr.extend_prefix(row, 1), None, col) == p
         assert lr.prob_bilinear(row, None, extend_suffix(lr, 1, col)) == p
         assert enumerate_probs(lr, 3).entries[word] == p
         assert hankel_rank(lr, lr.dimension) == process_dimension(lr) == dim

@@ -12,7 +12,6 @@ from finitary import models, representation
 from finitary.linalg import gaussian, integral, mat_vec, vec_mat
 from finitary.model_io import parse_model, serialize_model
 from finitary.models import HmmModel, QrwModel, validate
-from finitary.oracle import prefix_vector, suffix_vector
 from finitary.representation import (
     ScaledVector,
     compile_hmm,
@@ -24,6 +23,7 @@ from finitary.scalars import EXACT, FLOAT, ComplexScalar
 
 import generators as g
 from conftest import corpus_names, load_corpus_model, step_matrices
+from reference import prefix_vector, suffix_vector
 
 F = Fraction
 
