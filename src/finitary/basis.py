@@ -13,25 +13,22 @@ rank.  It is found in three steps:
    the column (p(w v)) over the accepted rows is independent.  The number of
    accepted columns is exactly the process dimension.  The column is B f_w,
    with f_w the forward vector of w and B the matrix of accepted backward
-   vectors, so the test takes one of two routes:
-   * full row rank (r = n rows, exact mode): B is invertible, so the
-     columns are independent exactly when the forward vectors are, and the
-     tester judges f_w itself in Q^n.  It accepts the same words, in the
-     same order, and stops at the same point as the other route.
-   * otherwise (r < n, or float mode): the tester judges the r pairings
-     dot(f_w, b_v), one per accepted row.
-3. The rows kept leave a square invertible block, by one rule.  When
-   there are as many columns as rows, every row is kept.  Otherwise the
-   kept rows are the sorted pivot rows of a fresh tester fed the pairings
-   of each accepted column, on either route.  A rejected candidate leaves
-   a tester as it was, so on the pairing route it ends where step 2's
-   tester did, in both modes, and has ``dim`` pivots.  In exact mode a
-   pivot is the first nonzero entry of a reduced column, and each reduced
-   column is zero at the pivots found before it, so the number of pivots
-   up to row i is the rank of rows 0..i of the accepted columns: the
-   pivot rows are exactly the rows independent of their predecessors
-   (``reduce_rows``).  In float mode the pivots come from partial
-   pivoting.
+   vectors, so the tester judges the r pairings dot(f_w, b_v), one per
+   accepted row.  At full row rank (r = n rows, exact mode) B is
+   invertible, so the columns are independent exactly when the forward
+   vectors are, and a first scan judges f_w itself in Q^n.  It accepts the
+   same words, in the same order, as the pairing scan.  When it fills, the
+   block is square; otherwise (a padded model, or states never reached)
+   the pairing scan runs on the same cached vectors.
+3. The rows kept leave a square invertible block.  A square block keeps
+   every row.  Otherwise the kept rows are the sorted pivot rows of the
+   pairing scan's tester, which has one pivot per accepted column.  In
+   exact mode a pivot is the first nonzero entry of a reduced column, and
+   each reduced column is zero at the pivots found before it, so the
+   number of pivots up to row i is the rank of rows 0..i of the accepted
+   columns: the pivot rows are exactly the rows independent of their
+   predecessors (``reduce_rows``).  In float mode the pivots come from
+   partial pivoting.
 
 Candidates are processed first-in-first-out, created in alphabet order.  The
 queue holds (accepted word, symbol) pairs, and a candidate's vector is
@@ -137,33 +134,33 @@ def column_basis(lr: LinearRepresentation, backwards,
     its word, and the indices of the rows kept, in scan order, given the
     row scan's vectors.
 
-    In exact mode with full row rank (as many rows as the representation
-    dimension) the matrix B of backward vectors is invertible, so the
-    tester judges the forward coordinates themselves.  Otherwise it judges
-    column w as dot(forward coords, backward coords) for every row: the
-    values p(w v) up to one nonzero factor per row and one per column,
-    which leaves the independence of columns (and of rows) unchanged.  A
-    square block keeps every row; otherwise the kept rows are the pivot
-    rows of a fresh tester fed the accepted columns' pairings.  The
-    columns are not kept.  A zero empty-word column yields no columns: the
-    series is zero.
+    The tester judges column w as dot(forward coords, backward coords)
+    for every row: the values p(w v) up to one nonzero factor per row and
+    one per column, which leaves the independence of columns (and of rows)
+    unchanged.  A square block keeps every row; otherwise the kept rows are
+    that tester's pivots.  A square block does not read them: in exact
+    mode that would put every screened column through exact elimination
+    (``linalg``).  In exact mode with full row rank (as many rows as the
+    representation dimension) a first scan judges the forward coordinates
+    themselves and answers only when it fills.  A zero empty-word column
+    yields no columns: the series is zero.
     """
     r = len(backwards)
-    full = lr.mode == EXACT and r == lr.dimension
 
-    def pairings(fv: ScaledVector) -> tuple:
-        return tuple(dot(fv.coords, bv.coords) for bv in backwards)
+    def scan(entry):
+        tester = IndependenceTester(r, lr.mode, tolerance)
+        forwards, _ = _scan(tester, lr.scaled_forward, lambda w, a: w + (a,),
+                            entry, len(lr.alphabet))
+        return forwards, tester
 
-    forwards, _ = _scan(IndependenceTester(r, lr.mode, tolerance),
-                        lr.scaled_forward, lambda w, a: w + (a,),
-                        (lambda fv: fv.coords) if full else pairings,
-                        len(lr.alphabet))
-    if len(forwards) == r:
-        return forwards, list(range(r))
-    tester = IndependenceTester(r, lr.mode, tolerance)
-    for fv in forwards:
-        tester.try_insert(pairings(fv))
-    return forwards, sorted(tester.pivots)
+    if lr.mode == EXACT and r == lr.dimension:
+        forwards, _ = scan(lambda fv: fv.coords)
+        if len(forwards) == r:
+            return forwards, list(range(r))
+    forwards, tester = scan(
+        lambda fv: tuple(dot(fv.coords, bv.coords) for bv in backwards))
+    return forwards, (list(range(r)) if len(forwards) == r
+                      else sorted(tester.pivots))
 
 
 def reduce_rows(matrix, mode: str = EXACT,

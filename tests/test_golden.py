@@ -6,18 +6,24 @@ class (file suffix), and of ``basis --format json`` for every corpus file.
 ``golden/equiv_generated.json`` does the same for seeded exact HMMs from
 ``generators`` with 8-12 states, whose bases are larger than any corpus
 file's: each base model against a state-permuted copy, a state-split copy
-and an unrelated model, plus a pair of different sizes.  It stores the model
-files it was recorded on, so it does not depend on the generators staying
-the same.  ``golden/cli_corpus.json`` records the exit code, stdout and stderr
-of every other report in both formats on the corpus: ``dim``, ``prob`` on
-four words with and without ``--decimal``, ``oracle -L 3`` on each file and
-on each pair that ``equiv_corpus.json`` uses, ``validate``, and text-format
+and an unrelated model, plus a pair of different sizes.
+``golden/nonsquare_generated.json`` does the same for seeded exact quantum
+walks (k 3-5) and dense float HMMs (n 12-20) whose process dimension is
+below their row count, so that its ``basis`` reports pin which rows a
+non-square block keeps.  Both store the model files they were recorded on,
+so they do not depend on the generators staying the same.
+``golden/cli_corpus.json`` records the exit code, stdout and stderr of every
+other report in both formats on the corpus: ``dim``, ``prob`` on four words
+with and without ``--decimal``, ``oracle -L 3`` on each file and on each
+pair that ``equiv_corpus.json`` uses, ``validate``, and text-format
 ``equiv`` and ``basis``.  Regenerate a file only when an output change is
 intended:
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden/equiv_corpus.json
     PYTHONPATH=src python tests/test_golden.py generated \
         > tests/golden/equiv_generated.json
+    PYTHONPATH=src python tests/test_golden.py nonsquare \
+        > tests/golden/nonsquare_generated.json
     PYTHONPATH=src python tests/test_golden.py cli > tests/golden/cli_corpus.json
 """
 
@@ -29,8 +35,10 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from finitary.basis import compute_basis, row_generator
 from finitary.cli import main
-from finitary.model_io import serialize_model
+from finitary.model_io import parse_model, serialize_model
+from finitary.representation import compile_model
 
 import generators as g
 
@@ -38,6 +46,7 @@ HERE = pathlib.Path(__file__).resolve().parent
 CORPUS_DIR = HERE.parent / "corpus"
 GOLDEN = HERE / "golden" / "equiv_corpus.json"
 GOLDEN_GENERATED = HERE / "golden" / "equiv_generated.json"
+GOLDEN_NONSQUARE = HERE / "golden" / "nonsquare_generated.json"
 GOLDEN_CLI = HERE / "golden" / "cli_corpus.json"
 
 
@@ -110,17 +119,19 @@ GENERATED_PAIRS += [("hmm10_split", "hmm10"), ("hmm8", "hmm12"),
                     ("hmm12", "hmm8")]
 
 
-def record_generated(models: dict[str, str], directory: pathlib.Path):
-    """The ``equiv``/``basis`` reports on ``models`` (name to file text),
-    written as files into ``directory``."""
+def record_generated(models: dict[str, str], directory: pathlib.Path,
+                     pairs=GENERATED_PAIRS):
+    """The ``equiv`` reports on ``pairs`` and the ``basis`` reports on
+    ``models`` (name to file text), written as files into ``directory``."""
     paths = {}
     for name, text in models.items():
-        paths[name] = directory / f"{name}.hmm"
+        kind = text.partition("\n")[0].removeprefix("kind: ")
+        paths[name] = directory / f"{name}.{kind}"
         paths[name].write_text(text)
     return {
         "models": models,
         "equiv": {f"{x} {y}": _run("equiv", str(paths[x]), str(paths[y]))
-                  for x, y in GENERATED_PAIRS},
+                  for x, y in pairs},
         "basis": {name: _run("basis", str(path))
                   for name, path in paths.items()},
     }
@@ -134,6 +145,55 @@ def golden_generated():
 def test_generated_reports_unchanged(golden_generated, tmp_path):
     assert record_generated(golden_generated["models"], tmp_path) == \
         golden_generated
+
+
+def _nonsquare(model) -> bool:
+    """Whether the basis block drops some of the row scan's rows."""
+    lr = compile_model(model)
+    return compute_basis(lr).dim < len(row_generator(lr)[0])
+
+
+def nonsquare_models() -> dict[str, str]:
+    rng = random.Random(20261019)
+
+    def draw(make):
+        while not _nonsquare(model := make()):
+            pass
+        return model
+
+    models = {}
+    for k, copy in ((3, g.rephase_qrw), (4, g.permute_qrw_block),
+                    (5, g.rephase_qrw)):
+        base = draw(lambda: g.random_qrw(rng, k, 2))
+        models[f"qrw{k}"] = base
+        models[f"qrw{k}_copy"] = copy(rng, base)
+    for n in (12, 16, 20):
+        base = draw(lambda: g.random_dense_float_hmm(rng, n, 2))
+        models[f"float{n}"] = base
+        models[f"float{n}_permuted"] = g.permute_hmm(rng, base)
+    return {name: serialize_model(m) for name, m in models.items()}
+
+
+NONSQUARE_PAIRS = [(f"qrw{k}", f"qrw{k}_copy") for k in (3, 4, 5)]
+NONSQUARE_PAIRS += [(f"float{n}", f"float{n}_permuted") for n in (12, 16, 20)]
+NONSQUARE_PAIRS += [("qrw3", "qrw4"), ("qrw4", "qrw5"),
+                    ("float12", "float16"), ("float16", "float20")]
+NONSQUARE_PAIRS += [(y, x) for x, y in NONSQUARE_PAIRS]
+
+
+@pytest.fixture(scope="module")
+def golden_nonsquare():
+    return json.loads(GOLDEN_NONSQUARE.read_text())
+
+
+def test_nonsquare_models_keep_fewer_rows_than_they_scan(golden_nonsquare):
+    for text in golden_nonsquare["models"].values():
+        assert _nonsquare(parse_model(text))
+
+
+def test_nonsquare_reports_unchanged(golden_nonsquare, tmp_path):
+    assert record_generated(golden_nonsquare["models"], tmp_path,
+                            NONSQUARE_PAIRS) == golden_nonsquare
 
 
 PROB_WORDS = ("", "a", "ab", "z")  # "z" is in no corpus alphabet
@@ -190,11 +250,13 @@ def test_cli_output_unchanged(golden_cli, key):
 if __name__ == "__main__":
     if sys.argv[1:] == ["cli"]:
         result = record_cli()
-    elif sys.argv[1:] == ["generated"]:
+    elif sys.argv[1:] in (["generated"], ["nonsquare"]):
         import tempfile
+        models, pairs = ((generated_models(), GENERATED_PAIRS)
+                         if sys.argv[1] == "generated"
+                         else (nonsquare_models(), NONSQUARE_PAIRS))
         with tempfile.TemporaryDirectory() as scratch:
-            result = record_generated(generated_models(),
-                                      pathlib.Path(scratch))
+            result = record_generated(models, pathlib.Path(scratch), pairs)
     else:
         result = record()
     json.dump(result, sys.stdout, indent=1, sort_keys=True)

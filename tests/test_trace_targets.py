@@ -8,12 +8,14 @@ This test loads that file by path and resolves each target the way it does.
 
 import importlib.util
 import pathlib
+import random
 
 import pytest
 
-from finitary.basis import compute_basis
+from finitary.basis import compute_basis, row_generator
 from finitary.representation import compile_model
 
+import generators as g
 from conftest import load_corpus_model
 
 TRACING = (pathlib.Path(__file__).resolve().parent.parent
@@ -49,3 +51,43 @@ def test_max_bits_reads_a_basis():
     assert tracing._max_bits(basis) >= max(
         max(x.numerator.bit_length(), x.denominator.bit_length())
         for x in entries) > 0
+
+
+def _column_inserts(model) -> tuple[int, int]:
+    """The traced ``try_insert`` calls made inside ``column_basis`` and the
+    column candidates built, on a fresh representation of ``model``.  The
+    row scan builds only backward vectors, so the forward cache holds
+    exactly the column candidates."""
+    lr = compile_model(model)
+    recorder = tracing.Recorder()
+    with recorder.installed():
+        compute_basis(lr)
+    column = {i for i, span in enumerate(recorder.spans)
+              if span[0] == "basis.column_basis"}
+    inserts = sum(span[0] == "linalg.try_insert" and span[3] in column
+                  for span in recorder.spans)
+    return inserts, len(lr._forwards)
+
+
+def _block(model) -> tuple[int, int, int]:
+    """Representation dimension, rows scanned and basis dimension."""
+    lr = compile_model(model)
+    return lr.dimension, len(row_generator(lr)[0]), compute_basis(lr).dim
+
+
+def test_the_column_scan_judges_each_candidate_once():
+    # the traced per-layer counts (basis.col_candidates,
+    # linalg.try_insert_calls) read one insert per column candidate, also
+    # on a block that keeps fewer rows than the row scan found
+    rng = random.Random(22)
+    walks = [g.random_qrw(rng, rng.randint(3, 5), 2) for _ in range(12)]
+    floats = [g.random_dense_float_hmm(rng, rng.randint(12, 20), 2)
+              for _ in range(3)]
+    walks, floats = ([m for m in models if (b := _block(m))[2] < b[1]]
+                     for models in (walks, floats))
+    full = g.random_hmm(rng, 6, 2)
+    assert len(walks) >= 3 and len(floats) == 3
+    assert _block(full) == (6, 6, 6)  # the forward-coordinate scan fills
+    for model in walks + floats + [full]:
+        inserts, candidates = _column_inserts(model)
+        assert inserts == candidates
