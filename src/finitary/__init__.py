@@ -32,7 +32,6 @@ from .model_io import (
 from .oracle import (
     BruteResult,
     BudgetExceededError,
-    ProbTable,
     brute_equiv,
     enumerate_probs,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "ModelValidationError",
     "ONE_STEP_MISMATCH",
     "PfaModel",
-    "ProbTable",
     "QrwModel",
     "brute_equiv",
     "compile_hmm",

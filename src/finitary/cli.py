@@ -21,7 +21,8 @@ import click
 from click.core import ParameterSource
 
 from .basis import compute_basis
-from .equivalence import test_equivalence, test_equivalence_pfa
+# test_equivalence_pfa is unused here; perfbench/tracing.py wraps it
+from .equivalence import test_equivalence, test_equivalence_pfa  # noqa: F401
 from .model_io import ModelSyntaxError, ModelValidationError, parse_model
 from .models import PfaModel
 from .oracle import BudgetExceededError, DEFAULT_BUDGET, brute_equiv, enumerate_probs
@@ -144,11 +145,8 @@ def equiv(model_a, model_b, tolerance, fmt):
     b = _load(model_b, tolerance)
     _check_same_class((a, b))
     try:
-        if isinstance(a, PfaModel):
-            verdict = test_equivalence_pfa(a, b, tolerance)
-        else:
-            verdict = test_equivalence(compile_model(a), compile_model(b),
-                                       tolerance)
+        verdict = test_equivalence(compile_model(a), compile_model(b),
+                                   tolerance)
     except ValueError as exc:
         _fail(str(exc))
     witness_text = (None if verdict.witness is None
@@ -268,13 +266,11 @@ def oracle(model_files, max_len, budget, tolerance, fmt):
         if len(lrs) == 1:
             # shortlex order, as the table is built
             table = enumerate_probs(lrs[0], max_len, budget)
-            entries = {words(w): format_scalar(p)
-                       for w, p in table.entries.items()}
+            entries = {words(w): format_scalar(p) for w, p in table.items()}
             _emit(fmt, {"max_len": max_len, "entries": entries},
                   [f"{w} {p}" for w, p in entries.items()])
             return
-        tol = tolerance if lrs[0].mode == FLOAT else 0.0
-        result = brute_equiv(lrs[0], lrs[1], max_len, tol, budget)
+        result = brute_equiv(lrs[0], lrs[1], max_len, tolerance, budget)
     except (BudgetExceededError, ValueError) as exc:
         _fail(str(exc))
     if result.equal_up_to:

@@ -4,8 +4,9 @@ Everything here enumerates words outright and recomputes products in the
 model's scalars, one ``LinearRepresentation.extend_prefix`` per symbol.  It
 shares with the candidate-driven scans in ``basis`` only each
 representation's stored steps; the scans' integer vector steps
-(``step_forward``, ``step_backward``) are never called.  Exponential in the
-word length by design, so every entry point takes an explicit budget.
+(``scaled_forward``, ``scaled_backward``) are never called.  Exponential
+in the word length by design, so every entry point takes an explicit
+budget.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from .linalg import dot
 from .models import Word
 from .representation import LinearRepresentation
-from .scalars import zero
+from .scalars import scalars_equal, zero
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -39,15 +40,10 @@ def _check_budget(num_symbols: int, max_len: int, budget: int):
             f"budget is {budget}")
 
 
-@dataclass(frozen=True)
-class ProbTable:
-    max_len: int
-    entries: dict
-
-
 def enumerate_probs(lr: LinearRepresentation, max_len: int,
-                    budget: int = DEFAULT_BUDGET) -> ProbTable:
-    """Word probabilities for every word up to ``max_len``.
+                    budget: int = DEFAULT_BUDGET) -> dict:
+    """Word probabilities for every word up to ``max_len``, as a dict from
+    word to probability.
 
     Left-to-right products, one generation of words per length, each
     extending the prefix vectors of the one before; the prefix vector is
@@ -64,7 +60,7 @@ def enumerate_probs(lr: LinearRepresentation, max_len: int,
         generation = [(word + (a,), lr.extend_prefix(row, a))
                       for word, row in generation if len(word) < max_len
                       for a in range(ns)]
-    return ProbTable(max_len, entries)
+    return entries
 
 
 @dataclass(frozen=True)
@@ -79,7 +75,8 @@ def brute_equiv(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
                 budget: int = DEFAULT_BUDGET) -> BruteResult:
     """Compare every word up to ``max_len``; first difference wins, scanning
     x's table in the order it is built: shorter words first and symbols in
-    x's alphabet order.  ``tolerance`` zero means literal equality.  Both
+    x's alphabet order.  Values compare by ``scalars_equal``: literal
+    equality in exact mode, within ``tolerance`` in float mode.  Both
     representations must have the same symbols and the scalar mode, as in
     ``test_equivalence``; words are over x's alphabet."""
     lr_y = lr_y.in_order_of(lr_x.alphabet)
@@ -87,8 +84,8 @@ def brute_equiv(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
         raise ValueError("scalar mode mismatch")
     table_x = enumerate_probs(lr_x, max_len, budget)
     table_y = enumerate_probs(lr_y, max_len, budget)
-    for word, px in table_x.entries.items():
-        py = table_y.entries[word]
-        if (px != py) if tolerance == 0.0 else (abs(px - py) > tolerance):
+    for word, px in table_x.items():
+        py = table_y[word]
+        if not scalars_equal(px, py, lr_x.mode, tolerance):
             return BruteResult(False, word, (px, py))
     return BruteResult(True, None, None)

@@ -28,9 +28,8 @@ only stored form, and one routine, ``_step``, builds it from the rows of
 T[a], each given as a weight times an integer row.  ``compile_hmm`` and
 ``compile_pfa`` read those rows off the model's row laws (see
 ``models``), so in exact mode the ``Fraction``s they build are one scale
-per symbol and the entries of init and fin; ``from_matrices`` makes
-laws of the matrices it is given.  ``compile_qrw`` takes U and psi0 as
-the walk split them once each with ``linalg.gaussian``
+per symbol and the entries of init and fin.  ``compile_qrw`` takes U
+and psi0 as the walk split them once each with ``linalg.gaussian``
 (``QrwModel.split``): ``(re, im)`` pairs, Gaussian integers over one
 denominator in exact mode and the floats themselves in float mode.  It
 builds every coordinate from products of those pairs: T[a] is the square
@@ -46,11 +45,11 @@ coordinates by M, divides out their content and builds one ``Fraction``,
 the new scale.  Float vectors carry scale 1.0.  ``scaled_forward`` and
 ``scaled_backward`` build each word's vector once per representation, with
 one step from the cached vector of the word one symbol shorter, and keep
-it; ``step_forward`` and ``step_backward`` take any vector and cache
-nothing.  ``prob`` and ``prob_bilinear`` instead compute in the
-model's scalars straight from the stored steps and never reduce a vector;
-``extend_prefix`` is that step for a row, ``scale * (row . M)``, and
-``oracle``'s probability tables take it too.
+it; no other route steps a scaled vector.  ``prob`` and
+``prob_bilinear`` instead compute in the model's scalars straight from
+the stored steps and never reduce a vector; ``extend_prefix`` is that step
+for a row, ``scale * (row . M)``, and ``oracle``'s probability tables take
+it too.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from math import lcm
 
 from .linalg import dot, integral, mat_vec, primitive, times_conj, vec_mat
 from .models import HmmModel, Model, PfaModel, QrwModel, Word
-from .scalars import EXACT, one, scalar_law, zero
+from .scalars import EXACT, one, zero
 
 
 @dataclass(frozen=True)
@@ -85,15 +84,6 @@ class LinearRepresentation:
                             compare=False)
     _backwards: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
-
-    @classmethod
-    def from_matrices(cls, alphabet, matrices, init, fin,
-                      mode: str) -> "LinearRepresentation":
-        """The representation with step matrices ``matrices``, one n x n
-        matrix per symbol in alphabet order, with entries of ``mode``."""
-        return cls(alphabet, tuple(
-            _step([_row_parts(scalar_law(row, mode), mode) for row in m],
-                  mode) for m in matrices), init, fin, mode)
 
     def in_order_of(self, alphabet) -> "LinearRepresentation":
         """This representation with its steps in ``alphabet``'s symbol
@@ -129,7 +119,7 @@ class LinearRepresentation:
 
     def scaled_forward(self, word: Word) -> ScaledVector:
         """The forward vector of ``word``, from the cache: a word missing
-        there is built by one ``step_forward`` from ``word[:-1]``."""
+        there is built by one step from the cached vector of ``word[:-1]``."""
         cache = self._forwards
         if () not in cache:
             cache[()] = ScaledVector((), *integral(self.init, self.mode))
@@ -138,13 +128,15 @@ class LinearRepresentation:
             end -= 1
         sv = cache[word[:end]]
         for a in word[end:]:
-            sv = self.step_forward(sv, a)
+            step_scale, m = self.integer_steps[self._symbol(a)]
+            sv = self._scaled(sv.word + (a,), sv.scale, step_scale,
+                              vec_mat(sv.coords, m))
             cache[sv.word] = sv
         return sv
 
     def scaled_backward(self, word: Word) -> ScaledVector:
         """The backward vector of ``word``, from the cache: a word missing
-        there is built by one ``step_backward`` from ``word[1:]``."""
+        there is built by one step from the cached vector of ``word[1:]``."""
         cache = self._backwards
         if () not in cache:
             cache[()] = ScaledVector((), *integral(self.fin, self.mode))
@@ -153,21 +145,11 @@ class LinearRepresentation:
             start += 1
         sv = cache[word[start:]]
         for a in reversed(word[:start]):
-            sv = self.step_backward(a, sv)
+            step_scale, m = self.integer_steps[self._symbol(a)]
+            sv = self._scaled((a,) + sv.word, sv.scale, step_scale,
+                              mat_vec(m, sv.coords))
             cache[sv.word] = sv
         return sv
-
-    def step_forward(self, sv: ScaledVector, a: int) -> ScaledVector:
-        self._check(sv.coords)
-        step_scale, m = self.integer_steps[self._symbol(a)]
-        return self._scaled(sv.word + (a,), sv.scale, step_scale,
-                            vec_mat(sv.coords, m))
-
-    def step_backward(self, a: int, sv: ScaledVector) -> ScaledVector:
-        self._check(sv.coords)
-        step_scale, m = self.integer_steps[self._symbol(a)]
-        return self._scaled((a,) + sv.word, sv.scale, step_scale,
-                            mat_vec(m, sv.coords))
 
     def _scaled(self, word: Word, scale, step_scale, product) -> ScaledVector:
         """``scale * step_scale * product`` with ``product`` made coprime."""

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from finitary.model_io import parse_model
-from finitary.representation import LinearRepresentation
-from finitary.scalars import EXACT
+from finitary.representation import LinearRepresentation, _row_parts, _step
+from finitary.scalars import EXACT, scalar_law
 
 import criteria
 
@@ -26,10 +26,20 @@ def step_matrices(lr) -> tuple:
                  for scale, m in lr.integer_steps)
 
 
+def from_matrices(alphabet, matrices, init, fin,
+                  mode: str) -> LinearRepresentation:
+    """The representation with step matrices ``matrices``, one n x n
+    matrix per symbol in alphabet order, with entries of ``mode``: each
+    row is read as a law and stored as the compilers store theirs."""
+    return LinearRepresentation(alphabet, tuple(
+        _step([_row_parts(scalar_law(row, mode), mode) for row in m], mode)
+        for m in matrices), init, fin, mode)
+
+
 def exact_copy(lr):
     """A float representation read exactly: every float is a dyadic
     rational, and each entry becomes ``Fraction(x)``."""
-    return LinearRepresentation.from_matrices(
+    return from_matrices(
         lr.alphabet, [[[Fraction(x) for x in row] for row in m]
                       for m in step_matrices(lr)],
         tuple(map(Fraction, lr.init)), tuple(map(Fraction, lr.fin)), EXACT)

@@ -8,7 +8,7 @@ generations of prefix and suffix products until one adds nothing to the span.
 They recompute products with plain loops in the model's scalars, reading each
 representation's stored steps ``(scale, M)`` as T[a] = scale * M, and share
 with the scans only ``IndependenceTester``; the scans' integer vector steps
-(``step_forward``, ``step_backward``) are never called.
+(``scaled_forward``, ``scaled_backward``) are never called.
 """
 
 import itertools

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 from finitary.basis import compute_basis, reduce_rows, row_generator
 from finitary.linalg import dot
-from finitary.representation import LinearRepresentation, compile_model
+from finitary.representation import compile_model
 from finitary.scalars import EXACT
 
 import generators as g
-from conftest import corpus_names, load_corpus_model
+from conftest import corpus_names, from_matrices, load_corpus_model
 from reference import prefix_vector, rank, suffix_vector
 
 F = Fraction
@@ -46,8 +46,8 @@ class TestRowGenerator:
     def test_zero_fin_rejected(self):
         # the row scan rejects a zero final vector and the basis is empty:
         # the zero series, e.g. of an automaton that never stops, has dim 0
-        lr = LinearRepresentation.from_matrices(
-            g.alphabet(1), (((F(1),),),), (F(1),), (F(0),), EXACT)
+        lr = from_matrices(g.alphabet(1), (((F(1),),),), (F(1),), (F(0),),
+                           EXACT)
         assert row_generator(lr) == ([], 0)
         basis = compute_basis(lr)
         assert basis.dim == 0
@@ -55,7 +55,7 @@ class TestRowGenerator:
 
     def test_unreachable_fin_gives_dim_zero(self):
         # final weight only on a state the initial vector never reaches
-        lr = LinearRepresentation.from_matrices(
+        lr = from_matrices(
             g.alphabet(1), (((F(1), F(0)), (F(0), F(1))),),
             (F(1), F(0)), (F(0), F(1)), EXACT)
         assert compute_basis(lr).dim == 0

@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,7 +23,8 @@ from finitary.representation import (LinearRepresentation, compile_model,
 from finitary.scalars import EXACT, FLOAT, scalars_equal
 
 import generators as g
-from conftest import corpus_names, exact_copy, load_corpus_model
+from conftest import (corpus_names, exact_copy, from_matrices,
+                      load_corpus_model)
 
 F = Fraction
 
@@ -167,10 +167,8 @@ class TestReasonClassification:
         t_b_y = rows("1 0 -1; -1/3 -7/6 -1/3; -2 2 -1/2")
         t_c_y = rows("0 -1/3 -3/2; 3/2 -1 -1/2; 3/2 -3 2/3")
         init, fin = (F(1), F(0), F(0)), (F(-1), F(0), F(-1))
-        x = LinearRepresentation.from_matrices(ab, (t_a, t_b, t_c), init,
-                                               fin, EXACT)
-        y = LinearRepresentation.from_matrices(ab, (t_a, t_b_y, t_c_y), init,
-                                               fin, EXACT)
+        x = from_matrices(ab, (t_a, t_b, t_c), init, fin, EXACT)
+        y = from_matrices(ab, (t_a, t_b_y, t_c_y), init, fin, EXACT)
         v = equivalence.test_equivalence(x, y)
         assert (v.equivalent, v.reason, v.dim_x, v.dim_y) == \
             (False, ONE_STEP_MISMATCH, 3, 3)
@@ -210,19 +208,23 @@ def test_each_vector_is_stepped_once(monkeypatch, kind):
     else:
         pfa = g.random_pfa(rng, 5, 2)
         x, y = compile_pfa(pfa), compile_pfa(g.permute_pfa(rng, pfa))
-    built = Counter()
-    for name in ("step_forward", "step_backward"):
-        def counting(self, *args, step=getattr(LinearRepresentation, name),
-                     name=name):
-            sv = step(self, *args)
-            built[name, id(self), sv.word] += 1
-            return sv
-        monkeypatch.setattr(LinearRepresentation, name, counting)
+    built = []
+    scaled = LinearRepresentation._scaled
+
+    def counting(self, *args):
+        built.append(1)
+        return scaled(self, *args)
+
+    monkeypatch.setattr(LinearRepresentation, "_scaled", counting)
     v = equivalence.test_equivalence(x, y)
     monkeypatch.undo()
     assert v.equivalent and v.dim_x == v.dim_y > 1
-    assert len(built) > 4 * v.dim_x
-    assert set(built.values()) == {1}
+    # every vector but the two roots of a cache is one step, and each step
+    # lands in its cache: a second build of a word would count twice
+    cached = sum(len(cache) - 1 for lr in (x, y)
+                 for cache in (lr._forwards, lr._backwards))
+    assert cached > 4 * v.dim_x
+    assert len(built) == cached
 
 
 def test_each_word_is_compared_once(monkeypatch):
@@ -298,8 +300,7 @@ def _redrawn_last_step(rng):
     steps = [matrix() for _ in range(3)]
     init = tuple(entry() for _ in range(n))
     fin = tuple(entry() for _ in range(n))
-    return [LinearRepresentation.from_matrices(g.alphabet(3), m, init, fin,
-                                               EXACT)
+    return [from_matrices(g.alphabet(3), m, init, fin, EXACT)
             for m in (steps, steps[:2] + [matrix()])]
 
 

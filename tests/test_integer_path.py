@@ -15,11 +15,10 @@ from finitary.basis import (Basis, column_basis, compute_basis, reduce_rows,
                             row_generator)
 from finitary.linalg import IndependenceTester, dot
 from finitary.models import HmmModel, PfaModel
-from finitary.representation import (LinearRepresentation, compile_model,
-                                     compile_pfa)
+from finitary.representation import compile_model, compile_pfa
 
 import generators as g
-from conftest import step_matrices
+from conftest import from_matrices, step_matrices
 from reference import prefix_vector, suffix_vector
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -63,9 +62,8 @@ def padded_hmm_lr(rng):
                      + tuple(pad_b + row for row in mb)
                      for ma, mb in zip(step_matrices(reachable),
                                        step_matrices(hidden)))
-    return LinearRepresentation.from_matrices(
-        reachable.alphabet, matrices, reachable.init + pad_a,
-        reachable.fin + hidden.fin, reachable.mode)
+    return from_matrices(reachable.alphabet, matrices, reachable.init + pad_a,
+                         reachable.fin + hidden.fin, reachable.mode)
 
 
 def split_hmm_lr(rng):
@@ -184,11 +182,11 @@ def reference_basis(lr) -> Basis:
     symbols = range(len(lr.alphabet))
     rows, row_values, iterations = reference_scan(
         lr.scaled_backward(()),
-        lambda bv: [lr.step_backward(a, bv) for a in symbols],
+        lambda bv: [lr.scaled_backward((a,) + bv.word) for a in symbols],
         lambda bv: suffix_vector(lr, bv.word))
     cols, col_values, _ = reference_scan(
         lr.scaled_forward(()),
-        lambda fv: [lr.step_forward(fv, a) for a in symbols],
+        lambda fv: [lr.scaled_forward(fv.word + (a,)) for a in symbols],
         lambda fv: [dot(prefix_vector(lr, fv.word), b) for b in row_values])
     kept = []  # rows independent of their predecessors in p(w v)
     for i in range(len(rows)):
@@ -279,8 +277,7 @@ def pairing_basis(lr) -> Basis:
     queue = deque([(None, None)])
     while queue and tester.rank < tester.dimension:
         parent, a = queue.popleft()
-        fv = (lr.scaled_forward(()) if parent is None
-              else lr.step_forward(parent, a))
+        fv = lr.scaled_forward(() if parent is None else parent.word + (a,))
         if tester.try_insert([dot(fv.coords, bv.coords) for bv in backwards]):
             forwards.append(fv)
             queue.extend((fv, a) for a in range(len(lr.alphabet)))

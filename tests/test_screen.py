@@ -16,11 +16,11 @@ from finitary import linalg
 from finitary.basis import column_basis, compute_basis, row_generator
 from finitary.equivalence import test_equivalence as decide
 from finitary.linalg import IndependenceTester
-from finitary.representation import (LinearRepresentation, compile_model,
-                                     compile_pfa)
+from finitary.representation import compile_model, compile_pfa
 from finitary.scalars import EXACT
 
 import generators as g
+from conftest import from_matrices
 from test_integer_path import padded_hmm_lr
 
 UNLUCKY = (2, 3, 101)
@@ -238,7 +238,7 @@ def test_a_refused_certificate_falls_back_to_exact_confirmation():
     # of e3, so the one integer check refuses the certificate and the exact
     # reduction accepts e1 + p e3, as the exact-only scan does
     p = 101
-    lr = LinearRepresentation.from_matrices(
+    lr = from_matrices(
         g.alphabet(1), [((0, 1, 0), (1, 0, 0), (0, p, 1))], (1, 0, 0),
         (1, 0, 0), EXACT)
     reference = (row_generator(lr), compute_basis(lr))
