@@ -31,10 +31,11 @@ rank.  It is found in three steps:
    partial pivoting.
 
 Candidates are processed first-in-first-out, created in alphabet order.  The
-queue holds (accepted word, symbol) pairs, and a candidate's vector is
-asked of the representation by word only when the candidate is popped; a
-word's vector is built once, with one matrix-vector product from its
-parent's, and the I/J check in ``equivalence`` reads the same vectors.
+queue holds the root first, then (accepted word, symbol) pairs, and a
+candidate's vector is asked of the representation by word only when the
+candidate is popped; a word's vector is built once, with one matrix-vector
+product from its parent's, and the I/J check in ``equivalence`` reads the
+same vectors.
 A scan stops as soon as its tester is full, so every candidate still queued
 would be rejected: n independent vectors span all of Q^n (for the column
 scan, n is the number of accepted rows), or, in exact mode, the row scan
@@ -52,9 +53,9 @@ with about half their bits.  The tester screens each test on residues mod
 a word-size prime and confirms only rejections on the integers
 (``linalg``), so a scan that fills without a late rejection does almost no
 exact elimination.  ``Basis`` keeps only the
-words and the scans' scaled vectors: the block is not stored, and each of
-its true values, scale_w * scale_v * dot, is built from one column vector
-and one row vector when first read.
+scans' scaled vectors, which carry their words: the block is not stored,
+and each of its true values, scale_w * scale_v * dot, is built from one
+column vector and one row vector when first read.
 """
 
 from __future__ import annotations
@@ -71,12 +72,21 @@ from .scalars import DEFAULT_TOLERANCE, EXACT
 
 @dataclass(frozen=True)
 class Basis:
-    row_words: tuple[Word, ...]
-    col_words: tuple[Word, ...]
     backwards: tuple[ScaledVector, ...]  # scan vector of each row word
     forwards: tuple[ScaledVector, ...]  # scan vector of each column word
-    dim: int
     row_iterations: int  # candidates decided by the row scan
+
+    @property
+    def row_words(self) -> tuple[Word, ...]:
+        return tuple(bv.word for bv in self.backwards)
+
+    @property
+    def col_words(self) -> tuple[Word, ...]:
+        return tuple(fv.word for fv in self.forwards)
+
+    @property
+    def dim(self) -> int:
+        return len(self.forwards)
 
     @cached_property
     def matrix(self) -> tuple:
@@ -96,15 +106,13 @@ def _scan(tester: IndependenceTester, vector, extend, entry,
     the tester judges.  Once the tester is full the queued candidates are
     counted as decided (rejected) without being built.
     """
-    root = vector(())
-    if not tester.try_insert(entry(root)):
-        return [], 0
-    accepted = [root]
-    queue = deque(((), a) for a in range(num_symbols))
-    decided = 0
+    accepted = []
+    queue = deque([None])  # the root, which has no parent
+    decided = -1  # the root is not counted
     while queue and not tester.full:
         decided += 1
-        candidate = vector(extend(*queue.popleft()))
+        queued = queue.popleft()
+        candidate = vector(() if queued is None else extend(*queued))
         if tester.try_insert(entry(candidate)):
             accepted.append(candidate)
             queue.extend((candidate.word, a) for a in range(num_symbols))
@@ -182,11 +190,4 @@ def compute_basis(lr: LinearRepresentation,
     backwards, iterations = row_generator(lr, tolerance)
     forwards, keep = column_basis(lr, backwards, tolerance)
     kept = tuple(backwards[i] for i in keep)
-    return Basis(
-        row_words=tuple(bv.word for bv in kept),
-        col_words=tuple(fv.word for fv in forwards),
-        backwards=kept,
-        forwards=tuple(forwards),
-        dim=len(forwards),
-        row_iterations=iterations,
-    )
+    return Basis(kept, tuple(forwards), iterations)

@@ -25,15 +25,15 @@ acceptance probabilities differ.
 
 Every compared value is a product of scaled vectors, p = s * i with a
 rational scale s and, in exact mode, an integer dot product i of coprime
-coordinates, dot(forward coords, backward coords) on both sides.  The
-big basis contributes only its words: every vector compared, on either
-side, is read by word from its representation's vector cache, so a word
-either scan already built is not built again.  Two values are compared
-without forming either: s * i == t * j is tested as
-s.num * t.den * i == t.num * s.den * j, all integers, with those factors
-taken once per row word and once per column word.  ``Fraction`` values are
-built only for a witness's ``details``.  In float mode the scales are 1.0
-and the values themselves are compared within the tolerance.
+coordinates, dot(forward coords, backward coords) on both sides.  The big
+basis contributes only its words: every vector compared, on either side, is
+read by word from its representation's vector cache, so a word either scan
+already built is not built again.  Two values are compared without forming
+either: s * i == t * j is tested as s.num * t.den * i == t.num * s.den * j,
+with those factors taken once per row word and once per column word.
+``Fraction`` values are built only for a witness's ``details``.  In float
+mode the scales are 1.0, so the factors are 1 and the dot products are
+compared within the tolerance.
 """
 
 from __future__ import annotations
@@ -97,15 +97,13 @@ def test_equivalence(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
                                   basis_x.dim, basis_y.dim, lr_x.alphabet,
                                   mode, reported_tol)
 
-    exact = mode != FLOAT
-
     def factors(s, t):
         """(f, g) with s * i == t * j iff f * i == g * j."""
-        return ((s.numerator * t.denominator, t.numerator * s.denominator)
-                if exact else (1, 1))
+        (a, b), (c, d) = s.as_integer_ratio(), t.as_integer_ratio()
+        return a * d, c * b
 
     def same(f, i, g, j):
-        return f * i == g * j if exact else scalars_equal(i, j, mode, tolerance)
+        return scalars_equal(f * i, g * j, mode, tolerance)
 
     def paired(word, scaled_big, scaled_small):
         """(big vector, small vector, factors) of a word."""

@@ -37,15 +37,15 @@ late rejection exactly.  Given the scan's generators, a zero remainder at
 rank k of n first tries a span certificate, once per rank and only when
 (n - k) * n <= k * k, as it costs about (n - k) * |A| * n * n word-size
 operations.  The free-column basis Z of the null space of the residue
-echelon is lifted by rational reconstruction (bound sqrt(PRIME / 2);
-ibid.) and checked once, in integers: it must kill the root and be mapped
-into its own span by every step.  A lifted entry a / b has a = b x mod
-``PRIME`` with b < ``PRIME``, so the integer Z is the residue Z times a
-unit, and a check mod ``PRIME`` would refuse nothing more.  The lifted Z
-is the identity on its free columns, so its null space has dimension k;
-holding the root and closed under the steps, it holds every vector of the
-scan, and the k accepted vectors, independent over Q, span it.  The
-tester is then full, for any prime; otherwise the rejection is confirmed.
+echelon is lifted by rational reconstruction (bound sqrt(PRIME / 2); ibid.)
+to integer pairs (a, b), a = b x mod ``PRIME`` with 0 < b < ``PRIME``,
+scaled by the lcm of the b and checked once, in integers: it must kill the
+root and be mapped into its own span by every step.  The integer Z is the
+residue Z times a unit, so a check mod ``PRIME`` would refuse nothing more.
+The lifted Z is the identity on its free columns, so its null space has
+dimension k; holding the root and closed under the steps, it holds every
+vector of the scan, and the k accepted vectors, independent over Q, span
+it.  The tester is then full, for any prime; else the rejection is confirmed.
 
 The exact echelon is fraction-free: each step cross-multiplies the
 candidate with a stored row and then divides out the candidate's content
@@ -152,13 +152,14 @@ def _annihilator(rows, pivots, dimension: int):
 
 
 def _rational(x: int):
-    """a / b with a = b x mod ``PRIME``, |a|, b <= sqrt(PRIME / 2), or None."""
+    """(a, b), b > 0, with a = b x mod ``PRIME``, |a|, b <= sqrt(PRIME / 2)."""
     bound = isqrt(PRIME // 2)
     r0, r1, s0, s1 = PRIME, x, 0, 1
     while r1 > bound:
         q = r0 // r1
         r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-    return Fraction(r1, s1) if abs(s1) <= bound else None
+    if abs(s1) <= bound:  # otherwise there is no such pair: None
+        return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
 def _closed(free, kernel, scale: int, root, steps) -> bool:
@@ -178,9 +179,8 @@ def _certified(rows, pivots, dimension: int, root, steps) -> bool:
     lifted = [[_rational(x) for x in z] for z in kernel]
     if any(None in z for z in lifted):
         return False
-    scale = lcm(*(x.denominator for z in lifted for x in z))
-    kernel = [[x.numerator * (scale // x.denominator) for x in z]
-              for z in lifted]
+    scale = lcm(*(b for z in lifted for _, b in z))
+    kernel = [[a * (scale // b) for a, b in z] for z in lifted]
     return _closed(free, kernel, scale, root, steps)
 
 

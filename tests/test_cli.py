@@ -136,6 +136,24 @@ class TestEquiv:
         assert loose.exit_code == 0
         assert loose.stdout == "equivalent within tolerance 0.001\ndim: 1\n"
 
+    def test_float_values_at_the_tolerance_are_equal(self, runner, tmp_path):
+        # |0.5 - 0.75| is exactly 0.25: a float difference up to the
+        # tolerance, inclusive, is no difference
+        a = tmp_path / "a.hmm"
+        b = tmp_path / "b.hmm"
+        a.write_text(FLOAT_COIN)
+        b.write_text(FLOAT_COIN.replace("0.5 0.5", "0.75 0.25"))
+        at = runner.invoke(main, ["equiv", str(a), str(b),
+                                  "--tolerance", "0.25"])
+        assert at.exit_code == 0
+        assert at.stdout == "equivalent within tolerance 0.25\ndim: 1\n"
+        below = runner.invoke(main, ["equiv", str(a), str(b),
+                                     "--tolerance", "0.2499999"])
+        assert below.exit_code == 1
+        assert below.stdout == ("not equivalent: one-step-mismatch\n"
+                                "dims: 1 vs 1\nwitness: a\n"
+                                "left:  0.5\nright: 0.75\n")
+
     def test_tolerance_env_var(self, runner, tmp_path):
         a = tmp_path / "a.hmm"
         b = tmp_path / "b.hmm"

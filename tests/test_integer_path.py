@@ -193,14 +193,7 @@ def reference_basis(lr) -> Basis:
         block = [[column[k] for column in col_values] for k in kept + [i]]
         if fraction_rank(block) > len(kept):
             kept.append(i)
-    return Basis(
-        row_words=tuple(rows[i].word for i in kept),
-        col_words=tuple(fv.word for fv in cols),
-        backwards=tuple(rows[i] for i in kept),
-        forwards=tuple(cols),
-        dim=len(cols),
-        row_iterations=iterations,
-    )
+    return Basis(tuple(rows[i] for i in kept), tuple(cols), iterations)
 
 
 def reference_verdict(lr_x, lr_y, basis_x, basis_y) -> tuple:
@@ -282,14 +275,8 @@ def pairing_basis(lr) -> Basis:
             forwards.append(fv)
             queue.extend((fv, a) for a in range(len(lr.alphabet)))
     keep = sorted(tester.pivots)
-    return Basis(
-        row_words=tuple(backwards[i].word for i in keep),
-        col_words=tuple(fv.word for fv in forwards),
-        backwards=tuple(backwards[i] for i in keep),
-        forwards=tuple(forwards),
-        dim=len(forwards),
-        row_iterations=iterations,
-    )
+    return Basis(tuple(backwards[i] for i in keep), tuple(forwards),
+                 iterations)
 
 
 def test_full_row_rank_forward_route_equals_the_pairing_scan():

@@ -9,7 +9,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from finitary import linalg
@@ -24,6 +24,7 @@ from conftest import from_matrices
 from test_integer_path import padded_hmm_lr
 
 UNLUCKY = (2, 3, 101)
+BOUND = math.isqrt(linalg.PRIME // 2)  # of rational reconstruction
 
 
 def _model_pairs(rng):
@@ -263,6 +264,30 @@ def test_a_refused_certificate_falls_back_to_exact_confirmation():
     assert [bv.word for bv in reference[0][0]] == [(), (0,), (0, 0)]
 
 
+@given(st.integers(-BOUND, BOUND), st.integers(1, BOUND))
+def test_the_lift_recovers_every_pair_within_the_bound(a, b):
+    # a / b in lowest terms with |a|, b <= sqrt(PRIME / 2) is the only
+    # such pair with residue a / b mod PRIME
+    assume(math.gcd(a, b) == 1)
+    x = a * pow(b, -1, linalg.PRIME) % linalg.PRIME
+    assert linalg._rational(x) == (a, b)
+
+
+def test_the_lift_is_an_integer_pair_within_the_bound_or_none():
+    rng = random.Random(24)
+    prime = linalg.PRIME
+    residues = [0, 1, prime - 1] + [rng.randrange(prime) for _ in range(2000)]
+    lifted = [(x, linalg._rational(x)) for x in residues]
+    for x, pair in lifted:
+        if pair is not None:
+            a, b = pair
+            assert type(a) is int and type(b) is int
+            assert 0 < b <= BOUND and abs(a) <= BOUND
+            assert (a - b * x) % prime == 0
+    assert lifted[:3] == [(0, (0, 1)), (1, (1, 1)), (prime - 1, (-1, 1))]
+    assert any(pair is None for _, pair in lifted)
+
+
 def _two_pass_closed(free, kernel, scale, root, steps, zero):
     """``linalg._closed`` with ``zero`` deciding each residual."""
     images = (linalg.vec_mat(z, m) for m in steps for z in kernel)
@@ -284,9 +309,8 @@ def _two_pass_certified(rows, pivots, dimension, root, steps):
     lifted = [[linalg._rational(x) for x in z] for z in kernel]
     if any(None in z for z in lifted):
         return False
-    scale = math.lcm(*(x.denominator for z in lifted for x in z))
-    kernel = [[x.numerator * (scale // x.denominator) for x in z]
-              for z in lifted]
+    scale = math.lcm(*(b for z in lifted for _, b in z))
+    kernel = [[a * (scale // b) for a, b in z] for z in lifted]
     return _two_pass_closed(free, kernel, scale, root, steps,
                             lambda x: x == 0)
 
