@@ -31,18 +31,18 @@ rank.  It is found in three steps:
    partial pivoting.
 
 Candidates are processed first-in-first-out, created in alphabet order.  The
-queue holds the root first, then (accepted word, symbol) pairs, and a
-candidate's vector is asked of the representation by word only when the
-candidate is popped; a word's vector is built once, with one matrix-vector
-product from its parent's, and the I/J check in ``equivalence`` reads the
-same vectors.
+queue holds words: the empty word first, then the |alphabet| children of
+each accepted word.  A candidate's vector is asked of the representation
+by word only when the candidate is popped; a word's vector is built once,
+with one matrix-vector product from its parent's, and the I/J check in
+``equivalence`` reads the same vectors.
 A scan stops as soon as its tester is full, so every candidate still queued
 would be rejected: n independent vectors span all of Q^n (for the column
 scan, n is the number of accepted rows), or, in exact mode, the row scan
 has certified that its vectors span all it can reach (``linalg``), which
-stops a row scan that never fills.  The row scan still counts those
-candidates in ``row_iterations``, the number of candidates an exhaustive
-scan decides: at most |alphabet| times the representation dimension.
+stops a row scan that never fills.  Each accepted word queues |alphabet|
+candidates, so ``row_iterations``, |alphabet| times the rows found, counts
+the candidates an exhaustive row scan decides, those still queued too.
 
 The scans carry each vector as ``scale * coords`` (``ScaledVector``); in
 exact mode the coordinates are coprime integers.  Step 2's pairings are
@@ -64,7 +64,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .linalg import IndependenceTester, dot
+from .linalg import IndependenceTester, dot, integral
 from .models import Word
 from .representation import LinearRepresentation, ScaledVector
 from .scalars import DEFAULT_TOLERANCE, EXACT
@@ -74,7 +74,7 @@ from .scalars import DEFAULT_TOLERANCE, EXACT
 class Basis:
     backwards: tuple[ScaledVector, ...]  # scan vector of each row word
     forwards: tuple[ScaledVector, ...]  # scan vector of each column word
-    row_iterations: int  # candidates decided by the row scan
+    row_iterations: int  # |alphabet| * rows found by the row scan
 
     @property
     def row_words(self) -> tuple[Word, ...]:
@@ -97,32 +97,28 @@ class Basis:
 
 
 def _scan(tester: IndependenceTester, vector, extend, entry,
-          num_symbols: int):
-    """Breadth-first scan from the empty word: the accepted vectors and the
-    number of candidates decided after the root.
+          num_symbols: int) -> list:
+    """Breadth-first scan from the empty word: the accepted vectors.
 
     ``vector(word)`` is the representation's cached vector of a word,
     ``extend(word, a)`` a child candidate's word and ``entry(vector)`` what
-    the tester judges.  Once the tester is full the queued candidates are
-    counted as decided (rejected) without being built.
+    the tester judges.  The scan stops once the tester is full; the
+    candidates still queued are never built.
     """
     accepted = []
-    queue = deque([None])  # the root, which has no parent
-    decided = -1  # the root is not counted
+    queue = deque([()])
     while queue and not tester.full:
-        decided += 1
-        queued = queue.popleft()
-        candidate = vector(() if queued is None else extend(*queued))
+        candidate = vector(queue.popleft())
         if tester.try_insert(entry(candidate)):
             accepted.append(candidate)
-            queue.extend((candidate.word, a) for a in range(num_symbols))
-    return accepted, decided + len(queue)
+            queue.extend(extend(candidate.word, a) for a in range(num_symbols))
+    return accepted
 
 
 def row_generator(lr: LinearRepresentation,
-                  tolerance: float = DEFAULT_TOLERANCE):
+                  tolerance: float = DEFAULT_TOLERANCE) -> list:
     """Scaled backward vectors of the accepted row words, each carrying its
-    word, plus the candidate count.
+    word.
 
     A zero final vector yields no rows: the series is zero.
     """
@@ -157,8 +153,8 @@ def column_basis(lr: LinearRepresentation, backwards,
 
     def scan(entry):
         tester = IndependenceTester(r, lr.mode, tolerance)
-        forwards, _ = _scan(tester, lr.scaled_forward, lambda w, a: w + (a,),
-                            entry, len(lr.alphabet))
+        forwards = _scan(tester, lr.scaled_forward, lambda w, a: w + (a,),
+                         entry, len(lr.alphabet))
         return forwards, tester
 
     if lr.mode == EXACT and r == lr.dimension:
@@ -177,17 +173,19 @@ def reduce_rows(matrix, mode: str = EXACT,
 
     In exact mode these are the rows ``column_basis`` keeps.  The library
     does not call it: the tests use it as their reference for the kept
-    rows, and ``perfbench/tracing.py`` wraps it.
+    rows, and ``perfbench/tracing.py`` wraps it.  Each row is split by
+    ``integral``, so its entries may be ``Fraction``.
     """
     if not matrix:
         return []
     tester = IndependenceTester(len(matrix[0]), mode, tolerance)
-    return [i for i, row in enumerate(matrix) if tester.try_insert(row)]
+    return [i for i, row in enumerate(matrix)
+            if tester.try_insert(integral(row, mode)[1])]
 
 
 def compute_basis(lr: LinearRepresentation,
                   tolerance: float = DEFAULT_TOLERANCE) -> Basis:
-    backwards, iterations = row_generator(lr, tolerance)
+    backwards = row_generator(lr, tolerance)
     forwards, keep = column_basis(lr, backwards, tolerance)
     kept = tuple(backwards[i] for i in keep)
-    return Basis(kept, tuple(forwards), iterations)
+    return Basis(kept, tuple(forwards), len(lr.alphabet) * len(backwards))

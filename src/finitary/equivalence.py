@@ -26,11 +26,12 @@ acceptance probabilities differ.
 Every compared value is a product of scaled vectors, p = s * i with a
 rational scale s and, in exact mode, an integer dot product i of coprime
 coordinates, dot(forward coords, backward coords) on both sides.  The big
-basis contributes only its words: every vector compared, on either side, is
-read by word from its representation's vector cache, so a word either scan
-already built is not built again.  Two values are compared without forming
-either: s * i == t * j is tested as s.num * t.den * i == t.num * s.den * j,
-with those factors taken once per row word and once per column word.
+basis contributes only its words: every vector compared, column or row, on
+either side, is read by word from its representation's vector cache when
+first compared, so a word either scan already built is not built again.
+Two values are compared without forming either: s * i == t * j is tested
+as s.num * t.den * i == t.num * s.den * j, with those factors taken once
+per row word and once per column word and pass.
 ``Fraction`` values are built only for a witness's ``details``.  In float
 mode the scales are 1.0, so the factors are 1 and the dot products are
 compared within the tolerance.
@@ -110,8 +111,6 @@ def test_equivalence(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
         vb, vs = scaled_big(word), scaled_small(word)
         return vb, vs, factors(vb.scale, vs.scale)
 
-    cols = [(w, *paired(w, lr_big.scaled_forward, lr_small.scaled_forward))
-            for w in big.col_words]
     rows = {}  # m v -> paired backward vectors, built when first compared
     compared = set()  # every word w m v compared so far, by either pass
 
@@ -122,7 +121,9 @@ def test_equivalence(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
         was equal (in float mode, at that split), or the check would have
         returned."""
         mvs = [(m, m + v) for m in middles for v in big.row_words]
-        for w, fb, fs, (cf_big, cf_small) in cols:
+        for w in big.col_words:
+            fb, fs, (cf_big, cf_small) = paired(
+                w, lr_big.scaled_forward, lr_small.scaled_forward)
             for m, mv in mvs:
                 word = w + mv
                 if word in compared:

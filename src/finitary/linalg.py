@@ -192,9 +192,10 @@ class IndependenceTester:
     candidate.  Pivots are distinct, so at most ``dimension`` vectors are
     accepted; a full tester rejects every candidate without reducing it.
 
-    In exact mode a candidate the screen accepts waits in ``_pending``
-    until the exact echelon is needed (module docstring).  ``generators``
-    is ``(root, steps)`` when every candidate is the column vector ``root``
+    In exact mode a candidate is an integer vector (``integral`` splits a
+    rational one), and one the screen accepts waits in ``_pending`` until
+    the exact echelon is needed (module docstring).  ``generators`` is
+    ``(root, steps)`` when every candidate is the column vector ``root``
     times integer matrices in ``steps`` on the left, M v, which a row z
     kills exactly when z M kills v.  A span certificate can then make the
     tester full early.
@@ -293,8 +294,6 @@ class IndependenceTester:
             self._insert_exact(vector)
 
     def _try_exact(self, vector) -> bool:
-        if not all(type(x) is int for x in vector):
-            vector = integral(vector, EXACT)[1]
         if not self._screen:
             return self._insert_exact(vector)
         if self._screened(vector):

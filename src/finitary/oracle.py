@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .linalg import dot
 from .models import Word
 from .representation import LinearRepresentation
-from .scalars import scalars_equal, zero
+from .scalars import DEFAULT_TOLERANCE, scalars_equal, zero
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -71,7 +71,7 @@ class BruteResult:
 
 
 def brute_equiv(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
-                max_len: int, tolerance: float = 0.0,
+                max_len: int, tolerance: float = DEFAULT_TOLERANCE,
                 budget: int = DEFAULT_BUDGET) -> BruteResult:
     """Compare every word up to ``max_len``; first difference wins, scanning
     x's table in the order it is built: shorter words first and symbols in

@@ -14,7 +14,7 @@ with the scans only ``IndependenceTester``; the scans' integer vector steps
 import itertools
 from math import isqrt
 
-from finitary.linalg import IndependenceTester, dot, mat_vec
+from finitary.linalg import IndependenceTester, dot, integral, mat_vec
 from finitary.models import Word
 from finitary.oracle import DEFAULT_BUDGET, BudgetExceededError
 from finitary.representation import LinearRepresentation
@@ -59,7 +59,7 @@ def rank(matrix, mode: str = EXACT, tolerance: float = DEFAULT_TOLERANCE) -> int
         raise ValueError("ragged matrix")
     tester = IndependenceTester(width, mode, tolerance)
     for r in rows:
-        tester.try_insert(r)
+        tester.try_insert(integral(r, mode)[1])
     return tester.rank
 
 
@@ -106,8 +106,12 @@ def process_dimension(lr: LinearRepresentation,
 
     def saturate(start, extend):
         tester = IndependenceTester(n, lr.mode, tolerance)
+
+        def insert(vec):
+            return tester.try_insert(integral(vec, lr.mode)[1])
+
         kept = []
-        if tester.try_insert(start):
+        if insert(start):
             kept.append(start)
         generation = [start]
         seen = 1
@@ -119,7 +123,7 @@ def process_dimension(lr: LinearRepresentation,
                     f"span saturation needs more than {budget} vectors")
             added = False
             for vec in generation:
-                if tester.try_insert(vec):
+                if insert(vec):
                     kept.append(vec)
                     added = True
             if not added:

@@ -1,6 +1,7 @@
 """No module of the package imports a name it never uses, no top-level
 function or class and no method or property of the package goes unused,
-and every name the package exports exists.
+every name the package exports exists, and a decision loads no module from
+outside the standard library but click.
 
 A top-level definition is used when package code outside it names it, when
 ``finitary.__all__`` exports it, or when a click group registers it as a
@@ -15,7 +16,11 @@ stops resolving them.
 
 import ast
 import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -198,3 +203,32 @@ def test_every_export_exists():
     # a stale name in ``__all__`` breaks ``from finitary import *``
     assert [name for name in finitary.__all__
             if not hasattr(finitary, name)] == []
+
+
+RUNTIME = """
+import json, sys
+before = set(sys.modules)
+from finitary.cli import main
+try:
+    main(["equiv", "corpus/coin.hmm", "corpus/biased.hmm", "--format",
+          "json"], standalone_mode=False)
+except SystemExit as exc:
+    code = exc.code
+new = {name.split(".")[0] for name in set(sys.modules) - before}
+print(json.dumps([code, sorted(new - set(sys.stdlib_module_names))]))
+"""
+
+
+def test_the_package_runs_on_the_standard_library_and_click():
+    # README names click as the only runtime dependency: a decision loads
+    # no other module from outside the standard library
+    root = PACKAGE.parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", RUNTIME], cwd=root, capture_output=True,
+        text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert result.returncode == 0, result.stderr
+    *verdict, loaded = result.stdout.splitlines()
+    assert json.loads("\n".join(verdict))["equivalent"] is False
+    code, outside = json.loads(loaded)
+    assert code == 1 and set(outside) <= {"click", "finitary"}, outside

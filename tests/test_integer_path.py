@@ -108,7 +108,7 @@ def test_pivot_rows_are_the_rows_reduce_rows_picks(seed):
     for build in BUILDERS:
         lr = build(rng)
         basis = compute_basis(lr)
-        row_words = [bv.word for bv in row_generator(lr)[0]]
+        row_words = [bv.word for bv in row_generator(lr)]
         block = [[lr.prob(w + v) for w in basis.col_words] for v in row_words]
         keep = reduce_rows(block, lr.mode)
         assert basis.row_words == tuple(row_words[i] for i in keep)
@@ -264,7 +264,7 @@ def pairing_basis(lr) -> Basis:
     """The basis with every column judged as its pairings dot(forward
     coords, backward coords) with the accepted rows, and the rows kept at
     that scan's own pivots, at any row rank."""
-    backwards, iterations = row_generator(lr)
+    backwards = row_generator(lr)
     tester = IndependenceTester(len(backwards), lr.mode)
     forwards = []
     queue = deque([(None, None)])
@@ -276,7 +276,7 @@ def pairing_basis(lr) -> Basis:
             queue.extend((fv, a) for a in range(len(lr.alphabet)))
     keep = sorted(tester.pivots)
     return Basis(tuple(backwards[i] for i in keep), tuple(forwards),
-                 iterations)
+                 len(lr.alphabet) * len(backwards))
 
 
 def test_full_row_rank_forward_route_equals_the_pairing_scan():
@@ -298,12 +298,12 @@ def test_full_row_rank_forward_route_equals_the_pairing_scan():
         ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
         ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3)))))
     full = [lr for lr in lrs + [unreached]
-            if len(row_generator(lr)[0]) == lr.dimension]
+            if len(row_generator(lr)) == lr.dimension]
     walks = [lr for lr in (random_qrw_lr(rng) for _ in range(60))
-             if compute_basis(lr).dim < len(row_generator(lr)[0])]
+             if compute_basis(lr).dim < len(row_generator(lr))]
     floats = [lr for lr in (compile_model(g.random_dense_float_hmm(
         rng, rng.randint(12, 20), 2)) for _ in range(12))
-        if compute_basis(lr).dim < len(row_generator(lr)[0])]
+        if compute_basis(lr).dim < len(row_generator(lr))]
     non_square = [lr for lr in full if compute_basis(lr).dim < lr.dimension]
     assert len(full) > 40 and unreached in full
     assert len(non_square) > 15 and len(walks) > 5 and len(floats) > 5
@@ -328,11 +328,12 @@ def test_full_rank_scans_stop_at_the_nth_acceptance(monkeypatch):
         results.append(insert(self, vector))
         return results[-1]
     monkeypatch.setattr(IndependenceTester, "try_insert", recording)
-    backwards, iterations = row_generator(lr)
+    backwards = row_generator(lr)
     assert len(backwards) == n and results[-1] and sum(results) == n
     # every candidate an exhaustive scan decides is still counted
-    assert iterations == len(hmm.alphabet) * n
+    iterations = len(hmm.alphabet) * n
     assert len(results) < iterations + 1
     results.clear()
     assert len(column_basis(lr, backwards)[0]) == n
     assert results[-1] and sum(results) == n
+    assert compute_basis(lr).row_iterations == iterations

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -50,19 +50,19 @@ def test_mat_vec():
 class TestIndependenceTester:
     def test_accepts_then_rejects_dependent(self):
         t = IndependenceTester(2)
-        assert t.try_insert((F(1), F(0)))
-        assert t.try_insert((F(1), F(1)))
-        assert not t.try_insert((F(2), F(3)))
+        assert t.try_insert((1, 0))
+        assert t.try_insert((1, 1))
+        assert not t.try_insert((2, 3))
         assert t.rank == 2
 
     def test_zero_vector_rejected(self):
         t = IndependenceTester(3)
-        assert not t.try_insert((F(0), F(0), F(0)))
+        assert not t.try_insert((0, 0, 0))
 
     def test_length_checked(self):
         t = IndependenceTester(2)
         with pytest.raises(ValueError):
-            t.try_insert((F(1),))
+            t.try_insert((1,))
 
     def test_float_noise_below_tolerance_is_dependent(self):
         t = IndependenceTester(2, FLOAT, 1e-9)
@@ -87,16 +87,16 @@ class TestIndependenceTester:
 
     def test_full_tester_rejects_without_reducing(self, monkeypatch):
         t = IndependenceTester(2)
-        assert t.try_insert((F(1), F(2)))
-        assert t.try_insert((F(3), F(4)))
+        assert t.try_insert((1, 2))
+        assert t.try_insert((3, 4))
 
         def refuse(self, vector):
             raise AssertionError("a full tester reduced a candidate")
         monkeypatch.setattr(IndependenceTester, "_reduced_exact", refuse)
-        assert not t.try_insert((F(5), F(7)))
+        assert not t.try_insert((5, 7))
         assert t.rank == 2
         with pytest.raises(ValueError):
-            t.try_insert((F(1),))
+            t.try_insert((1,))
 
     def test_vector_of_multiples_of_the_prime_is_accepted(self):
         # its residues are all zero, so only the exact reduction can accept
@@ -105,7 +105,7 @@ class TestIndependenceTester:
         assert t.try_insert((1, 0, 0))
         assert t.try_insert((PRIME, 2 * PRIME, 0))
         assert not t.try_insert((7, 3, 0))
-        assert t.try_insert((0, 0, F(PRIME, 3)))
+        assert t.try_insert((0, 0, PRIME))
         assert t.rank == 3 and t.pivots == (0, 1, 2)
 
     def test_unlucky_prime_acceptance(self, monkeypatch):
@@ -126,8 +126,7 @@ def _reference_insertions(stream):
     fraction-free elimination: no residues, no content removal."""
     rows, pivots, out = [], [], []
     for vector in stream:
-        den = lcm(*(F(x).denominator for x in vector))
-        r = [int(x * den) for x in vector]
+        r = list(vector)
         for row, p in zip(rows, pivots):
             x = r[p]
             if x:
@@ -142,7 +141,8 @@ def _reference_insertions(stream):
 
 def _integer_stream(rng, dim, length):
     """Random integer vectors mixed with planted dependent combinations,
-    entries over 2**64, multiples of PRIME, zero vectors and fractions."""
+    entries over 2**64, multiples of PRIME, zero vectors and the integer
+    coordinates of fraction vectors."""
     stream = []
     for _ in range(length):
         kind = rng.randrange(6)
@@ -156,7 +156,8 @@ def _integer_stream(rng, dim, length):
         elif kind == 2:
             v = [PRIME * rng.randint(-3, 3) for _ in range(dim)]
         elif kind == 3:
-            v = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(dim)]
+            v = integral([F(rng.randint(-9, 9), rng.randint(1, 9))
+                          for _ in range(dim)], EXACT)[1]
         elif kind == 4:
             v = [0] * dim
         else:

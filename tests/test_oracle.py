@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from finitary import representation
+from finitary import equivalence, representation
 from finitary.basis import compute_basis
 from finitary.models import Alphabet, HmmModel
 from finitary.oracle import BudgetExceededError, brute_equiv, enumerate_probs
@@ -93,6 +93,19 @@ class TestBruteEquiv:
     def test_float_tolerance(self):
         lr = corpus_lr("hadamard.qrw")
         assert brute_equiv(lr, lr, 3, tolerance=1e-9).equal_up_to
+
+    def test_default_tolerance_is_the_package_default(self):
+        # a float HMM and its permuted copy round differently, 1.0 vs
+        # 0.9999999999999999 at the empty word; test_equivalence calls them
+        # equivalent at its default tolerance, and so must brute_equiv
+        rng = random.Random(5)
+        x = g.random_dense_float_hmm(rng, 4, 2)
+        lr_x, lr_y = compile_model(x), compile_model(g.permute_hmm(rng, x))
+        assert equivalence.test_equivalence(lr_x, lr_y).equivalent
+        assert brute_equiv(lr_x, lr_y, 4).equal_up_to
+        exact = brute_equiv(lr_x, lr_y, 4, tolerance=0.0)
+        assert not exact.equal_up_to
+        assert exact.witness == () and exact.values == (1.0, 0.9999999999999999)
 
     def test_alphabet_size_checked(self):
         with pytest.raises(ValueError):

@@ -53,26 +53,28 @@ def test_max_bits_reads_a_basis():
         for x in entries) > 0
 
 
-def _column_inserts(model) -> tuple[int, int]:
-    """The traced ``try_insert`` calls made inside ``column_basis`` and the
-    column candidates built, on a fresh representation of ``model``.  The
-    row scan builds only backward vectors, so the forward cache holds
-    exactly the column candidates."""
+def _inserts(model, scan: str):
+    """The traced ``try_insert`` calls made inside ``scan``
+    (``row_generator`` or ``column_basis``), the candidates that scan
+    built and the basis, on a fresh representation of ``model``.  The row
+    scan builds only backward vectors and the column scan only forward
+    ones, so each cache holds exactly its scan's candidates."""
     lr = compile_model(model)
     recorder = tracing.Recorder()
     with recorder.installed():
-        compute_basis(lr)
-    column = {i for i, span in enumerate(recorder.spans)
-              if span[0] == "basis.column_basis"}
-    inserts = sum(span[0] == "linalg.try_insert" and span[3] in column
+        basis = compute_basis(lr)
+    spans = {i for i, span in enumerate(recorder.spans)
+             if span[0] == f"basis.{scan}"}
+    inserts = sum(span[0] == "linalg.try_insert" and span[3] in spans
                   for span in recorder.spans)
-    return inserts, len(lr._forwards)
+    cache = lr._backwards if scan == "row_generator" else lr._forwards
+    return inserts, len(cache), basis
 
 
 def _block(model) -> tuple[int, int, int]:
     """Representation dimension, rows scanned and basis dimension."""
     lr = compile_model(model)
-    return lr.dimension, len(row_generator(lr)[0]), compute_basis(lr).dim
+    return lr.dimension, len(row_generator(lr)), compute_basis(lr).dim
 
 
 def test_the_column_scan_judges_each_candidate_once():
@@ -89,5 +91,21 @@ def test_the_column_scan_judges_each_candidate_once():
     assert len(walks) >= 3 and len(floats) == 3
     assert _block(full) == (6, 6, 6)  # the forward-coordinate scan fills
     for model in walks + floats + [full]:
-        inserts, candidates = _column_inserts(model)
+        inserts, candidates, _ = _inserts(model, "column_basis")
+        assert inserts == candidates
+
+
+def test_the_row_scan_builds_only_the_candidates_it_judges():
+    # the row scan builds a candidate's vector only when it pops it; a
+    # certified scan stops with candidates still queued, which
+    # row_iterations counts and nothing builds
+    rng = random.Random(3)
+    split = g.split_hmm_state(rng, g.random_hmm(rng, 10, 2))
+    inserts, candidates, basis = _inserts(split, "row_generator")
+    assert inserts == candidates == 12 and basis.row_iterations == 20
+    rng = random.Random(23)
+    models = ([g.random_qrw(rng, k, 2) for k in (2, 3, 4)]
+              + [g.random_pfa(rng, n, 2) for n in (3, 5)])
+    for model in models:
+        inserts, candidates, _ = _inserts(model, "row_generator")
         assert inserts == candidates
