@@ -32,10 +32,13 @@ rank.  It is found in three steps:
 
 Candidates are processed first-in-first-out, created in alphabet order.  The
 queue holds words: the empty word first, then the |alphabet| children of
-each accepted word.  A candidate's vector is asked of the representation
-by word only when the candidate is popped; a word's vector is built once,
-with one matrix-vector product from its parent's, and the I/J check in
-``equivalence`` reads the same vectors.
+each accepted word, each the word with one symbol appended.  The row scan
+runs on the mirror representation (``LinearRepresentation.mirror``), whose
+forward vector of v reversed is the backward vector of v, so appending a
+symbol there prepends it to the row word.  A candidate's vector is asked
+of the representation by word only when the candidate is popped; a word's
+vector is built once, with one vector-matrix product from its parent's,
+and the I/J check in ``equivalence`` reads the same vectors.
 A scan stops as soon as its tester is full, so every candidate still queued
 would be rejected: n independent vectors span all of Q^n (for the column
 scan, n is the number of accepted rows), or, in exact mode, the row scan
@@ -96,40 +99,44 @@ class Basis:
                      for bv in self.backwards)
 
 
-def _scan(tester: IndependenceTester, vector, extend, entry,
-          num_symbols: int) -> list:
-    """Breadth-first scan from the empty word: the accepted vectors.
+def _scan(tester: IndependenceTester, lr: LinearRepresentation,
+          entry) -> list:
+    """Breadth-first scan of ``lr``'s cached forward vectors from the empty
+    word: the accepted vectors.
 
-    ``vector(word)`` is the representation's cached vector of a word,
-    ``extend(word, a)`` a child candidate's word and ``entry(vector)`` what
-    the tester judges.  The scan stops once the tester is full; the
-    candidates still queued are never built.
+    ``entry(vector)`` is what the tester judges, and a child candidate
+    appends one symbol to its parent's word.  The scan stops once the
+    tester is full; the candidates still queued are never built.
     """
     accepted = []
     queue = deque([()])
     while queue and not tester.full:
-        candidate = vector(queue.popleft())
+        candidate = lr.scaled_forward(queue.popleft())
         if tester.try_insert(entry(candidate)):
             accepted.append(candidate)
-            queue.extend(extend(candidate.word, a) for a in range(num_symbols))
+            queue.extend(candidate.word + (a,)
+                         for a in range(len(lr.alphabet)))
     return accepted
 
 
 def row_generator(lr: LinearRepresentation,
                   tolerance: float = DEFAULT_TOLERANCE) -> list:
     """Scaled backward vectors of the accepted row words, each carrying its
-    word.
+    word: the mirror's forward vectors, relabelled with their words
+    reversed.
 
     A zero final vector yields no rows: the series is zero.
     """
-    # span generators (``linalg``): each candidate is M_a times its parent
-    generators = ((lr.scaled_backward(()).coords,
+    mirror = lr.mirror
+    # span generators (``linalg``): each candidate is its parent times
+    # M_a transposed, that is M_a times its parent
+    generators = ((mirror.scaled_forward(()).coords,
                    [m for _, m in lr.integer_steps])
                   if lr.mode == EXACT else None)
-    return _scan(
+    accepted = _scan(
         IndependenceTester(lr.dimension, lr.mode, tolerance, generators),
-        lr.scaled_backward, lambda v, a: (a,) + v, lambda bv: bv.coords,
-        len(lr.alphabet))
+        mirror, lambda bv: bv.coords)
+    return [ScaledVector(v.word[::-1], v.scale, v.coords) for v in accepted]
 
 
 def column_basis(lr: LinearRepresentation, backwards,
@@ -153,8 +160,7 @@ def column_basis(lr: LinearRepresentation, backwards,
 
     def scan(entry):
         tester = IndependenceTester(r, lr.mode, tolerance)
-        forwards = _scan(tester, lr.scaled_forward, lambda w, a: w + (a,),
-                         entry, len(lr.alphabet))
+        forwards = _scan(tester, lr, entry)
         return forwards, tester
 
     if lr.mode == EXACT and r == lr.dimension:

@@ -26,9 +26,10 @@ acceptance probabilities differ.
 Every compared value is a product of scaled vectors, p = s * i with a
 rational scale s and, in exact mode, an integer dot product i of coprime
 coordinates, dot(forward coords, backward coords) on both sides.  The big
-basis contributes only its words: every vector compared, column or row, on
-either side, is read by word from its representation's vector cache when
-first compared, so a word either scan already built is not built again.
+basis contributes only its words: every vector compared, on either side,
+is read from a vector cache when first compared, a column w as the forward
+vector of w and a row m v as the mirror's forward vector of m v reversed,
+so a word either scan already built is not built again.
 Two values are compared without forming either: s * i == t * j is tested
 as s.num * t.den * i == t.num * s.den * j, with those factors taken once
 per row word and once per column word and pass.
@@ -130,8 +131,8 @@ def test_equivalence(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
                     continue
                 compared.add(word)
                 if mv not in rows:
-                    rows[mv] = paired(mv, lr_big.scaled_backward,
-                                      lr_small.scaled_backward)
+                    rows[mv] = paired(mv[::-1], lr_big.mirror.scaled_forward,
+                                      lr_small.mirror.scaled_forward)
                 bb, bs, (rf_big, rf_small) = rows[mv]
                 i_big = dot(fb.coords, bb.coords)
                 i_small = dot(fs.coords, bs.coords)

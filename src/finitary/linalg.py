@@ -129,13 +129,6 @@ def vec_mat(v, m):
     return tuple(out)
 
 
-def mat_vec(m, v):
-    """Matrix times column vector."""
-    if m and len(m[0]) != len(v):
-        raise ValueError(f"vector length {len(v)} does not match {len(m[0])} columns")
-    return tuple(dot(row, v) for row in m)
-
-
 def _annihilator(rows, pivots, dimension: int):
     """The free columns of residue rows in echelon form with unit pivots,
     and the free-column basis of their null space mod ``PRIME``: one row

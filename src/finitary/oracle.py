@@ -3,10 +3,10 @@
 Everything here enumerates words outright and recomputes products in the
 model's scalars, one ``LinearRepresentation.extend_prefix`` per symbol.  It
 shares with the candidate-driven scans in ``basis`` only each
-representation's stored steps; the scans' integer vector steps
-(``scaled_forward``, ``scaled_backward``) are never called.  Exponential
-in the word length by design, so every entry point takes an explicit
-budget.
+representation's stored steps; the scans' integer vector step
+(``scaled_forward``, of a representation or of its mirror) is never
+called.  Exponential in the word length by design, so every entry point
+takes an explicit budget.
 """
 
 from __future__ import annotations

@@ -38,27 +38,31 @@ multiplied.
 
 A forward vector (init times a prefix product) and a backward vector (a
 suffix product times fin) extend by one symbol in O(n^2) and pair up via
-p(w a v) = forward(w) . T[a] . backward(v).  The basis scans and the
-equivalence check read them as ``ScaledVector``s, ``scale * coords`` with
-coprime integer coordinates in exact mode: one step multiplies the integer
-coordinates by M, divides out their content and builds one ``Fraction``,
-the new scale.  Float vectors carry scale 1.0.  ``scaled_forward`` and
-``scaled_backward`` build each word's vector once per representation, with
-one step from the cached vector of the word one symbol shorter, and keep
-it; no other route steps a scaled vector.  ``prob`` and
-``prob_bilinear`` instead compute in the model's scalars straight from
-the stored steps and never reduce a vector; ``extend_prefix`` is that step
-for a row, ``scale * (row . M)``, and ``oracle``'s probability tables take
-it too.
+p(w a v) = forward(w) . T[a] . backward(v).  The backward vector of v is
+the forward vector of v reversed in the mirror representation ``mirror``,
+(fin, T[a] transposed, init), whose series is p(v reversed) (Berstel &
+Reutenauer, *Noncommutative Rational Series with Applications*, CUP 2011).
+The basis scans and the equivalence check read them as ``ScaledVector``s,
+``scale * coords`` with coprime integer coordinates in exact mode: one
+step multiplies the integer coordinates by M, divides out their content
+and builds one ``Fraction``, the new scale.  Float vectors carry scale
+1.0.  ``scaled_forward`` builds each word's vector once per
+representation, with one step from the cached vector of the word one
+symbol shorter, and keeps it; no other route steps a scaled vector.
+``prob`` and ``prob_bilinear`` instead compute in the model's scalars
+straight from the stored steps and never reduce a vector;
+``extend_prefix`` is that step for a row, ``scale * (row . M)``, and
+``oracle``'s probability tables take it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
-from .linalg import dot, integral, mat_vec, primitive, times_conj, vec_mat
+from .linalg import dot, integral, primitive, times_conj, vec_mat
 from .models import HmmModel, Model, PfaModel, QrwModel, Word
 from .scalars import EXACT, one, zero
 
@@ -78,12 +82,10 @@ class LinearRepresentation:
     init: tuple
     fin: tuple
     mode: str
-    # word -> ScaledVector, filled by scaled_forward / scaled_backward; not
-    # part of equality, and ``dataclasses.replace`` starts empty ones
+    # word -> ScaledVector, filled by scaled_forward; not part of
+    # equality, and ``dataclasses.replace`` starts an empty one
     _forwards: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
-    _backwards: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
 
     def in_order_of(self, alphabet) -> "LinearRepresentation":
         """This representation with its steps in ``alphabet``'s symbol
@@ -95,6 +97,16 @@ class LinearRepresentation:
         return replace(self, alphabet=alphabet, integer_steps=tuple(
             self.integer_steps[self.alphabet.index(s)]
             for s in alphabet.symbols))
+
+    @cached_property
+    def mirror(self) -> "LinearRepresentation":
+        """The mirror representation (fin, T[a] transposed, init): its
+        forward vector of v reversed is the backward vector of v.  Not a
+        field, so ``dataclasses.replace`` starts without one."""
+        return LinearRepresentation(
+            self.alphabet,
+            tuple((s, tuple(zip(*m))) for s, m in self.integer_steps),
+            self.fin, self.init, self.mode)
 
     @property
     def dimension(self) -> int:
@@ -134,23 +146,6 @@ class LinearRepresentation:
             cache[sv.word] = sv
         return sv
 
-    def scaled_backward(self, word: Word) -> ScaledVector:
-        """The backward vector of ``word``, from the cache: a word missing
-        there is built by one step from the cached vector of ``word[1:]``."""
-        cache = self._backwards
-        if () not in cache:
-            cache[()] = ScaledVector((), *integral(self.fin, self.mode))
-        start = 0
-        while word[start:] not in cache:
-            start += 1
-        sv = cache[word[start:]]
-        for a in reversed(word[:start]):
-            step_scale, m = self.integer_steps[self._symbol(a)]
-            sv = self._scaled((a,) + sv.word, sv.scale, step_scale,
-                              mat_vec(m, sv.coords))
-            cache[sv.word] = sv
-        return sv
-
     def _scaled(self, word: Word, scale, step_scale, product) -> ScaledVector:
         """``scale * step_scale * product`` with ``product`` made coprime."""
         if self.mode != EXACT:
@@ -168,8 +163,8 @@ class LinearRepresentation:
         self._check(col)
         if a is None:
             return dot(row, col)
-        scale, m = self.integer_steps[self._symbol(a)]
-        return scale * dot(row, mat_vec(m, col))
+        scale, m = self.mirror.integer_steps[self._symbol(a)]
+        return scale * dot(row, vec_mat(col, m))
 
     def _check(self, coords):
         if len(coords) != self.dimension:

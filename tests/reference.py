@@ -7,14 +7,14 @@ words up to that length, and ``process_dimension`` enumerates whole
 generations of prefix and suffix products until one adds nothing to the span.
 They recompute products with plain loops in the model's scalars, reading each
 representation's stored steps ``(scale, M)`` as T[a] = scale * M, and share
-with the scans only ``IndependenceTester``; the scans' integer vector steps
-(``scaled_forward``, ``scaled_backward``) are never called.
+with the scans only ``IndependenceTester``; the scans' integer vector step
+(``scaled_forward``, of a representation or of its mirror) is never called.
 """
 
 import itertools
 from math import isqrt
 
-from finitary.linalg import IndependenceTester, dot, integral, mat_vec
+from finitary.linalg import IndependenceTester, dot, integral
 from finitary.models import Word
 from finitary.oracle import DEFAULT_BUDGET, BudgetExceededError
 from finitary.representation import LinearRepresentation
@@ -24,7 +24,7 @@ from finitary.scalars import DEFAULT_TOLERANCE, EXACT
 def extend_suffix(lr: LinearRepresentation, a: int, col: tuple) -> tuple:
     """T[a] . col, computed as scale * (M . col)."""
     scale, m = lr.integer_steps[a]
-    return tuple(scale * x for x in mat_vec(m, col))
+    return tuple(scale * dot(row, col) for row in m)
 
 
 def prefix_vector(lr: LinearRepresentation, word: Word) -> tuple:

@@ -105,9 +105,13 @@ class TestComputeBasis:
                         assert basis.matrix[i][j] == lr.prob(w + v), name
 
     def test_cached_vectors_match_their_words(self):
-        # the cached vectors are the scans' own scale * coords forms
-        for name in ("swap.qrw", "loop_ab.pfa", "distinct_2state.hmm"):
-            lr = corpus_lr(name)
+        # the cached vectors are the scans' own scale * coords forms.  The
+        # generated HMM keeps the row word (1, 0), which reads differently
+        # reversed: a row labelled with its mirror's word would not match
+        hmm = compile_model(g.random_hmm(random.Random(26), 4, 2))
+        assert (1, 0) in compute_basis(hmm).row_words
+        for lr in [corpus_lr(name) for name in
+                   ("swap.qrw", "loop_ab.pfa", "distinct_2state.hmm")] + [hmm]:
             basis = compute_basis(lr)
             for bv in basis.backwards:
                 assert values(bv) == suffix_vector(lr, bv.word)

@@ -219,10 +219,11 @@ def test_each_vector_is_stepped_once(monkeypatch, kind):
     v = equivalence.test_equivalence(x, y)
     monkeypatch.undo()
     assert v.equivalent and v.dim_x == v.dim_y > 1
-    # every vector but the two roots of a cache is one step, and each step
-    # lands in its cache: a second build of a word would count twice
+    # every vector but the root of a cache is one step, and each step
+    # lands in its cache: a second build of a word would count twice.  A
+    # backward vector is its mirror's forward vector
     cached = sum(len(cache) - 1 for lr in (x, y)
-                 for cache in (lr._forwards, lr._backwards))
+                 for cache in (lr._forwards, lr.mirror._forwards))
     assert cached > 4 * v.dim_x
     assert len(built) == cached
 
@@ -258,7 +259,7 @@ def _every_triple(lr_x, lr_y):
     def value(lr, w, mv):
         if lr.mode == FLOAT:
             return dot(lr.scaled_forward(w).coords,
-                       lr.scaled_backward(mv).coords)
+                       lr.mirror.scaled_forward(mv[::-1]).coords)
         return lr.prob(w + mv)
     basis_x, basis_y = compute_basis(lr_x), compute_basis(lr_y)
     big = basis_y if basis_y.dim > basis_x.dim else basis_x

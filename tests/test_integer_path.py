@@ -15,7 +15,7 @@ from finitary.basis import (Basis, column_basis, compute_basis, reduce_rows,
                             row_generator)
 from finitary.linalg import IndependenceTester, dot
 from finitary.models import HmmModel, PfaModel
-from finitary.representation import compile_model, compile_pfa
+from finitary.representation import ScaledVector, compile_model, compile_pfa
 
 import generators as g
 from conftest import from_matrices, step_matrices
@@ -180,9 +180,16 @@ def reference_scan(root, children, value):
 
 def reference_basis(lr) -> Basis:
     symbols = range(len(lr.alphabet))
+
+    def backward(v):
+        """The backward vector of v, the mirror's forward vector of v
+        reversed, carrying v."""
+        sv = lr.mirror.scaled_forward(v[::-1])
+        return ScaledVector(v, sv.scale, sv.coords)
+
     rows, row_values, iterations = reference_scan(
-        lr.scaled_backward(()),
-        lambda bv: [lr.scaled_backward((a,) + bv.word) for a in symbols],
+        backward(()),
+        lambda bv: [backward((a,) + bv.word) for a in symbols],
         lambda bv: suffix_vector(lr, bv.word))
     cols, col_values, _ = reference_scan(
         lr.scaled_forward(()),

@@ -12,7 +12,6 @@ from finitary.linalg import (
     IndependenceTester,
     dot,
     integral,
-    mat_vec,
     vec_mat,
 )
 from finitary.scalars import EXACT, FLOAT
@@ -40,11 +39,6 @@ def test_dot_length_mismatch():
 def test_vec_mat():
     m = ((F(1), F(2)), (F(3), F(4)))
     assert vec_mat((F(1), F(1)), m) == (4, 6)
-
-
-def test_mat_vec():
-    m = ((F(1), F(2)), (F(3), F(4)))
-    assert mat_vec(m, (F(1), F(1))) == (3, 7)
 
 
 class TestIndependenceTester:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finitary import models, representation
-from finitary.linalg import gaussian, integral, mat_vec, vec_mat
+from finitary.linalg import dot, gaussian, integral, vec_mat
 from finitary.model_io import parse_model, serialize_model
 from finitary.models import HmmModel, QrwModel, validate
 from finitary.representation import (
@@ -30,6 +30,16 @@ F = Fraction
 
 def corpus_lr(name):
     return compile_model(load_corpus_model(name))
+
+
+def times_column(m, col):
+    """M . col, one ``dot`` per row."""
+    return tuple(dot(row, col) for row in m)
+
+
+def values(sv):
+    """The vector a ``ScaledVector`` stands for (exact mode)."""
+    return tuple(sv.scale * c for c in sv.coords)
 
 
 class TestHmmCompilation:
@@ -269,7 +279,8 @@ class TestVectorAlgebra:
     def test_backward_reverses_word_order(self, lr):
         # suffix product: T_a (T_b fin), built right to left
         t = step_matrices(lr)
-        assert suffix_vector(lr, (0, 1)) == mat_vec(t[0], mat_vec(t[1], lr.fin))
+        assert suffix_vector(lr, (0, 1)) == \
+            times_column(t[0], times_column(t[1], lr.fin))
 
     def test_bilinear_split_invariance(self, lr):
         word = (0, 1, 1, 0, 1)
@@ -292,24 +303,28 @@ class TestVectorAlgebra:
     def test_scaled_vectors_match_reference(self, lr):
         for t in range(4):
             for w in itertools.product(range(2), repeat=t):
-                for sv, ref in ((lr.scaled_forward(w), prefix_vector(lr, w)),
-                                (lr.scaled_backward(w), suffix_vector(lr, w))):
-                    assert sv.word == w
+                # a backward vector is the mirror's forward vector of
+                # the word reversed
+                for sv, word, ref in (
+                        (lr.scaled_forward(w), w, prefix_vector(lr, w)),
+                        (lr.mirror.scaled_forward(w[::-1]), w[::-1],
+                         suffix_vector(lr, w))):
+                    assert sv.word == word
                     assert all(type(c) is int for c in sv.coords)
                     assert math.gcd(*sv.coords) == 1
-                    assert tuple(sv.scale * c for c in sv.coords) == ref
+                    assert values(sv) == ref
 
     def test_replace_starts_a_fresh_cache(self, lr):
         # the vector cache is not part of the value: a copy with another
         # fin builds its own vectors, and a filled cache changes neither
         # equality nor the hash
-        cached = lr.scaled_backward((0,))
+        cached = lr.mirror.scaled_forward((0,))
         other = dataclasses.replace(
             lr, fin=tuple(F(i) for i in range(lr.dimension)))
-        sv = other.scaled_backward((0,))
-        assert tuple(sv.scale * c for c in sv.coords) == \
+        sv = other.mirror.scaled_forward((0,))
+        assert values(sv) == \
             suffix_vector(other, (0,)) != suffix_vector(lr, (0,))
-        assert lr.scaled_backward((0,)) is cached
+        assert lr.mirror.scaled_forward((0,)) is cached
         copy = dataclasses.replace(lr)
         assert copy == lr and hash(copy) == hash(lr)
 
@@ -318,7 +333,7 @@ class TestVectorAlgebra:
             with pytest.raises(ValueError, match="out of range"):
                 lr.scaled_forward((a,))
             with pytest.raises(ValueError, match="out of range"):
-                lr.scaled_backward((a,))
+                lr.mirror.scaled_forward((a,))
 
     def test_vector_length_checked(self, lr):
         # the one method that takes vectors from its caller checks them
@@ -326,6 +341,58 @@ class TestVectorAlgebra:
             lr.prob_bilinear((F(1),), 0, lr.fin)
         with pytest.raises(ValueError, match="does not match"):
             lr.prob_bilinear(lr.init, None, (F(1),))
+
+
+class TestMirror:
+    @staticmethod
+    def exact_lrs():
+        """Exact HMMs, walks and automata: the corpus and the generators."""
+        lrs = [corpus_lr(name) for name in corpus_names()]
+        rng = random.Random(26)
+        for build in (g.random_hmm, g.random_qrw, g.random_pfa):
+            lrs += [compile_model(build(rng, n, k))
+                    for n, k in ((2, 2), (3, 3))]
+        return [lr for lr in lrs if lr.mode == EXACT]
+
+    def test_mirror_reads_words_reversed(self):
+        # the mirror (fin, T[a] transposed, init) has p~(v) = p(v
+        # reversed), and its forward vectors are the backward vectors
+        for lr in self.exact_lrs():
+            for t in range(4):
+                for v in itertools.product(range(len(lr.alphabet)),
+                                           repeat=t):
+                    assert lr.mirror.prob(v[::-1]) == lr.prob(v)
+                    assert values(lr.mirror.scaled_forward(v[::-1])) == \
+                        suffix_vector(lr, v)
+
+    def test_transposed_row_product_is_the_column_product(self):
+        # bit for bit in float mode: the same nonzero products, summed in
+        # the same order from the integer 0
+        rng = random.Random(26)
+        for _ in range(50):
+            n = rng.randint(1, 6)
+            m = tuple(tuple(rng.choice((0.0, rng.random(), -rng.random()))
+                            for _ in range(n)) for _ in range(n))
+            c = tuple(rng.choice((0.0, rng.random())) for _ in range(n))
+            assert vec_mat(c, tuple(zip(*m))) == times_column(m, c)
+
+    def test_mirror_is_derived_once(self):
+        lr = compile_model(g.random_hmm(random.Random(5), 3, 2))
+        mirror = lr.mirror
+        assert mirror is lr.mirror
+        assert step_matrices(mirror) == tuple(
+            tuple(zip(*t)) for t in step_matrices(lr))
+        assert (mirror.init, mirror.fin) == (lr.fin, lr.init)
+        # not a field: copies start a fresh mirror, and a derived one
+        # changes neither equality nor the hash
+        copy = dataclasses.replace(lr)
+        assert copy == lr and hash(copy) == hash(lr)
+        assert copy.mirror is not mirror and copy.mirror == mirror
+        reordered = compile_model(g.reverse_alphabet(
+            g.random_hmm(random.Random(5), 3, 2))).in_order_of(lr.alphabet)
+        assert reordered == lr and reordered.mirror is not mirror
+        assert reordered.mirror == mirror
+        assert lr.in_order_of(lr.alphabet).mirror is mirror
 
 
 class TestCompileDispatch:
@@ -345,7 +412,7 @@ class TestCompileDispatch:
             summed = (1,) * lr.dimension if automaton else lr.fin
             total = list(lr.fin) if automaton else [0] * lr.dimension
             for m in step_matrices(lr):
-                img = mat_vec(m, summed)
+                img = times_column(m, summed)
                 total = [x + y for x, y in zip(total, img)]
             if lr.mode == "exact":
                 assert tuple(total) == tuple(summed), name

@@ -1,8 +1,9 @@
 """The repository's pytest configuration keeps a failing property test
 reportable: its falsifying example is printed and the session ends with an
-ordinary failure."""
+ordinary failure.  The README's Python examples run as written."""
 
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -32,3 +33,15 @@ def test_a_failing_property_test_reports_its_example(tmp_path):
     assert result.returncode == 1, output
     assert "Falsifying example" in output
     assert "INTERNALERROR" not in output
+
+
+def test_the_readme_python_blocks_run(monkeypatch, capsys):
+    # the Library example documents the public API; run every python
+    # block as a reader would, from the repository root
+    blocks = re.findall(r"^```python\n(.*?)^```$",
+                        (ROOT / "README.md").read_text(), re.S | re.M)
+    assert blocks
+    monkeypatch.chdir(ROOT)
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+    assert capsys.readouterr().out

@@ -57,8 +57,9 @@ def _inserts(model, scan: str):
     """The traced ``try_insert`` calls made inside ``scan``
     (``row_generator`` or ``column_basis``), the candidates that scan
     built and the basis, on a fresh representation of ``model``.  The row
-    scan builds only backward vectors and the column scan only forward
-    ones, so each cache holds exactly its scan's candidates."""
+    scan builds only backward vectors, the mirror's forward vectors, and
+    the column scan only forward ones, so each cache holds exactly its
+    scan's candidates."""
     lr = compile_model(model)
     recorder = tracing.Recorder()
     with recorder.installed():
@@ -67,7 +68,7 @@ def _inserts(model, scan: str):
              if span[0] == f"basis.{scan}"}
     inserts = sum(span[0] == "linalg.try_insert" and span[3] in spans
                   for span in recorder.spans)
-    cache = lr._backwards if scan == "row_generator" else lr._forwards
+    cache = lr.mirror._forwards if scan == "row_generator" else lr._forwards
     return inserts, len(cache), basis
 
 
