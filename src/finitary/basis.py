@@ -30,22 +30,29 @@ rank.  It is found in three steps:
    predecessors (``reduce_rows``).  In float mode the pivots come from
    partial pivoting.
 
-Candidates are processed first-in-first-out, created in alphabet order.  The
-queue holds words: the empty word first, then the |alphabet| children of
-each accepted word, each the word with one symbol appended.  The row scan
-runs on the mirror representation (``LinearRepresentation.mirror``), whose
-forward vector of v reversed is the backward vector of v, so appending a
-symbol there prepends it to the row word.  A candidate's vector is asked
-of the representation by word only when the candidate is popped; a word's
-vector is built once, with one vector-matrix product from its parent's,
-and the I/J check in ``equivalence`` reads the same vectors.
-A scan stops as soon as its tester is full, so every candidate still queued
-would be rejected: n independent vectors span all of Q^n (for the column
-scan, n is the number of accepted rows), or, in exact mode, the row scan
-has certified that its vectors span all it can reach (``linalg``), which
-stops a row scan that never fills.  Each accepted word queues |alphabet|
-candidates, so ``row_iterations``, |alphabet| times the rows found, counts
-the candidates an exhaustive row scan decides, those still queued too.
+Candidates are processed first-in-first-out: the empty word, then the
+|alphabet| children of each accepted word, in alphabet order, each the word
+with one symbol appended.  The row scan runs on the mirror representation
+(``LinearRepresentation.mirror``), whose forward vector of v reversed is
+the backward vector of v, so appending a symbol there prepends it to the
+row word.  A candidate's vector is built only when the candidate is
+popped, once, with one vector-matrix product from its parent's; the I/J
+check in ``equivalence`` reads the same vectors.  A scan stops as soon as
+its tester is full, so every candidate still queued would be rejected: n
+independent vectors span all of Q^n (Q^r for the column scan, over r
+rows), or, in exact mode, the row scan has certified that its vectors span
+all it can reach (``linalg``).  Each accepted word queues |alphabet|
+candidates: a row scan accepting r <= n rows pops at most 1 + |alphabet| r.
+
+In exact mode the basis is a fact of the process: equivalent models get the
+same one.  Scan order is by length, then alphabetical (row words read right
+to left).  Each b_v lies in the span of the accepted vectors of words no
+later than v (a rejected v by the test, an unqueued a u as M_a times u's
+combination), and the Hankel row p(. v) is a fixed linear image of b_v.  So
+a column's pairings with the accepted rows fix its whole Hankel column, and
+J is the first d words whose Hankel columns are independent of those of the
+words before them.  J's columns span all others, so the kept rows are the
+row words whose Hankel rows are independent of those of every earlier word.
 
 The scans carry each vector as ``scale * coords`` (``ScaledVector``); in
 exact mode the coordinates are coprime integers.  Step 2's pairings are
@@ -55,10 +62,10 @@ runs on integers with the same outcome; the forward route judges coords_w,
 with about half their bits.  The tester screens each test on residues mod
 a word-size prime and confirms only rejections on the integers
 (``linalg``), so a scan that fills without a late rejection does almost no
-exact elimination.  ``Basis`` keeps only the
-scans' scaled vectors, which carry their words: the block is not stored,
-and each of its true values, scale_w * scale_v * dot, is built from one
-column vector and one row vector when first read.
+exact elimination.  ``Basis`` keeps only the scans' scaled vectors, which
+carry their words: the block is not stored, and each of its true values,
+scale_w * scale_v * dot, is built from one column vector and one row vector
+when first read.
 """
 
 from __future__ import annotations
@@ -77,7 +84,6 @@ from .scalars import DEFAULT_TOLERANCE, EXACT
 class Basis:
     backwards: tuple[ScaledVector, ...]  # scan vector of each row word
     forwards: tuple[ScaledVector, ...]  # scan vector of each column word
-    row_iterations: int  # |alphabet| * rows found by the row scan
 
     @property
     def row_words(self) -> tuple[Word, ...]:
@@ -143,18 +149,12 @@ def column_basis(lr: LinearRepresentation, backwards,
                  tolerance: float = DEFAULT_TOLERANCE):
     """Scaled forward vectors of the accepted column words, each carrying
     its word, and the indices of the rows kept, in scan order, given the
-    row scan's vectors.
+    row scan's vectors (steps 2 and 3 of the module docstring).
 
-    The tester judges column w as dot(forward coords, backward coords)
-    for every row: the values p(w v) up to one nonzero factor per row and
-    one per column, which leaves the independence of columns (and of rows)
-    unchanged.  A square block keeps every row; otherwise the kept rows are
-    that tester's pivots.  A square block does not read them: in exact
-    mode that would put every screened column through exact elimination
-    (``linalg``).  In exact mode with full row rank (as many rows as the
-    representation dimension) a first scan judges the forward coordinates
-    themselves and answers only when it fills.  A zero empty-word column
-    yields no columns: the series is zero.
+    A square block keeps every row without reading the tester's pivots:
+    in exact mode that would put every screened column through exact
+    elimination (``linalg``).  A zero empty-word column yields no
+    columns: the series is zero.
     """
     r = len(backwards)
 
@@ -194,4 +194,4 @@ def compute_basis(lr: LinearRepresentation,
     backwards = row_generator(lr, tolerance)
     forwards, keep = column_basis(lr, backwards, tolerance)
     kept = tuple(backwards[i] for i in keep)
-    return Basis(kept, tuple(forwards), len(lr.alphabet) * len(backwards))
+    return Basis(kept, tuple(forwards))

@@ -1,8 +1,10 @@
 import pathlib
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from finitary.basis import compute_basis
 from finitary.model_io import parse_model
 from finitary.representation import LinearRepresentation, _row_parts, _step
 from finitary.scalars import EXACT, scalar_law
@@ -34,6 +36,16 @@ def from_matrices(alphabet, matrices, init, fin,
     return LinearRepresentation(alphabet, tuple(
         _step([_row_parts(scalar_law(row, mode), mode) for row in m], mode)
         for m in matrices), init, fin, mode)
+
+
+def row_candidates(lr) -> int:
+    """Row candidates the row scan of ``compute_basis`` judges, the root
+    included.  The scan builds a candidate's vector exactly when it pops
+    it, so this is the size of the mirror's vector cache after
+    ``compute_basis`` on a copy of ``lr`` that starts with empty caches."""
+    fresh = replace(lr)
+    compute_basis(fresh)
+    return len(fresh.mirror._forwards)
 
 
 def exact_copy(lr):

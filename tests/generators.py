@@ -42,6 +42,54 @@ def random_hmm(rng: random.Random, num_states: int,
     )
 
 
+def sparse_distribution(rng: random.Random, size: int,
+                        support: int = 2) -> tuple:
+    """A law with at most ``support`` nonzero weights."""
+    weights = [0] * size
+    for i in rng.sample(range(size), min(support, size)):
+        weights[i] = rng.randint(0, 3)
+    if not any(weights):
+        weights[rng.randrange(size)] = 1
+    total = sum(weights)
+    return tuple(Fraction(w, total) for w in weights)
+
+
+def sparse_hmm(rng: random.Random, num_states: int,
+               num_symbols: int) -> HmmModel:
+    """An HMM whose rows are mostly zeros, started in one state."""
+    n = num_states
+    initial = [Fraction(0)] * n
+    initial[rng.randrange(n)] = Fraction(1)
+    return HmmModel(
+        alphabet(num_symbols),
+        tuple(initial),
+        tuple(sparse_distribution(rng, n) for _ in range(n)),
+        tuple(sparse_distribution(rng, num_symbols) for _ in range(n)),
+    )
+
+
+def sparse_pfa(rng: random.Random, num_states: int,
+               num_symbols: int) -> PfaModel:
+    """An automaton with mostly-zero rows, about half of whose states
+    never stop: their final weight is zero."""
+    n, ns = num_states, num_symbols
+    moves = [[[Fraction(0)] * n for _ in range(n)] for _ in range(ns)]
+    final = []
+    for i in range(n):
+        stops = rng.random() < 0.5
+        law = sparse_distribution(rng, ns * n + stops, support=3)
+        for a in range(ns):
+            for j in range(n):
+                moves[a][i][j] = law[a * n + j]
+        final.append(law[-1] if stops else Fraction(0))
+    return PfaModel(
+        alphabet(ns),
+        sparse_distribution(rng, n),
+        tuple(tuple(tuple(r) for r in m) for m in moves),
+        tuple(final),
+    )
+
+
 def random_dense_float_hmm(rng: random.Random, num_states: int,
                            num_symbols: int) -> HmmModel:
     def row(size: int) -> tuple:

@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
 
+from finitary import equivalence
 from finitary.basis import compute_basis, reduce_rows, row_generator
 from finitary.linalg import dot
 from finitary.representation import compile_model
 from finitary.scalars import EXACT
 
 import generators as g
-from conftest import corpus_names, from_matrices, load_corpus_model
+from conftest import (corpus_names, from_matrices, load_corpus_model,
+                      row_candidates)
 from reference import prefix_vector, rank, suffix_vector
 
 F = Fraction
@@ -26,22 +28,26 @@ class TestRowGenerator:
     def test_padded_model_overshoots_then_reduces(self):
         # three states but only two behaviors: the raw row scan sees three
         # independent backward vectors (the unreachable split is visible
-        # from the state side), the block reduction drops one
+        # from the state side), the block reduction drops one.  The scan
+        # fills at its third acceptance, having judged (), a, b and aa
         lr = corpus_lr("padded_3state.hmm")
         backwards = row_generator(lr)
         assert [bv.word for bv in backwards] == [(), (0,), (0, 0)]
+        assert row_candidates(lr) == 4
         basis = compute_basis(lr)
-        assert basis.row_iterations == 6
         assert basis.row_words == ((), (0,))
         assert basis.dim == 2
 
     def test_iteration_bound(self):
-        # each accepted row spawns one candidate per symbol, so the scan
-        # examines at most |alphabet| * n candidates
+        # each accepted row queues one candidate per symbol, so the scan
+        # judges at most 1 + |alphabet| * r candidates, r <= n the rows
+        # it finds
         for name in corpus_names():
             lr = corpus_lr(name)
-            iterations = compute_basis(lr).row_iterations
-            assert iterations <= len(lr.alphabet.symbols) * lr.dimension, name
+            rows = len(row_generator(lr))
+            symbols = len(lr.alphabet.symbols)
+            assert row_candidates(lr) <= 1 + symbols * rows, name
+            assert rows <= lr.dimension, name
 
     def test_zero_fin_rejected(self):
         # the row scan rejects a zero final vector and the basis is empty:
@@ -50,7 +56,7 @@ class TestRowGenerator:
                            EXACT)
         assert row_generator(lr) == []
         basis = compute_basis(lr)
-        assert basis.dim == basis.row_iterations == 0
+        assert basis.dim == 0 and row_candidates(lr) == 1
         assert basis.row_words == basis.col_words == basis.matrix == ()
 
     def test_unreachable_fin_gives_dim_zero(self):
@@ -131,7 +137,7 @@ class TestComputeBasis:
                                             rng.randint(1, 3)))
             basis = compute_basis(lr)
             assert 1 <= basis.dim <= lr.dimension
-            assert basis.row_iterations <= \
+            assert row_candidates(lr) <= \
                 len(lr.alphabet.symbols) * lr.dimension + 1
 
 
@@ -158,3 +164,39 @@ def test_basis_probabilities_agree_between_cached_and_direct():
         for fv in basis.forwards:
             for bv in basis.backwards:
                 assert dot(values(fv), values(bv)) == lr.prob(fv.word + bv.word)
+
+
+def _planted_pairs(rng):
+    """Models with their equivalent rewrites: an HMM with its permuted,
+    split and blended copies, an automaton with its permuted copy, and a
+    walk with its rephased and block-permuted copies."""
+    ns = rng.randint(1, 3)
+    hmm = g.random_hmm(rng, rng.randint(1, 6), ns)
+    pfa = g.random_pfa(rng, rng.randint(1, 4), ns)
+    k = rng.randint(2, 3)
+    qrw = g.random_qrw(rng, k, rng.randint(1, k))
+    return ([(hmm, rewrite(rng, hmm)) for rewrite in
+             (g.permute_hmm, g.split_hmm_state, g.blend_hmm_state)]
+            + [(pfa, g.permute_pfa(rng, pfa))]
+            + [(qrw, rewrite(rng, qrw)) for rewrite in
+               (g.rephase_qrw, g.permute_qrw_block)])
+
+
+def test_equivalent_models_share_their_basis():
+    # in exact mode the basis is a fact of the process (``basis``
+    # docstring): two models the check calls equivalent, in either order,
+    # get the same row words, column words and block
+    pairs = [(corpus_lr(x), corpus_lr(y)) for x, y in (
+        ("constant_a_1state.hmm", "constant_a_2state.hmm"),
+        ("loop_ab.pfa", "loop_ab_swapped.pfa"),
+        ("trivial_vertex_k2.qrw", "trivial_vertex_k3.qrw"))]
+    for seed in range(150):
+        pairs += [(compile_model(x), compile_model(y))
+                  for x, y in _planted_pairs(random.Random(seed))]
+    assert len(pairs) == 903
+    for x, y in pairs:
+        assert equivalence.test_equivalence(x, y).equivalent
+        assert equivalence.test_equivalence(y, x).equivalent
+        bx, by = compute_basis(x), compute_basis(y.in_order_of(x.alphabet))
+        assert (bx.row_words, bx.col_words, bx.matrix) == \
+            (by.row_words, by.col_words, by.matrix)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 # the decision entry points are named test_*, which pytest would otherwise
 # try to collect from this module; keep them behind the module name
-from finitary import equivalence
-from finitary.basis import compute_basis
+from finitary import equivalence, oracle
+from finitary.basis import compute_basis, row_generator
 from finitary.equivalence import (
     ALL_CHECKS_PASSED,
     BASIC_MATRIX_MISMATCH,
@@ -429,3 +430,50 @@ class TestPfaVerdicts:
         with pytest.raises(ValueError, match="alphabet"):
             equivalence.test_equivalence_pfa(g.random_pfa(random.Random(1), 2, 1),
                                  g.random_pfa(random.Random(1), 2, 2))
+
+
+def _zero_heavy_pairs(rng):
+    """Sparse HMMs started in one state and sparse automata with states
+    that never stop, each against an independent model and against an
+    equivalent rewrite."""
+    ns = rng.randint(1, 3)
+    hmm = g.sparse_hmm(rng, rng.randint(1, 3), ns)
+    pfa = g.sparse_pfa(rng, rng.randint(1, 4), ns)
+    return [
+        (compile_model(hmm),
+         compile_model(g.sparse_hmm(rng, rng.randint(1, 4), ns))),
+        (compile_model(hmm), compile_model(g.split_hmm_state(rng, hmm))),
+        (compile_pfa(pfa), compile_pfa(g.sparse_pfa(rng, rng.randint(1, 4),
+                                                    ns))),
+        (compile_pfa(pfa), compile_pfa(g.permute_pfa(rng, pfa))),
+    ]
+
+
+def test_zero_heavy_models_agree_with_brute_force():
+    # two series of ranks at most n_x and n_y that differ do so on a word
+    # shorter than n_x + n_y.  Zero-heavy models reach blocks that keep
+    # fewer rows than the row scan found, row scans that stop below n
+    # (by the span certificate or an empty queue), and the pairing rerun
+    # after a full row scan
+    rng = random.Random(29)
+    reasons, blocks = Counter(), Counter()
+    for _ in range(25):
+        for x, y in _zero_heavy_pairs(rng):
+            for lr_x, lr_y in ((x, y), (y, x)):
+                v = equivalence.test_equivalence(lr_x, lr_y)
+                brute = oracle.brute_equiv(
+                    lr_x, lr_y, lr_x.dimension + lr_y.dimension - 1)
+                assert v.equivalent == brute.equal_up_to
+                if not v.equivalent:
+                    assert v.details == (lr_x.prob(v.witness),
+                                         lr_y.prob(v.witness))
+                    assert v.details[0] != v.details[1]
+                reasons[v.reason] += 1
+            for lr in (x, y):
+                rows, n = len(row_generator(lr)), lr.dimension
+                dim = compute_basis(lr).dim
+                blocks["non-square"] += dim < rows
+                blocks["short row scan"] += rows < n
+                blocks["pairing rerun"] += rows == n > dim
+    assert len(reasons) >= 4 and min(blocks.values()) >= 10, \
+        (reasons, blocks)

@@ -162,20 +162,17 @@ def fraction_rank(rows) -> int:
 
 
 def reference_scan(root, children, value):
-    """Accepted vectors, their values, and the number of candidates after
-    the root."""
+    """Accepted vectors and their values."""
     accepted, values = [], []
     queue = [root]
-    decided = -1
     while queue:
         candidate = queue.pop(0)
-        decided += 1
         candidate_value = value(candidate)
         if fraction_rank(values + [candidate_value]) > len(values):
             accepted.append(candidate)
             values.append(candidate_value)
             queue.extend(children(candidate))
-    return accepted, values, decided
+    return accepted, values
 
 
 def reference_basis(lr) -> Basis:
@@ -187,11 +184,11 @@ def reference_basis(lr) -> Basis:
         sv = lr.mirror.scaled_forward(v[::-1])
         return ScaledVector(v, sv.scale, sv.coords)
 
-    rows, row_values, iterations = reference_scan(
+    rows, row_values = reference_scan(
         backward(()),
         lambda bv: [backward((a,) + bv.word) for a in symbols],
         lambda bv: suffix_vector(lr, bv.word))
-    cols, col_values, _ = reference_scan(
+    cols, col_values = reference_scan(
         lr.scaled_forward(()),
         lambda fv: [lr.scaled_forward(fv.word + (a,)) for a in symbols],
         lambda fv: [dot(prefix_vector(lr, fv.word), b) for b in row_values])
@@ -200,7 +197,7 @@ def reference_basis(lr) -> Basis:
         block = [[column[k] for column in col_values] for k in kept + [i]]
         if fraction_rank(block) > len(kept):
             kept.append(i)
-    return Basis(tuple(rows[i] for i in kept), tuple(cols), iterations)
+    return Basis(tuple(rows[i] for i in kept), tuple(cols))
 
 
 def reference_verdict(lr_x, lr_y, basis_x, basis_y) -> tuple:
@@ -282,8 +279,7 @@ def pairing_basis(lr) -> Basis:
             forwards.append(fv)
             queue.extend((fv, a) for a in range(len(lr.alphabet)))
     keep = sorted(tester.pivots)
-    return Basis(tuple(backwards[i] for i in keep), tuple(forwards),
-                 len(lr.alphabet) * len(backwards))
+    return Basis(tuple(backwards[i] for i in keep), tuple(forwards))
 
 
 def test_full_row_rank_forward_route_equals_the_pairing_scan():
@@ -337,10 +333,11 @@ def test_full_rank_scans_stop_at_the_nth_acceptance(monkeypatch):
     monkeypatch.setattr(IndependenceTester, "try_insert", recording)
     backwards = row_generator(lr)
     assert len(backwards) == n and results[-1] and sum(results) == n
-    # every candidate an exhaustive scan decides is still counted
-    iterations = len(hmm.alphabet) * n
-    assert len(results) < iterations + 1
+    # so it judges, and builds, fewer than the 1 + |alphabet| n candidates
+    # an exhaustive scan decides
+    assert len(lr.mirror._forwards) == len(results) < \
+        1 + len(hmm.alphabet) * n
     results.clear()
     assert len(column_basis(lr, backwards)[0]) == n
     assert results[-1] and sum(results) == n
-    assert compute_basis(lr).row_iterations == iterations
+    assert len(compute_basis(lr).row_words) == n

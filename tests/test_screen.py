@@ -20,7 +20,7 @@ from finitary.representation import compile_model, compile_pfa
 from finitary.scalars import EXACT
 
 import generators as g
-from conftest import from_matrices
+from conftest import from_matrices, row_candidates
 from test_integer_path import padded_hmm_lr
 
 UNLUCKY = (2, 3, 101)
@@ -150,7 +150,9 @@ def test_a_row_scan_that_cannot_fill_certifies_its_span(monkeypatch,
     # candidate (the root, the first letter and the candidate), where
     # the certificate is too costly to try; without it a scan reduces its
     # n accepted vectors and n + 1 late rejections exactly.  The lifted
-    # certificate is checked once, in integers
+    # certificate is checked once, in integers.  It stops the scan at its
+    # second rejection: n + 2 candidates judged, where a scan without it
+    # judges all 2n + 1
     calls = _counting_reductions(monkeypatch)
     attempts, checks = [], []
     certified, closed = linalg._certified, linalg._closed
@@ -174,7 +176,7 @@ def test_a_row_scan_that_cannot_fill_certifies_its_span(monkeypatch,
         assert len(backwards) == n == lr.dimension - 1
         assert len(calls) == 3
         assert checks == attempts == [True]
-        assert compute_basis(lr).row_iterations == 2 * n
+        assert row_candidates(lr) == n + 2
 
 
 def _certificate_models(rng):

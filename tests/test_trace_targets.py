@@ -98,12 +98,12 @@ def test_the_column_scan_judges_each_candidate_once():
 
 def test_the_row_scan_builds_only_the_candidates_it_judges():
     # the row scan builds a candidate's vector only when it pops it; a
-    # certified scan stops with candidates still queued, which
-    # row_iterations counts and nothing builds
+    # certified scan stops with candidates still queued, which nothing
+    # builds: 12 judged of the 21 an exhaustive scan of its 10 rows judges
     rng = random.Random(3)
     split = g.split_hmm_state(rng, g.random_hmm(rng, 10, 2))
     inserts, candidates, basis = _inserts(split, "row_generator")
-    assert inserts == candidates == 12 and basis.row_iterations == 20
+    assert inserts == candidates == 12 and len(basis.row_words) == 10
     rng = random.Random(23)
     models = ([g.random_qrw(rng, k, 2) for k in (2, 3, 4)]
               + [g.random_pfa(rng, n, 2) for n in (3, 5)])
