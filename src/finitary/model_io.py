@@ -200,45 +200,33 @@ def _parse(text: str, tolerance: float) -> Model:
         read, law = cache(parse_ratio), row_law
     else:
         read, law = partial(parse_scalar, mode=mode), _float_law
-    if kind == "hmm":
-        n = _positive_int(_take(records, "n", kind))
-        pi = _numbers(_take(records, "pi", kind), n, read)
-        m_flat = _numbers(_take(records, "M", kind), n * n, read)
-        e_flat = _numbers(_take(records, "E", kind), n * ns, read)
-        model: Model = HmmModel(alphabet, mode=mode, laws=(
-            law(pi), tuple(map(law, _reshape(m_flat, n, n))),
-            tuple(map(law, _reshape(e_flat, n, ns)))))
-    elif kind == "qrw":
+    if kind == "qrw":
         k = _positive_int(_take(records, "k", kind))
-        label_rec = _take(records, "labels", kind)
-        if len(label_rec.tokens) != k:
-            raise ModelSyntaxError(
-                f"line {label_rec.line}: field 'labels' has "
-                f"{len(label_rec.tokens)} entries, expected {k}")
-        labels = []
-        for index, token in enumerate(label_rec.tokens):
-            try:
-                labels.append(alphabet.index(token))
-            except ValueError as exc:
-                raise ModelSyntaxError(
-                    f"{_where(label_rec, index)}: {exc}") from None
+        labels = _numbers(_take(records, "labels", kind), k, alphabet.index)
         complex_entry = partial(parse_complex, mode=mode)
         u_flat = _numbers(_take(records, "U", kind), k * k, complex_entry)
         psi = _numbers(_take(records, "psi0", kind), k, complex_entry)
-        model = QrwModel(alphabet, tuple(labels), _reshape(u_flat, k, k),
-                         tuple(psi), mode)
+        model: Model = QrwModel(alphabet, tuple(labels),
+                                _reshape(u_flat, k, k), tuple(psi), mode)
     else:
         n = _positive_int(_take(records, "n", kind))
-        pi = _numbers(_take(records, "pi", kind), n, read)
-        final = _numbers(_take(records, "F", kind), n, read)
-        flats = [_numbers(_take(records, f"Ma {symbol}", kind), n * n, read)
-                 for symbol in alphabet.symbols]
-        # state i's law: F[i], then row i of each Ma in alphabet order
-        states = tuple(
-            law([final[i]] + [x for flat in flats
-                              for x in flat[i * n:(i + 1) * n]])
-            for i in range(n))
-        model = PfaModel(alphabet, mode=mode, laws=(law(pi), states))
+        pi = law(_numbers(_take(records, "pi", kind), n, read))
+        if kind == "hmm":
+            m_flat = _numbers(_take(records, "M", kind), n * n, read)
+            e_flat = _numbers(_take(records, "E", kind), n * ns, read)
+            model = HmmModel(alphabet, mode=mode, laws=(
+                pi, tuple(map(law, _reshape(m_flat, n, n))),
+                tuple(map(law, _reshape(e_flat, n, ns)))))
+        else:
+            final = _numbers(_take(records, "F", kind), n, read)
+            flats = [_numbers(_take(records, f"Ma {symbol}", kind), n * n,
+                              read) for symbol in alphabet.symbols]
+            # state i's law: F[i], then row i of each Ma in alphabet order
+            states = tuple(
+                law([final[i]] + [x for flat in flats
+                                  for x in flat[i * n:(i + 1) * n]])
+                for i in range(n))
+            model = PfaModel(alphabet, mode=mode, laws=(pi, states))
 
     if records:
         stray = next(iter(records.values()))
@@ -256,37 +244,32 @@ def _row_lines(rows, fmt) -> list[str]:
 
 
 def serialize_model(model: Model) -> str:
-    lines = []
-    if isinstance(model, HmmModel):
-        lines.append("kind: hmm")
-        lines.append(f"mode: {model.mode}")
-        lines.append("alphabet: " + " ".join(model.alphabet.symbols))
-        lines.append(f"n: {model.num_states}")
-        lines.append("pi: " + " ".join(format_scalar(x) for x in model.initial))
-        lines.append("M:")
-        lines.extend(_row_lines(model.transition, format_scalar))
-        lines.append("E:")
-        lines.extend(_row_lines(model.emission, format_scalar))
-    elif isinstance(model, QrwModel):
-        lines.append("kind: qrw")
-        lines.append(f"mode: {model.mode}")
-        lines.append("alphabet: " + " ".join(model.alphabet.symbols))
+    for kind, cls in zip(KINDS, (HmmModel, QrwModel, PfaModel)):
+        if isinstance(model, cls):
+            break
+    else:
+        raise TypeError(f"not a model: {type(model).__name__}")
+    lines = [f"kind: {kind}", f"mode: {model.mode}",
+             "alphabet: " + " ".join(model.alphabet.symbols)]
+    if isinstance(model, QrwModel):
         lines.append(f"k: {model.num_coordinates}")
         lines.append("labels: " + " ".join(model.alphabet.symbols[a]
                                            for a in model.labels))
         lines.append("U:")
         lines.extend(_row_lines(model.evolution, format_complex))
         lines.append("psi0: " + " ".join(format_complex(z) for z in model.wave))
-    elif isinstance(model, PfaModel):
-        lines.append("kind: pfa")
-        lines.append(f"mode: {model.mode}")
-        lines.append("alphabet: " + " ".join(model.alphabet.symbols))
+    else:
         lines.append(f"n: {model.num_states}")
         lines.append("pi: " + " ".join(format_scalar(x) for x in model.initial))
-        lines.append("F: " + " ".join(format_scalar(x) for x in model.final))
-        for a, symbol in enumerate(model.alphabet.symbols):
-            lines.append(f"Ma {symbol}:")
-            lines.extend(_row_lines(model.transitions[a], format_scalar))
-    else:
-        raise TypeError(f"not a model: {type(model).__name__}")
+        if isinstance(model, HmmModel):
+            lines.append("M:")
+            lines.extend(_row_lines(model.transition, format_scalar))
+            lines.append("E:")
+            lines.extend(_row_lines(model.emission, format_scalar))
+        else:
+            lines.append("F: " + " ".join(format_scalar(x)
+                                          for x in model.final))
+            for a, symbol in enumerate(model.alphabet.symbols):
+                lines.append(f"Ma {symbol}:")
+                lines.extend(_row_lines(model.transitions[a], format_scalar))
     return "\n".join(lines) + "\n"

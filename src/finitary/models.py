@@ -14,12 +14,14 @@ exact mode ``nums`` are the integer numerators over one denominator that
 ``scalars.row_law`` gives; in float mode ``den`` is 1 and ``nums`` are the
 floats.  ``validate`` checks a law with one left-to-right sum and a sign
 test, and ``representation`` compiles the laws, so in exact mode neither
-builds a ``Fraction`` per entry.  A model stores its alphabet, laws and
-mode and nothing else, whether it was parsed or built from scalars; the
-entries (``initial``, ``transition``, ``emission``, ``final``,
-``transitions``) are built from the laws on first read.  A walk's U and
-psi0 are split once each by ``linalg.gaussian`` (``QrwModel.split``), for
-its validation and its compilation alike.
+builds a ``Fraction`` per entry.  Both share one law-model base, which
+stores the alphabet, laws and mode and nothing else, whether the model was
+parsed or built from scalars; the entries (``initial``, ``transition``,
+``emission``, ``final``, ``transitions``) are built from the laws on first
+read.  Each names its rows and entries, and one law survey in ``validate``
+reports both kinds.  A walk's U and psi0 are split once each by
+``linalg.gaussian`` (``QrwModel.split``), for its validation and its
+compilation alike.
 """
 
 from __future__ import annotations
@@ -110,24 +112,45 @@ def _entries(law, mode: str, start: int = 0, stop: int | None = None):
     return nums[start:stop]
 
 
-def _from_entries(mode: str, laws, *entries) -> bool:
-    """Whether a model is built from its entries rather than its laws; it
-    takes one or the other."""
-    if mode not in MODES:
-        raise ValueError(f"unknown scalar mode: {mode!r}")
-    if (laws is None) != all(x is not None for x in entries):
-        raise TypeError("a model takes its entries or their laws")
-    return laws is None
+@dataclass(frozen=True, init=False)
+class _LawModel:
+    """A model kept as row laws: a hidden Markov model or an automaton.
 
+    ``laws[0]`` is the law of ``initial`` and ``laws[1]`` holds one law per
+    state; each subclass lays out its laws, builds them from its entries
+    (``_laws``) and names them for ``validate`` (``_named_laws``).
+    """
 
-def _init(model, alphabet, laws, mode: str):
-    object.__setattr__(model, "alphabet", alphabet)
-    object.__setattr__(model, "laws", laws)
-    object.__setattr__(model, "mode", mode)
+    alphabet: Alphabet
+    laws: tuple
+    mode: str = EXACT
+
+    def __init__(self, alphabet, mode, laws, entries):
+        """From ``laws``, or from ``entries``, ``initial`` first, when
+        ``laws`` is None; a model takes one or the other."""
+        if mode not in MODES:
+            raise ValueError(f"unknown scalar mode: {mode!r}")
+        if (laws is None) != all(x is not None for x in entries):
+            raise TypeError("a model takes its entries or their laws")
+        if laws is None:
+            if len(entries[0]) == 0:
+                raise ValueError("model needs at least one state")
+            laws = self._laws(alphabet, mode, *entries)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "laws", laws)
+        object.__setattr__(self, "mode", mode)
+
+    @cached_property
+    def initial(self) -> tuple:
+        return _entries(self.laws[0], self.mode)
+
+    @property
+    def num_states(self) -> int:
+        return len(self.laws[1])
 
 
 @dataclass(frozen=True, init=False)
-class HmmModel:
+class HmmModel(_LawModel):
     """Hidden Markov model: per-state emission row, then a state transition.
 
     ``initial`` is the starting distribution, ``transition`` the state
@@ -140,32 +163,32 @@ class HmmModel:
     the laws, which equal rows share.
     """
 
-    alphabet: Alphabet
-    laws: tuple
-    mode: str = EXACT
-
     def __init__(self, alphabet, initial=None, transition=None,
                  emission=None, mode=EXACT, *, laws=None):
         """From the entries, sequences of numbers of ``mode`` (see
         ``scalars.as_scalar``), or from their laws alone, whose shapes are
         not checked."""
-        if _from_entries(mode, laws, initial, transition, emission):
-            n = len(initial)
-            if n == 0:
-                raise ValueError("model needs at least one state")
-            if len(transition) != n or any(len(r) != n for r in transition):
-                raise ValueError("transition matrix must be n x n")
-            if (len(emission) != n
-                    or any(len(r) != len(alphabet) for r in emission)):
-                raise ValueError("emission matrix must be n x |alphabet|")
-            laws = (scalar_law(initial, mode),
-                    tuple(scalar_law(r, mode) for r in transition),
-                    tuple(scalar_law(r, mode) for r in emission))
-        _init(self, alphabet, laws, mode)
+        super().__init__(alphabet, mode, laws, (initial, transition, emission))
 
-    @cached_property
-    def initial(self) -> tuple:
-        return _entries(self.laws[0], self.mode)
+    @staticmethod
+    def _laws(alphabet, mode, initial, transition, emission) -> tuple:
+        n = len(initial)
+        if len(transition) != n or any(len(r) != n for r in transition):
+            raise ValueError("transition matrix must be n x n")
+        if (len(emission) != n
+                or any(len(r) != len(alphabet) for r in emission)):
+            raise ValueError("emission matrix must be n x |alphabet|")
+        return (scalar_law(initial, mode),
+                tuple(scalar_law(r, mode) for r in transition),
+                tuple(scalar_law(r, mode) for r in emission))
+
+    def _named_laws(self):
+        """``(row name, entry name, laws)`` per block of laws; the names
+        are ``str.format``s of the row index i and the entry index j."""
+        pi, transition, emission = self.laws
+        return (("pi".format, "pi[{1}]".format, (pi,)),
+                ("M row {}".format, "M[{}][{}]".format, transition),
+                ("E row {}".format, "E[{}][{}]".format, emission))
 
     @cached_property
     def transition(self) -> tuple:
@@ -174,10 +197,6 @@ class HmmModel:
     @cached_property
     def emission(self) -> tuple:
         return tuple(_entries(law, self.mode) for law in self.laws[2])
-
-    @property
-    def num_states(self) -> int:
-        return len(self.laws[1])
 
 
 @dataclass(frozen=True)
@@ -230,7 +249,7 @@ class QrwModel:
 
 
 @dataclass(frozen=True, init=False)
-class PfaModel:
+class PfaModel(_LawModel):
     """Probabilistic finite automaton with per-symbol transitions and
     stopping probabilities.  ``transitions[a][i][j]`` is the chance of
     emitting symbol ``a`` while moving i -> j; ``final[i]`` the chance of
@@ -242,34 +261,38 @@ class PfaModel:
     The entries are built from the laws on first read.
     """
 
-    alphabet: Alphabet
-    laws: tuple
-    mode: str = EXACT
-
     def __init__(self, alphabet, initial=None, transitions=None, final=None,
                  mode=EXACT, *, laws=None):
         """From the entries, sequences of numbers of ``mode`` (see
         ``scalars.as_scalar``), or from their laws alone, whose shapes are
         not checked."""
-        if _from_entries(mode, laws, initial, transitions, final):
-            n = len(initial)
-            if n == 0:
-                raise ValueError("model needs at least one state")
-            if len(final) != n:
-                raise ValueError("final vector must have n entries")
-            if len(transitions) != len(alphabet):
-                raise ValueError("one transition matrix per symbol required")
-            for m in transitions:
-                if len(m) != n or any(len(r) != n for r in m):
-                    raise ValueError("transition matrices must be n x n")
-            laws = (scalar_law(initial, mode), tuple(
-                scalar_law([final[i], *(x for m in transitions for x in m[i])],
-                           mode) for i in range(n)))
-        _init(self, alphabet, laws, mode)
+        super().__init__(alphabet, mode, laws, (initial, transitions, final))
 
-    @cached_property
-    def initial(self) -> tuple:
-        return _entries(self.laws[0], self.mode)
+    @staticmethod
+    def _laws(alphabet, mode, initial, transitions, final) -> tuple:
+        n = len(initial)
+        if len(final) != n:
+            raise ValueError("final vector must have n entries")
+        if len(transitions) != len(alphabet):
+            raise ValueError("one transition matrix per symbol required")
+        for m in transitions:
+            if len(m) != n or any(len(r) != n for r in m):
+                raise ValueError("transition matrices must be n x n")
+        return (scalar_law(initial, mode), tuple(
+            scalar_law([final[i], *(x for m in transitions for x in m[i])],
+                       mode) for i in range(n)))
+
+    def _named_laws(self):
+        """As ``HmmModel._named_laws``."""
+        pi, states = self.laws
+
+        def entry(i: int, j: int) -> str:
+            if j == 0:
+                return f"F[{i}]"
+            a, j = divmod(j - 1, self.num_states)
+            return f"Ma {self.alphabet.symbols[a]}[{i}][{j}]"
+        return (("pi".format, "pi[{1}]".format, (pi,)),
+                ("state {} outgoing mass".format, entry, states))
 
     @cached_property
     def final(self) -> tuple:
@@ -284,52 +307,33 @@ class PfaModel:
                   for law in self.laws[1])
             for a in range(len(self.alphabet)))
 
-    @property
-    def num_states(self) -> int:
-        return len(self.laws[1])
-
 
 Model = HmmModel | QrwModel | PfaModel
 
 
-def _survey(law, mode, tol):
-    """The indices of a row law's negative entries (below ``-tol`` in float
-    mode), and its sum when that is not 1 (within ``tol`` in float mode,
-    so a NaN sum is reported), else None.  An exact law is one integer sum
-    and a sign test; a ``Fraction`` is built only for a sum to report."""
-    den, nums = law
-    # left to right: from Python 3.12 the builtin ``sum`` compensates float
-    # rounding, which would make float messages depend on the version
-    total = 0
-    for x in nums:
-        total = total + x
-    # ``min`` is below 0 or NaN whenever an entry is negative
-    negative = [] if min(nums) >= 0 else [
-        i for i, x in enumerate(nums)
-        if x < 0 and not scalars_equal(x, 0, mode, tol)]
-    if scalars_equal(total, den, mode, tol):
-        return negative, None
-    return negative, _entries((den, (total,)), mode)[0]
-
-
-def _check_distribution(law, name, row_label, violations, mode, tol):
-    negative, total = _survey(law, mode, tol)
-    for idx in negative:
-        violations.append(f"{name}[{idx}] is negative" if row_label is None
-                          else f"{name}[{row_label}][{idx}] is negative")
-    if total is not None:
-        where = name if row_label is None else f"{name} row {row_label}"
-        violations.append(f"{where} sums to {format_scalar(total)}")
-
-
-def _validate_hmm(model: HmmModel, tol: float) -> list[str]:
+def _validate_laws(model: _LawModel, tol: float) -> list[str]:
+    """Each law's negative entries (below ``-tol`` in float mode), then its
+    sum when that is not 1 (within ``tol`` in float mode, so a NaN sum is
+    reported).  An exact law is one integer sum and a sign test; a
+    ``Fraction`` is built only for a sum to report."""
     v: list[str] = []
-    pi, transition, emission = model.laws
-    _check_distribution(pi, "pi", None, v, model.mode, tol)
-    for i, law in enumerate(transition):
-        _check_distribution(law, "M", i, v, model.mode, tol)
-    for i, law in enumerate(emission):
-        _check_distribution(law, "E", i, v, model.mode, tol)
+    mode = model.mode
+    for row, entry, laws in model._named_laws():
+        for i, (den, nums) in enumerate(laws):
+            # left to right: from Python 3.12 the builtin ``sum`` compensates
+            # float rounding, which would make float messages depend on the
+            # version
+            total = 0
+            for x in nums:
+                total = total + x
+            # ``min`` is below 0 or NaN whenever an entry is negative
+            if not min(nums) >= 0:
+                v.extend(f"{entry(i, j)} is negative"
+                         for j, x in enumerate(nums)
+                         if x < 0 and not scalars_equal(x, 0, mode, tol))
+            if not scalars_equal(total, den, mode, tol):
+                total = _entries((den, (total,)), mode)[0]
+                v.append(f"{row(i)} sums to {format_scalar(total)}")
     return v
 
 
@@ -361,34 +365,12 @@ def _validate_qrw(model: QrwModel, tol: float) -> list[str]:
     return v
 
 
-def _validate_pfa(model: PfaModel, tol: float) -> list[str]:
-    v: list[str] = []
-    mode = model.mode
-    n = model.num_states
-    pi, states = model.laws
-    _check_distribution(pi, "pi", None, v, mode, tol)
-    for i, law in enumerate(states):
-        negative, total = _survey(law, mode, tol)
-        for idx in negative:
-            if idx == 0:
-                v.append(f"F[{i}] is negative")
-            else:
-                a, j = divmod(idx - 1, n)
-                v.append(f"Ma {model.alphabet.symbols[a]}[{i}][{j}] "
-                         "is negative")
-        if total is not None:
-            v.append(f"state {i} outgoing mass sums to {format_scalar(total)}")
-    return v
-
-
 def validate(model: Model, tolerance: float = DEFAULT_TOLERANCE) -> list[str]:
     """All probability-law violations, empty when the model is well formed."""
-    if isinstance(model, HmmModel):
-        return _validate_hmm(model, tolerance)
+    if isinstance(model, _LawModel):
+        return _validate_laws(model, tolerance)
     if isinstance(model, QrwModel):
         return _validate_qrw(model, tolerance)
-    if isinstance(model, PfaModel):
-        return _validate_pfa(model, tolerance)
     raise TypeError(f"not a model: {type(model).__name__}")
 
 

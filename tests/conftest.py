@@ -6,7 +6,8 @@ import pytest
 
 from finitary.basis import compute_basis
 from finitary.model_io import parse_model
-from finitary.representation import LinearRepresentation, _row_parts, _step
+from finitary.representation import (LinearRepresentation, _row_parts, _step,
+                                     compile_model)
 from finitary.scalars import EXACT, scalar_law
 
 import criteria
@@ -20,6 +21,10 @@ def corpus_names() -> list[str]:
 
 def load_corpus_model(name: str):
     return parse_model((CORPUS_DIR / name).read_text())
+
+
+def corpus_lr(name: str) -> LinearRepresentation:
+    return compile_model(load_corpus_model(name))
 
 
 def step_matrices(lr) -> tuple:

@@ -8,15 +8,10 @@ from finitary.representation import compile_model
 from finitary.scalars import EXACT
 
 import generators as g
-from conftest import (corpus_names, from_matrices, load_corpus_model,
-                      row_candidates)
+from conftest import corpus_lr, corpus_names, from_matrices, row_candidates
 from reference import prefix_vector, rank, suffix_vector
 
 F = Fraction
-
-
-def corpus_lr(name):
-    return compile_model(load_corpus_model(name))
 
 
 def values(sv):

@@ -24,14 +24,10 @@ from finitary.representation import (LinearRepresentation, compile_model,
 from finitary.scalars import EXACT, FLOAT, scalars_equal
 
 import generators as g
-from conftest import (corpus_names, exact_copy, from_matrices,
+from conftest import (corpus_lr, corpus_names, exact_copy, from_matrices,
                       load_corpus_model)
 
 F = Fraction
-
-
-def corpus_lr(name):
-    return compile_model(load_corpus_model(name))
 
 
 class TestVerdicts:

@@ -34,6 +34,9 @@ def test_float_dot_is_the_left_to_right_sum():
 def test_dot_length_mismatch():
     with pytest.raises(ValueError):
         dot((1,), (1, 2))
+    with pytest.raises(ValueError,
+                       match="vector length 1 does not match 2 rows"):
+        vec_mat((1,), ((1,), (2,)))
 
 
 def test_vec_mat():

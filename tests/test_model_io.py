@@ -199,9 +199,27 @@ class TestSyntaxErrors:
                         "labels: a\nU: 1 0 0 1\npsi0: 1 0\n")
 
     def test_unknown_label_symbol(self):
-        with pytest.raises(ModelSyntaxError, match="unknown symbol: 'b'"):
-            parse_model("kind: qrw\nmode: exact\nalphabet: a\nk: 1\n"
-                        "labels: b\nU: 1\npsi0: 1\n")
+        with pytest.raises(ModelSyntaxError) as info:
+            parse_model("kind: qrw\nmode: exact\nalphabet: a\nk: 2\n"
+                        "labels: a b\nU: 1 0 0 1\npsi0: 1 0\n")
+        assert str(info.value) == "line 5, column 11: unknown symbol: 'b'"
+
+    @pytest.mark.parametrize("text, message", [
+        (GOOD_HMM.replace("kind: hmm", "kind: hmm pfa"),
+         "line 1: field 'kind' wants one value, got 2"),
+        (GOOD_HMM.replace("alphabet: a", "alphabet:"),
+         "line 3: alphabet must be non-empty"),
+        (GOOD_HMM.replace("alphabet: a", "alphabet: a:b"),
+         "line 3: bad alphabet symbol: 'a:b'"),
+        ("kind: qrw\nmode: exact\nalphabet: a\nk: 1\nlabels: a\n"
+         "U: 1+i\npsi0: 1\n",
+         "line 6, column 4: malformed complex literal: '1+i'"),
+    ], ids=["two-kinds", "empty-alphabet", "bad-symbol", "complex-literal"])
+    def test_header_and_entry_errors_carry_their_position(self, text,
+                                                          message):
+        with pytest.raises(ModelSyntaxError) as info:
+            parse_model(text)
+        assert str(info.value) == message
 
     def test_fraction_in_float_mode(self):
         bad = GOOD_HMM.replace("mode: exact", "mode: float") \

@@ -87,6 +87,24 @@ class TestShapeChecks:
     def test_empty_model_rejected(self):
         with pytest.raises(ValueError, match="at least one state"):
             HmmModel(Alphabet(("a",)), (), (), ())
+        with pytest.raises(ValueError, match="at least one state"):
+            PfaModel(Alphabet(("a",)), (), ((),), ())
+
+    def test_pfa_final_length(self):
+        with pytest.raises(ValueError,
+                           match="final vector must have n entries"):
+            PfaModel(Alphabet(("a",)), (F(1),), (((F(0),),),), (F(1), F(0)))
+
+    def test_pfa_ragged_transition(self):
+        with pytest.raises(ValueError,
+                           match="transition matrices must be n x n"):
+            PfaModel(Alphabet(("a",)), (F(1),), (((F(0), F(0)),),), (F(1),))
+
+    @pytest.mark.parametrize("cls", [HmmModel, PfaModel])
+    def test_unknown_mode(self, cls):
+        with pytest.raises(ValueError, match="unknown scalar mode: 'double'"):
+            cls(Alphabet(("a",)), (F(1),), ((F(1),),), ((F(1),),),
+                mode="double")
 
 
 class TestRowLaws:

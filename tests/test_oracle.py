@@ -14,7 +14,7 @@ from finitary.scalars import FLOAT
 
 import generators as g
 import reference
-from conftest import corpus_names, load_corpus_model
+from conftest import corpus_lr, corpus_names, load_corpus_model
 from reference import (
     extend_suffix,
     hankel_rank,
@@ -24,10 +24,6 @@ from reference import (
 )
 
 F = Fraction
-
-
-def corpus_lr(name):
-    return compile_model(load_corpus_model(name))
 
 
 class TestEnumerateProbs:

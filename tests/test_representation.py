@@ -21,15 +21,11 @@ from finitary.representation import (
 from finitary.scalars import EXACT, FLOAT, ComplexScalar
 
 import generators as g
-from conftest import (corpus_names, from_matrices, load_corpus_model,
-                      step_matrices)
+from conftest import (corpus_lr, corpus_names, from_matrices,
+                      load_corpus_model, step_matrices)
 from reference import prefix_vector, suffix_vector
 
 F = Fraction
-
-
-def corpus_lr(name):
-    return compile_model(load_corpus_model(name))
 
 
 def times_column(m, col):
@@ -423,6 +419,8 @@ class TestCompileDispatch:
     def test_rejects_non_model(self):
         with pytest.raises(TypeError):
             compile_model(object())
+        with pytest.raises(TypeError, match="not a model: object"):
+            validate(object())
 
 
 class TestFromMatrices:
