@@ -42,7 +42,7 @@ from .representation import (
     compile_pfa,
     compile_qrw,
 )
-from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT, ComplexScalar
+from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT
 
 __version__ = "0.1.0"
 
@@ -53,7 +53,6 @@ __all__ = [
     "Basis",
     "BruteResult",
     "BudgetExceededError",
-    "ComplexScalar",
     "DEFAULT_TOLERANCE",
     "DIMENSION_MISMATCH",
     "EXACT",

@@ -81,10 +81,10 @@ def integral(vector, mode: str):
 
 
 def gaussian(entries, mode: str):
-    """``(scale, pairs)`` with entry ``i == scale * complex(*pairs[i])``:
-    ``integral`` of the real and imaginary parts together, so an exact
-    walk's entries become Gaussian integers over one denominator."""
-    scale, flat = integral([x for z in entries for x in (z.re, z.im)], mode)
+    """``(scale, pairs)`` with entry ``i == scale * complex(*pairs[i])``
+    for ``(re, im)`` entries: ``integral`` of their parts together, so an
+    exact walk's entries become Gaussian integers over one denominator."""
+    scale, flat = integral([x for z in entries for x in z], mode)
     return scale, list(zip(flat[0::2], flat[1::2]))
 
 

@@ -19,9 +19,10 @@ stores the alphabet, laws and mode and nothing else, whether the model was
 parsed or built from scalars; the entries (``initial``, ``transition``,
 ``emission``, ``final``, ``transitions``) are built from the laws on first
 read.  Each names its rows and entries, and one law survey in ``validate``
-reports both kinds.  A walk's U and psi0 are split once each by
-``linalg.gaussian`` (``QrwModel.split``), for its validation and its
-compilation alike.
+reports both kinds.  A walk stores each entry of U and psi0 as the pair
+``(re, im)`` of scalars in its mode (``scalars.as_complex``), and splits
+U and psi0 once each by ``linalg.gaussian`` (``QrwModel.split``), for its
+validation and its compilation alike.
 """
 
 from __future__ import annotations
@@ -205,7 +206,8 @@ class QrwModel:
 
     ``labels[c]`` is the symbol index observed when the wave collapses onto
     coordinate ``c``.  ``evolution`` is the k x k unitary, ``wave`` the
-    initial unit wave function.
+    initial unit wave function; each entry is given as a number or a pair
+    ``(re, im)`` and stored as the pair (``scalars.as_complex``).
     """
 
     alphabet: Alphabet

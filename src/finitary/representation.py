@@ -32,9 +32,10 @@ per symbol and the entries of init and fin.  ``compile_qrw`` takes U
 and psi0 as the walk split them once each with ``linalg.gaussian``
 (``QrwModel.split``): ``(re, im)`` pairs, Gaussian integers over one
 denominator in exact mode and the floats themselves in float mode.  It
-builds every coordinate from products of those pairs: T[a] is the square
-of U's scale times an integer matrix, and no complex rational is
-multiplied.
+builds the coordinates of the one conjugation Q -> U Q U* from products
+of those pairs, once, and each T[a] is that conjugation with every
+coordinate not labeled a on both sides cleared: the square of U's scale
+times an integer matrix, with no complex rational multiplied.
 
 A forward vector (init times a prefix product) and a backward vector (a
 suffix product times fin) extend by one symbol in O(n^2) and pair up via
@@ -230,22 +231,19 @@ def compile_pfa(pfa: PfaModel) -> LinearRepresentation:
                                 pfa.final, pfa.mode)
 
 
-def _coordinate_pairs(k: int):
-    re_pairs = [(m1, m2) for m1 in range(k) for m2 in range(m1, k)]
-    im_pairs = [(m1, m2) for m1 in range(k) for m2 in range(m1 + 1, k)]
-    return re_pairs, im_pairs
-
-
 def compile_qrw(qrw: QrwModel) -> LinearRepresentation:
-    """Row j of T[a] holds the coordinates of x y* + y x* for the basis
-    element j = (m1, m2), with x and y columns m1 and m2 of Pa U: x x*
-    alone for a diagonal Re element, and i x in place of x for an Im
-    element.  U and psi0 come split by ``gaussian`` (``qrw.split``), so
-    in exact mode every product is of integers and T[a] is u_scale**2
-    times an integer matrix."""
+    """Row j of T[a] holds the coordinates of Pa U E_j U* Pa for the basis
+    element j = (m1, m2).  U E_j U* is x y* + y x*, with x and y columns
+    m1 and m2 of U: x x* alone for a diagonal Re element, and i x in place
+    of x for an Im element.  These rows are built once, and T[a] is them
+    with each coordinate (p, q) cleared unless both p and q are labeled a.
+    U and psi0 come split by ``gaussian`` (``qrw.split``), so in exact
+    mode every product is of integers and T[a] is u_scale**2 times an
+    integer matrix."""
     k = qrw.num_coordinates
     mode = qrw.mode
-    re_pairs, im_pairs = _coordinate_pairs(k)
+    re_pairs = [(m1, m2) for m1 in range(k) for m2 in range(m1, k)]
+    im_pairs = [(m1, m2) for m1 in range(k) for m2 in range(m1 + 1, k)]
     (u_scale, u), (w_scale, wave) = qrw.split
 
     def coords(x, y):
@@ -259,17 +257,19 @@ def compile_qrw(qrw: QrwModel) -> LinearRepresentation:
             h[p, q] = re, im
         return [h[pq][0] for pq in re_pairs] + [h[pq][1] for pq in im_pairs]
 
+    cols = [u[m::k] for m in range(k)]
+    rows = [coords(cols[m1], cols[m2]) for m1, m2 in re_pairs]
+    rows += [coords([(-im, re) for re, im in cols[m1]], cols[m2])
+             for m1, m2 in im_pairs]
+    labels = qrw.labels
     u2 = u_scale ** 2
     steps = []
     for a in range(len(qrw.alphabet)):
-        # columns of Pa U: rows not labeled a are multiplied by 0
-        kept = [label == a for label in qrw.labels]
-        cols = [[(re * on, im * on) for (re, im), on in zip(u[m::k], kept)]
-                for m in range(k)]
-        rows = [coords(cols[m1], cols[m2]) for m1, m2 in re_pairs]
-        rows += [coords([(-im, re) for re, im in cols[m1]], cols[m2])
-                 for m1, m2 in im_pairs]
-        scale, m = _step([_row_parts((1, row), mode) for row in rows], mode)
+        # Pa Q Pa keeps coordinate (p, q) when p and q are both labeled a
+        kept = [labels[p] == a == labels[q] for p, q in re_pairs + im_pairs]
+        scale, m = _step([_row_parts(
+            (1, [x if on else 0 for x, on in zip(row, kept)]), mode)
+            for row in rows], mode)
         steps.append((u2 * scale, m))
 
     w2 = w_scale ** 2

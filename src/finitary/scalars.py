@@ -8,14 +8,16 @@ of ``int``, and ``row_law`` puts a row of such pairs over one common
 denominator: that is the form in which an exact hidden Markov model or
 automaton keeps its rows, and in which they are validated and compiled,
 so loading such a file builds a ``Fraction`` only for an entry somebody
-reads (see ``models``).  A walk's complex entries, parsed as
-``ComplexScalar`` values, are validated and compiled as Gaussian-integer
-numerators over one denominator (see ``linalg.gaussian``); the compiled
-representation holds integer step matrices with one rational scale each;
-and the scans and the equivalence check compute on integer vectors (see
-``linalg.integral``).  All comparisons are literal equality.  Float mode
-stores machine floats and defers to a tolerance, which callers thread
-through explicitly.  The two modes are never mixed inside one model.
+reads (see ``models``).  A walk's complex entry is the pair ``(re, im)``
+of scalars in the model's mode from file to step: ``parse_complex`` reads
+it, ``as_complex`` coerces it, ``format_complex`` prints it, and the walk
+is validated and compiled on Gaussian-integer numerators over one
+denominator (see ``linalg.gaussian``); the compiled representation holds
+integer step matrices with one rational scale each; and the scans and the
+equivalence check compute on integer vectors (see ``linalg.integral``).
+All comparisons are literal equality.  Float mode stores machine floats
+and defers to a tolerance, which callers thread through explicitly.  The
+two modes are never mixed inside one model.
 
 Python caps the conversion between ``int`` and decimal text at 4300
 digits.  Exact values have no such bound, so ``parse_model`` and
@@ -29,7 +31,6 @@ import math
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 
 EXACT = "exact"
@@ -155,28 +156,22 @@ def scalars_equal(x, y, mode: str, tolerance: float = DEFAULT_TOLERANCE) -> bool
     return abs(x - y) <= tolerance
 
 
-@dataclass(frozen=True)
-class ComplexScalar:
-    """A parsed complex entry of a walk: a pair of scalars in the model's
-    mode.  It carries no arithmetic; walks compute on ``(re, im)`` pairs
-    split by ``linalg.gaussian``."""
-
-    re: Scalar
-    im: Scalar
-
-
-def as_complex(value, mode: str) -> ComplexScalar:
-    if isinstance(value, ComplexScalar):
-        return ComplexScalar(as_scalar(value.re, mode), as_scalar(value.im, mode))
-    return ComplexScalar(as_scalar(value, mode), zero(mode))
+def as_complex(value, mode: str) -> tuple:
+    """A walk entry, a number or a pair ``(re, im)`` of numbers, as the
+    pair of its parts coerced by ``as_scalar``."""
+    if isinstance(value, tuple):
+        real, imag = value
+        return as_scalar(real, mode), as_scalar(imag, mode)
+    return as_scalar(value, mode), zero(mode)
 
 
-def parse_complex(text: str, mode: str) -> ComplexScalar:
-    """Parse ``re+imi`` / ``re-imi``.  A doubled sign like ``1/2+-1/2i`` is
-    accepted; bare reals get a zero imaginary part."""
+def parse_complex(text: str, mode: str) -> tuple:
+    """Parse ``re+imi`` / ``re-imi`` as the pair ``(re, im)``.  A doubled
+    sign like ``1/2+-1/2i`` is accepted; bare reals get a zero imaginary
+    part."""
     t = text.strip()
     if not t.endswith("i"):
-        return ComplexScalar(parse_scalar(t, mode), zero(mode))
+        return parse_scalar(t, mode), zero(mode)
     body = t[:-1]
     split = None
     for idx in range(1, len(body)):
@@ -186,19 +181,20 @@ def parse_complex(text: str, mode: str) -> ComplexScalar:
             break
     if split is None:
         # pure imaginary, e.g. "1i" (canonical form is "0+1i")
-        return ComplexScalar(zero(mode), parse_scalar(body, mode))
+        return zero(mode), parse_scalar(body, mode)
     re_text = body[:split]
     im_text = body[split:]
     if im_text.startswith("+"):
         im_text = im_text[1:]
     if not im_text or im_text in "+-":
         raise ValueError(f"malformed complex literal: {text!r}")
-    return ComplexScalar(parse_scalar(re_text, mode), parse_scalar(im_text, mode))
+    return parse_scalar(re_text, mode), parse_scalar(im_text, mode)
 
 
-def format_complex(z: ComplexScalar) -> str:
-    re_part = format_scalar(z.re)
-    im = z.im
+def format_complex(z: tuple) -> str:
+    """``re+imi`` for the pair ``z == (re, im)``."""
+    re_part = format_scalar(z[0])
+    im = z[1]
     if isinstance(im, float):
         im = im + 0.0
     if im < 0:

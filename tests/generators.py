@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from finitary.models import Alphabet, HmmModel, PfaModel, QrwModel
-from finitary.scalars import FLOAT, ComplexScalar
+from finitary.scalars import FLOAT
 
 SYMBOLS = ("a", "b", "c", "d")
 
@@ -164,19 +164,19 @@ _ROTATIONS = (
 )
 
 _UNITS = (
-    ComplexScalar(Fraction(1), Fraction(0)),
-    ComplexScalar(Fraction(-1), Fraction(0)),
-    ComplexScalar(Fraction(0), Fraction(1)),
-    ComplexScalar(Fraction(0), Fraction(-1)),
+    (Fraction(1), Fraction(0)),
+    (Fraction(-1), Fraction(0)),
+    (Fraction(0), Fraction(1)),
+    (Fraction(0), Fraction(-1)),
 )
 
 
-def _czero() -> ComplexScalar:
-    return ComplexScalar(Fraction(0), Fraction(0))
+def _czero() -> tuple:
+    return Fraction(0), Fraction(0)
 
 
-def _cone() -> ComplexScalar:
-    return ComplexScalar(Fraction(1), Fraction(0))
+def _cone() -> tuple:
+    return Fraction(1), Fraction(0)
 
 
 def _identity(k: int) -> list:
@@ -184,8 +184,9 @@ def _identity(k: int) -> list:
             for i in range(k)]
 
 
-def _times(x: ComplexScalar, y: ComplexScalar) -> ComplexScalar:
-    return ComplexScalar(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)
+def _times(x: tuple, y: tuple) -> tuple:
+    """The product of two complex numbers given as (re, im) pairs."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
 def _mul(a: list, b: list) -> list:
@@ -195,8 +196,8 @@ def _mul(a: list, b: list) -> list:
         row = []
         for j in range(k):
             terms = [_times(a[i][m], b[m][j]) for m in range(k)]
-            row.append(ComplexScalar(sum(t.re for t in terms),
-                                     sum(t.im for t in terms)))
+            row.append((sum(t[0] for t in terms),
+                        sum(t[1] for t in terms)))
         out.append(row)
     return out
 
@@ -222,10 +223,10 @@ def random_unitary(rng: random.Random, k: int,
             p, q = rng.sample(range(k), 2)
             c, s = rng.choice(_ROTATIONS)
             factor = _identity(k)
-            factor[p][p] = ComplexScalar(c, Fraction(0))
-            factor[q][q] = ComplexScalar(c, Fraction(0))
-            factor[p][q] = ComplexScalar(s, Fraction(0))
-            factor[q][p] = ComplexScalar(-s, Fraction(0))
+            factor[p][p] = (c, Fraction(0))
+            factor[q][q] = (c, Fraction(0))
+            factor[p][q] = (s, Fraction(0))
+            factor[q][p] = (-s, Fraction(0))
         u = _mul(u, factor)
     return tuple(tuple(row) for row in u)
 
@@ -317,8 +318,8 @@ def rephase_qrw(rng: random.Random, qrw: QrwModel) -> QrwModel:
     """Multiply the wave by a non-trivial unit phase: same physical state,
     different parametrization."""
     phases = _UNITS[1:] + (
-        ComplexScalar(Fraction(3, 5), Fraction(4, 5)),
-        ComplexScalar(Fraction(-5, 13), Fraction(12, 13)),
+        (Fraction(3, 5), Fraction(4, 5)),
+        (Fraction(-5, 13), Fraction(12, 13)),
     )
     phase = rng.choice(phases)
     return QrwModel(qrw.alphabet, qrw.labels, qrw.evolution,

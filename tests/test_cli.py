@@ -1,7 +1,10 @@
+import contextlib
+import io
 import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -849,3 +852,68 @@ def test_repeated_runs_are_byte_identical(runner):
         second = runner.invoke(main, args)
         assert first.output == second.output, args
         assert first.exit_code == second.exit_code
+
+
+# what a mutation puts in: malformed and out-of-range literals, the
+# empty-word glyph, the symbol automata once reserved for stopping, header
+# fields out of place, and ordinary tokens of every file kind
+FUZZ_POOL = ("1+i", "1e400", "1/0", "□", "$", "kind:", "mode:", "alphabet:",
+             "n:", "k:", "labels:", "pi:", "M:", "E:", "F:", "U:", "psi0:",
+             "Ma", "hmm", "qrw", "pfa", "exact", "float", "0", "1", "-1",
+             "1/2", "0.5", "-0.0", "nan", "3/5-4/5i", "1i", "a", "b", "#",
+             ":", ",", "\n")
+
+
+def _mutant(rng: random.Random, text: str) -> str:
+    """``text`` without its comments and with 1-3 of its tokens replaced
+    by a ``FUZZ_POOL`` token, deleted, or preceded by one."""
+    text = "\n".join(line.partition("#")[0] for line in text.splitlines())
+    parts = re.split(r"(\s+)", text)
+    tokens = [i for i, part in enumerate(parts) if part and not part.isspace()]
+    for i in rng.sample(tokens, rng.randint(1, 3)):
+        op = rng.randrange(3)
+        if op == 0:
+            parts[i] = rng.choice(FUZZ_POOL)
+        elif op == 1:
+            parts[i] = ""
+        else:
+            parts[i] = rng.choice(FUZZ_POOL) + " " + parts[i]
+    return "".join(parts)
+
+
+def _call(args):
+    """Exit code and combined output of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main.main(args=args, prog_name="finitary")
+            code = None  # standalone mode always exits
+        except SystemExit as stop:
+            code = stop.code
+        except Exception as exc:  # escaped the command group's handler
+            code = repr(exc)
+    return code, out.getvalue() + err.getvalue()
+
+
+def test_mutated_corpus_files_exit_0_1_or_2(tmp_path):
+    # every command on 300 seeded mutants of the corpus files: malformed
+    # input is a user error (exit 2), never a crash or an internal error.
+    # This seed's mutants put a malformed complex literal and a zero
+    # denominator where the reader parses them
+    rng = random.Random(17)
+    names = corpus_names()
+    failures = []
+    for index in range(300):
+        name = names[index % len(names)]
+        text = _mutant(rng, (CORPUS_DIR / name).read_text())
+        path = tmp_path / f"mutant{index}.{name.rsplit('.', 1)[1]}"
+        path.write_text(text, encoding="utf-8")
+        x = str(path)
+        for args in (["validate", x], ["dim", x],
+                     ["basis", x, "--format", "json"],
+                     ["equiv", x, corpus(name)], ["equiv", x, x],
+                     ["prob", x, "a"], ["oracle", x, "-L", "2"]):
+            code, output = _call(args)
+            if code not in (0, 1, 2) or "internal error" in output:
+                failures.append((args[0], name, code, output, text))
+    assert not failures, failures[:3]

@@ -16,7 +16,7 @@ from finitary.models import (
     validate,
 )
 from finitary.representation import compile_hmm
-from finitary.scalars import EXACT, FLOAT, ComplexScalar
+from finitary.scalars import EXACT, FLOAT
 
 import generators as g
 from conftest import corpus_names, load_corpus_model
@@ -76,9 +76,23 @@ class TestShapeChecks:
             HmmModel(Alphabet(("a", "b")), (F(1),), ((F(1),),), ((F(1),),))
 
     def test_qrw_label_out_of_range(self):
-        one = ComplexScalar(F(1), F(0))
+        one = (F(1), F(0))
         with pytest.raises(ValueError, match="label"):
             QrwModel(Alphabet(("a",)), (1,), ((one,),), (one,))
+
+    @pytest.mark.parametrize("entry,mode", [
+        ((F(1),), EXACT),
+        ((F(1), F(0), F(0)), EXACT),
+        ((1.0, F(0)), EXACT),
+        ((F(1), 0.0), FLOAT),
+    ])
+    def test_qrw_entry_must_be_a_pair_in_the_mode(self, entry, mode):
+        # an entry is a number or a pair (re, im) of scalars in the mode
+        one = (F(1), F(0)) if mode == EXACT else (1.0, 0.0)
+        with pytest.raises((TypeError, ValueError)):
+            QrwModel(Alphabet(("a",)), (0,), ((entry,),), (one,), mode)
+        with pytest.raises((TypeError, ValueError)):
+            QrwModel(Alphabet(("a",)), (0,), ((one,),), (entry,), mode)
 
     def test_pfa_matrix_count(self):
         with pytest.raises(ValueError, match="per symbol"):
@@ -176,11 +190,7 @@ class TestRowLaws:
 
 def _walk(u, psi, mode=EXACT):
     """A two-coordinate walk over a b from (re, im) pairs."""
-    def c(z):
-        return ComplexScalar(*z)
-    return QrwModel(Alphabet(("a", "b")), (0, 1),
-                    tuple(tuple(c(z) for z in row) for row in u),
-                    tuple(c(z) for z in psi), mode)
+    return QrwModel(Alphabet(("a", "b")), (0, 1), u, psi, mode)
 
 
 # a 3/5 4/5 rotation with its second column turned by 5/13 + 12/13 i:
@@ -214,19 +224,18 @@ class TestValidate:
         assert validate(m) == ["E row 0 sums to 5/6"]
 
     def test_qrw_non_unitary(self):
-        half = ComplexScalar(F(1, 2), F(0))
-        one = ComplexScalar(F(1), F(0))
+        half = (F(1, 2), F(0))
+        one = (F(1), F(0))
         m = QrwModel(Alphabet(("a",)), (0,), ((half,),), (one,))
         assert "unitarity violated at entry (0,0)" in validate(m)
 
     def test_qrw_bad_wave_norm(self):
-        one = ComplexScalar(F(1), F(0))
-        m = QrwModel(Alphabet(("a",)), (0,), ((one,),),
-                     (ComplexScalar(F(1, 2), F(0)),))
+        one = (F(1), F(0))
+        m = QrwModel(Alphabet(("a",)), (0,), ((one,),), ((F(1, 2), F(0)),))
         assert "psi0 has squared norm 1/4" in validate(m)
 
     def test_qrw_unused_symbol(self):
-        one = ComplexScalar(F(1), F(0))
+        one = (F(1), F(0))
         m = QrwModel(Alphabet(("a", "b")), (0,), ((one,),), (one,))
         assert "symbol b labels no coordinate" in validate(m)
 

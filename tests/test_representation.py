@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finitary import models, representation
-from finitary.linalg import dot, gaussian, integral, vec_mat
+from finitary.linalg import dot, gaussian, integral, times_conj, vec_mat
 from finitary.model_io import parse_model, serialize_model
 from finitary.models import HmmModel, QrwModel, validate
 from finitary.representation import (
@@ -18,7 +18,7 @@ from finitary.representation import (
     compile_pfa,
     compile_qrw,
 )
-from finitary.scalars import EXACT, FLOAT, ComplexScalar
+from finitary.scalars import EXACT, FLOAT
 
 import generators as g
 from conftest import (corpus_lr, corpus_names, from_matrices,
@@ -124,11 +124,10 @@ class TestHmmCompilation:
 def walk_prob(qrw, word):
     """||P_vt U ... P_v1 U psi0||^2 straight from the walk's definition,
     on (re, im) tuples in the walk's scalars."""
-    u = [[(z.re, z.im) for z in row] for row in qrw.evolution]
-    psi = [(z.re, z.im) for z in qrw.wave]
+    psi = qrw.wave
     for a in word:
         step = []
-        for row, label in zip(u, qrw.labels):
+        for row, label in zip(qrw.evolution, qrw.labels):
             re = im = 0
             if label == a:
                 for (ur, ui), (pr, pi) in zip(row, psi):
@@ -141,7 +140,7 @@ def walk_prob(qrw, word):
 
 def floated(qrw):
     def f(z):
-        return ComplexScalar(float(z.re), float(z.im))
+        return float(z[0]), float(z[1])
     return QrwModel(qrw.alphabet, qrw.labels,
                     tuple(tuple(f(z) for z in row) for row in qrw.evolution),
                     tuple(f(z) for z in qrw.wave), FLOAT)
@@ -188,6 +187,24 @@ class TestQrwCompilation:
         calls.clear()
         validate(qrw)
         assert len(calls) <= 2 * 6 * 6 + 2
+
+    def test_one_conjugation_serves_every_symbol(self, monkeypatch):
+        # the k*k rows of U E_j U* are built once for all symbols: a
+        # diagonal Re row takes the 10 products x x* of its k = 4
+        # coordinate pairs (p, q), each of the 12 other rows 20, x y* and
+        # y x*; psi0's own coordinates take 10 more.  Rebuilding the rows
+        # from Pa U for each of the 3 symbols would take 3 * 280 + 10
+        qrw = g.random_qrw(random.Random(4), 4, 3)
+        assert len(qrw.alphabet) == 3
+        calls = []
+
+        def counting(x, y):
+            calls.append(1)
+            return times_conj(x, y)
+
+        monkeypatch.setattr(representation, "times_conj", counting)
+        compile_qrw(qrw)
+        assert len(calls) == 4 * 10 + 12 * 20 + 10
 
     def test_loading_and_compiling_split_each_entry_once(self, monkeypatch):
         # one gaussian of U and one of psi0 serve validation and compile

@@ -9,7 +9,6 @@ from finitary.scalars import (
     DEFAULT_TOLERANCE,
     EXACT,
     FLOAT,
-    ComplexScalar,
     as_complex,
     as_scalar,
     format_complex,
@@ -144,8 +143,29 @@ class TestComparison:
 
 
 class TestComplexScalar:
+    """A walk entry is the pair (re, im) of scalars in the model's mode."""
+
     def test_as_complex_promotes_real(self):
-        assert as_complex(2, EXACT) == ComplexScalar(Fraction(2), Fraction(0))
+        assert as_complex(2, EXACT) == (Fraction(2), Fraction(0))
+
+    def test_as_complex_coerces_both_parts(self):
+        z = as_complex((1, Fraction(-1, 2)), EXACT)
+        assert z == (Fraction(1), Fraction(-1, 2))
+        assert [type(x) for x in z] == [Fraction, Fraction]
+        assert as_complex((1, 2), FLOAT) == (1.0, 2.0)
+
+    @pytest.mark.parametrize("value,mode", [
+        ((), EXACT),
+        ((Fraction(1),), EXACT),
+        ((Fraction(1), Fraction(0), Fraction(0)), EXACT),
+        ((0.5, Fraction(0)), EXACT),
+        ((Fraction(0), 0.5), EXACT),
+        ((Fraction(1, 2), 0.0), FLOAT),
+    ])
+    def test_as_complex_refuses(self, value, mode):
+        # not a pair, or a part that ``as_scalar`` refuses in this mode
+        with pytest.raises((TypeError, ValueError)):
+            as_complex(value, mode)
 
 
 class TestParseComplex:
@@ -160,11 +180,11 @@ class TestParseComplex:
         ("1/2+-1/2i", Fraction(1, 2), Fraction(-1, 2)),
     ])
     def test_exact_forms(self, text, re_q, im_q):
-        assert parse_complex(text, EXACT) == ComplexScalar(re_q, im_q)
+        assert parse_complex(text, EXACT) == (re_q, im_q)
 
     def test_float_scientific_real_part(self):
         z = parse_complex("1e-3+2i", FLOAT)
-        assert z == ComplexScalar(1e-3, 2.0)
+        assert z == (1e-3, 2.0)
 
     def test_malformed(self):
         with pytest.raises(ValueError):
@@ -172,5 +192,5 @@ class TestParseComplex:
 
     @given(st.fractions(max_denominator=1000), st.fractions(max_denominator=1000))
     def test_format_parse_round_trip(self, re_q, im_q):
-        z = ComplexScalar(re_q, im_q)
+        z = (re_q, im_q)
         assert parse_complex(format_complex(z), EXACT) == z
