@@ -14,7 +14,6 @@ from .equivalence import (
     ONE_STEP_MISMATCH,
     EquivalenceVerdict,
     test_equivalence,
-    test_equivalence_pfa,
 )
 from .models import (
     Alphabet,
@@ -35,13 +34,7 @@ from .oracle import (
     brute_equiv,
     enumerate_probs,
 )
-from .representation import (
-    LinearRepresentation,
-    compile_hmm,
-    compile_model,
-    compile_pfa,
-    compile_qrw,
-)
+from .representation import LinearRepresentation, compile_model
 from .scalars import DEFAULT_TOLERANCE, EXACT, FLOAT
 
 __version__ = "0.1.0"
@@ -67,15 +60,11 @@ __all__ = [
     "PfaModel",
     "QrwModel",
     "brute_equiv",
-    "compile_hmm",
     "compile_model",
-    "compile_pfa",
-    "compile_qrw",
     "compute_basis",
     "enumerate_probs",
     "parse_model",
     "serialize_model",
     "test_equivalence",
-    "test_equivalence_pfa",
     "validate",
 ]

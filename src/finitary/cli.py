@@ -5,8 +5,10 @@ models: agreement up to the length bound), 1 an established difference,
 2 usage, syntax, validation, or budget errors, and internal failures.
 Output is deterministic.  Every command builds its report both as a JSON
 payload and as text lines and prints it through ``_emit``, the one place
-that reads ``--format``.  Model files and WORD are read as UTF-8, whatever
-the locale.
+that reads ``--format``.  Every command but ``validate`` loads its model
+files through ``_compiled``, the one place that refuses an automaton
+paired with another model.  Model files and WORD are read as UTF-8,
+whatever the locale.
 """
 
 from __future__ import annotations
@@ -94,21 +96,23 @@ def _read(path: str) -> str:
         _fail(f"{path}: not UTF-8 text ({exc})")
 
 
-def _load(path: str, tolerance: float = DEFAULT_TOLERANCE):
-    try:
-        return parse_model(_read(path), tolerance)
-    except ModelValidationError as exc:
-        _fail(f"{path}: invalid model: {exc}")
-    except ModelSyntaxError as exc:
-        _fail(f"{path}: {exc}")
-
-
-def _check_same_class(models):
-    """Automata are compared by acceptance, other models by their process:
-    a pair with exactly one automaton has no common notion of equivalence."""
+def _compiled(paths, tolerance: float = DEFAULT_TOLERANCE):
+    """The representations of the model files ``paths``, loaded in order.
+    Automata are compared by acceptance, other models by their process, so
+    files that mix the two are refused: they have no common notion of
+    equivalence."""
+    models = []
+    for path in paths:
+        try:
+            models.append(parse_model(_read(path), tolerance))
+        except ModelValidationError as exc:
+            _fail(f"{path}: invalid model: {exc}")
+        except ModelSyntaxError as exc:
+            _fail(f"{path}: {exc}")
     if len({isinstance(m, PfaModel) for m in models}) > 1:
         _fail("cannot compare an automaton with a hidden Markov model or "
               "quantum walk")
+    return [compile_model(m) for m in models]
 
 
 class _Group(click.Group):
@@ -141,12 +145,9 @@ def equiv(model_a, model_b, tolerance, fmt):
 
     Two automata are compared by their acceptance probabilities.
     """
-    a = _load(model_a, tolerance)
-    b = _load(model_b, tolerance)
-    _check_same_class((a, b))
+    lr_a, lr_b = _compiled([model_a, model_b], tolerance)
     try:
-        verdict = test_equivalence(compile_model(a), compile_model(b),
-                                   tolerance)
+        verdict = test_equivalence(lr_a, lr_b, tolerance)
     except ValueError as exc:
         _fail(str(exc))
     witness_text = (None if verdict.witness is None
@@ -184,7 +185,7 @@ def equiv(model_a, model_b, tolerance, fmt):
 @format_option
 def dim(model_file, tolerance, fmt):
     """Process dimension of one model file."""
-    lr = compile_model(_load(model_file, tolerance))
+    [lr] = _compiled([model_file], tolerance)
     result = compute_basis(lr, tolerance)
     _emit(fmt, {"dim": result.dim}, [str(result.dim)])
 
@@ -195,7 +196,7 @@ def dim(model_file, tolerance, fmt):
 @format_option
 def basis(model_file, tolerance, fmt):
     """Basis words and the invertible block for one model file."""
-    lr = compile_model(_load(model_file, tolerance))
+    [lr] = _compiled([model_file], tolerance)
     result = compute_basis(lr, tolerance)
     rows = [lr.alphabet.format_word(v) for v in result.row_words]
     cols = [lr.alphabet.format_word(w) for w in result.col_words]
@@ -220,7 +221,7 @@ def prob(model_file, word, decimal, fmt):
     WORD is symbols separated by spaces or commas, plain concatenation when
     all symbols are single characters, or "" / the empty-word glyph.
     """
-    lr = compile_model(_load(model_file))
+    [lr] = _compiled([model_file])
     try:  # argv's bytes as UTF-8, whatever the locale decoded them as
         text = os.fsencode(word).decode("utf-8")
     except UnicodeEncodeError:  # no argv decoding made it: a caller's text
@@ -258,9 +259,7 @@ def oracle(model_files, max_len, budget, tolerance, fmt):
     """
     if len(model_files) not in (1, 2):
         _fail("oracle takes one or two model files")
-    models = [_load(p, tolerance) for p in model_files]
-    _check_same_class(models)
-    lrs = [compile_model(m) for m in models]
+    lrs = _compiled(model_files, tolerance)
     words = lrs[0].alphabet.format_word
     try:
         if len(lrs) == 1:

@@ -16,20 +16,23 @@ judged with a tolerance, so a word is judged at its first split only.
 The check runs in O(|alphabet| * n^4) overall and enumerates no words.
 
 Every exact "not equivalent" verdict carries a witness word.  When the
-dimensions differ, the larger basis's block is invertible, of rank
-dim_big, while the other model's values on the same words form a submatrix
-of its Hankel array, of rank at most dim_small; so some block entry differs.
+dimensions differ, the larger basis's block is invertible, of rank the
+larger dimension, while the other model's values on the same words form a
+submatrix of its Hankel array, of rank at most the smaller dimension; so
+some block entry differs.
 Automata are compared through their acceptance series pi . M_v . F
 (Tzeng, SIAM J. Comput. 21(2), 1992), so a witness is a word whose
 acceptance probabilities differ.
 
 Every compared value is a product of scaled vectors, p = s * i with a
 rational scale s and, in exact mode, an integer dot product i of coprime
-coordinates, dot(forward coords, backward coords) on both sides.  The big
-basis contributes only its words: every vector compared, on either side,
-is read from a vector cache when first compared, a column w as the forward
-vector of w and a row m v as the mirror's forward vector of m v reversed,
-so a word either scan already built is not built again.
+coordinates, dot(forward coords, backward coords) on both sides.  The
+larger basis supplies only the words, and on each word x's value is
+compared with y's, the order of a witness's ``details``.  Every vector
+compared, on either side, is read from a vector cache when first
+compared, a column w as the forward vector of w and a row m v as the
+mirror's forward vector of m v reversed, so a word either scan already
+built is not built again.
 Two values are compared without forming either: s * i == t * j is tested
 as s.num * t.den * i == t.num * s.den * j, with those factors taken once
 per row word and once per column word and pass.
@@ -82,64 +85,45 @@ def test_equivalence(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
     if lr_x.mode != lr_y.mode:
         raise ValueError("scalar mode mismatch")
     mode = lr_x.mode
-    reported_tol = tolerance if mode == FLOAT else None
 
     basis_x = compute_basis(lr_x, tolerance)
     basis_y = compute_basis(lr_y, tolerance)
     same_dim = basis_x.dim == basis_y.dim
-    y_drives = basis_y.dim > basis_x.dim
-    big, lr_big, lr_small = ((basis_y, lr_y, lr_x) if y_drives
-                             else (basis_x, lr_x, lr_y))
+    words = basis_y if basis_y.dim > basis_x.dim else basis_x
 
-    def verdict(equivalent, reason, witness=None, p_big=None, p_small=None):
-        details = None
-        if witness is not None:
-            details = (p_small, p_big) if y_drives else (p_big, p_small)
-        return EquivalenceVerdict(equivalent, reason, witness, details,
-                                  basis_x.dim, basis_y.dim, lr_x.alphabet,
-                                  mode, reported_tol)
-
-    def factors(s, t):
-        """(f, g) with s * i == t * j iff f * i == g * j."""
-        (a, b), (c, d) = s.as_integer_ratio(), t.as_integer_ratio()
-        return a * d, c * b
-
-    def same(f, i, g, j):
-        return scalars_equal(f * i, g * j, mode, tolerance)
-
-    def paired(word, scaled_big, scaled_small):
-        """(big vector, small vector, factors) of a word."""
-        vb, vs = scaled_big(word), scaled_small(word)
-        return vb, vs, factors(vb.scale, vs.scale)
+    def paired(word, rep_x, rep_y):
+        """(x's vector, y's vector, f_x, f_y) of a word: with s and t the
+        two scales, s * i == t * j iff f_x * i == f_y * j."""
+        vx, vy = rep_x.scaled_forward(word), rep_y.scaled_forward(word)
+        a, b = vx.scale.as_integer_ratio()
+        c, d = vy.scale.as_integer_ratio()
+        return vx, vy, a * d, c * b
 
     rows = {}  # m v -> paired backward vectors, built when first compared
     compared = set()  # every word w m v compared so far, by either pass
 
     def first_difference(middles):
-        """(w, m, w m v, p_big, p_small) at the first word w m v on which
-        the models differ, or None: w in J outermost, then m in
-        ``middles``, then v in I.  A word compared before is skipped: it
-        was equal (in float mode, at that split), or the check would have
-        returned."""
-        mvs = [(m, m + v) for m in middles for v in big.row_words]
-        for w in big.col_words:
-            fb, fs, (cf_big, cf_small) = paired(
-                w, lr_big.scaled_forward, lr_small.scaled_forward)
+        """(w, m, w m v, (p_x, p_y)) at the first word w m v on which the
+        models differ, or None: w in J outermost, then m in ``middles``,
+        then v in I.  A word compared before is skipped: it was equal (in
+        float mode, at that split), or the check would have returned."""
+        mvs = [(m, m + v) for m in middles for v in words.row_words]
+        for w in words.col_words:
+            fx, fy, cf_x, cf_y = paired(w, lr_x, lr_y)
             for m, mv in mvs:
                 word = w + mv
                 if word in compared:
                     continue
                 compared.add(word)
                 if mv not in rows:
-                    rows[mv] = paired(mv[::-1], lr_big.mirror.scaled_forward,
-                                      lr_small.mirror.scaled_forward)
-                bb, bs, (rf_big, rf_small) = rows[mv]
-                i_big = dot(fb.coords, bb.coords)
-                i_small = dot(fs.coords, bs.coords)
-                if not same(cf_big * rf_big, i_big, cf_small * rf_small,
-                            i_small):
-                    return (w, m, word, fb.scale * bb.scale * i_big,
-                            fs.scale * bs.scale * i_small)
+                    rows[mv] = paired(mv[::-1], lr_x.mirror, lr_y.mirror)
+                bx, by, rf_x, rf_y = rows[mv]
+                i_x = dot(fx.coords, bx.coords)
+                i_y = dot(fy.coords, by.coords)
+                if not scalars_equal(cf_x * rf_x * i_x, cf_y * rf_y * i_y,
+                                     mode, tolerance):
+                    return w, m, word, (fx.scale * bx.scale * i_x,
+                                        fy.scale * by.scale * i_y)
         return None
 
     # the block is the empty middle; the one-step extensions need equal
@@ -147,19 +131,23 @@ def test_equivalence(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
     found = first_difference([()])
     if found is None and same_dim:
         found = first_difference([(a,) for a in range(len(lr_x.alphabet))])
+    equivalent = found is None and same_dim
+    witness = details = None
     if found is None:
-        return verdict(same_dim,
-                       ALL_CHECKS_PASSED if same_dim else DIMENSION_MISMATCH)
-    w, m, witness, p_big, p_small = found
-    if m:
-        reason = ONE_STEP_MISMATCH
-    elif not same_dim:
-        reason = DIMENSION_MISMATCH
-    elif w == ():
-        reason = INITIAL_ROW_MISMATCH
+        reason = ALL_CHECKS_PASSED if same_dim else DIMENSION_MISMATCH
     else:
-        reason = BASIC_MATRIX_MISMATCH
-    return verdict(False, reason, witness, p_big, p_small)
+        w, m, witness, details = found
+        if m:
+            reason = ONE_STEP_MISMATCH
+        elif not same_dim:
+            reason = DIMENSION_MISMATCH
+        elif w == ():
+            reason = INITIAL_ROW_MISMATCH
+        else:
+            reason = BASIC_MATRIX_MISMATCH
+    return EquivalenceVerdict(equivalent, reason, witness, details,
+                              basis_x.dim, basis_y.dim, lr_x.alphabet, mode,
+                              tolerance if mode == FLOAT else None)
 
 
 def test_equivalence_pfa(pfa_x: PfaModel, pfa_y: PfaModel,

@@ -195,8 +195,6 @@ def format_complex(z: tuple) -> str:
     """``re+imi`` for the pair ``z == (re, im)``."""
     re_part = format_scalar(z[0])
     im = z[1]
-    if isinstance(im, float):
-        im = im + 0.0
     if im < 0:
         return f"{re_part}-{format_scalar(-im)}i"
     return f"{re_part}+{format_scalar(im)}i"

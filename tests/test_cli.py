@@ -315,6 +315,28 @@ class TestModuleEntry:
         assert done.returncode == 2
         assert done.stdout == "pi sums to 1/2\n"
 
+    @pytest.mark.parametrize("args", [
+        ["equiv", corpus("loop_ab.pfa"), corpus("loop_ab_swapped.pfa"),
+         "--format", "json"],
+        ["equiv", corpus("identity.qrw"), corpus("swap.qrw"),
+         "--format", "json"],
+        ["equiv", corpus("swap.qrw"), corpus("identity.qrw"),
+         "--format", "json"],
+        ["basis", corpus("swap.qrw")],
+    ], ids=["pfa", "qrw", "qrw-swapped", "basis"])
+    def test_same_bytes_under_every_hash_seed(self, args):
+        # acceptance criterion 8 across launches: set and dict orders
+        # change with the hash seed, which one process never sees change
+        outputs = set()
+        for seed in ("0", "1", "4242"):
+            env = {**os.environ, "PYTHONPATH": str(CORPUS_DIR.parent / "src"),
+                   "PYTHONHASHSEED": seed}
+            done = subprocess.run(
+                [sys.executable, "-m", "finitary.cli", *args],
+                capture_output=True, env=env, timeout=120)
+            outputs.add((done.returncode, done.stdout, done.stderr))
+        assert len(outputs) == 1, outputs
+
     # model files and WORD are UTF-8 whatever the locale: the cases below
     # run under an ASCII locale and compare bytes
     GREEK = ("kind: hmm\nmode: exact\nalphabet: α β\nn: 1\npi: 1\nM: 1\n"

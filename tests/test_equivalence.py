@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 # try to collect from this module; keep them behind the module name
 from finitary import equivalence, oracle
 from finitary.basis import compute_basis, row_generator
+from finitary.cli import main
 from finitary.equivalence import (
     ALL_CHECKS_PASSED,
     BASIC_MATRIX_MISMATCH,
@@ -18,6 +20,7 @@ from finitary.equivalence import (
     ONE_STEP_MISMATCH,
 )
 from finitary.linalg import dot
+from finitary.model_io import serialize_model
 from finitary.models import Alphabet, HmmModel
 from finitary.representation import (LinearRepresentation, compile_model,
                                      compile_pfa)
@@ -69,6 +72,35 @@ class TestVerdicts:
         assert v.witness == (0,)
         assert v.details == (x.prob(v.witness), y.prob(v.witness)) == (1, 0)
 
+    def test_float_dimension_mismatch_without_witness(self):
+        # y's dimension is 2, but on the words of either basis its values
+        # agree with x's within the tolerance: neither order has a witness
+        x, y = _close_float_pair()
+        for a, b in ((x, y), (y, x)):
+            v = equivalence.test_equivalence(compile_model(a), compile_model(b))
+            assert not v.equivalent
+            assert v.reason == DIMENSION_MISMATCH
+            assert (v.dim_x, v.dim_y) == (a.num_states, b.num_states)
+            assert v.witness is None and v.details is None
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_float_dimension_mismatch_without_witness_cli(self, tmp_path,
+                                                          order):
+        paths = []
+        for name, model in zip("xy", _close_float_pair()):
+            path = tmp_path / f"{name}.hmm"
+            path.write_text(serialize_model(model), encoding="utf-8")
+            paths.append(str(path))
+        args = ["equiv", paths[order[0]], paths[order[1]]]
+        text = CliRunner().invoke(main, args)
+        assert text.exit_code == 1
+        assert text.stdout.startswith("not equivalent: dimension-mismatch\n")
+        assert "witness:" not in text.stdout
+        res = CliRunner().invoke(main, args + ["--format", "json"])
+        assert res.exit_code == 1
+        assert '"witness": null' in res.stdout
+        assert '"values": null' in res.stdout
+
     def test_reflexive_on_corpus(self):
         for name in corpus_names():
             lr = corpus_lr(name)
@@ -91,6 +123,18 @@ class TestVerdicts:
     def test_mode_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             equivalence.test_equivalence(corpus_lr("coin.hmm"), corpus_lr("hadamard.qrw"))
+
+
+def _close_float_pair():
+    """A one-state float HMM and a two-state one whose emissions differ
+    from it by 5e-05 per state, in opposite directions."""
+    third, d = 1 / 3, 5e-05
+    abc = Alphabet(("a", "b", "c"))
+    x = HmmModel(abc, (1.0,), ((1.0,),), ((third, third, third),), FLOAT)
+    y = HmmModel(abc, (0.5, 0.5), ((0.7, 0.3), (0.3, 0.7)),
+                 ((third + d, third - d, third),
+                  (third - d, third + d, third)), FLOAT)
+    return x, y
 
 
 def _alternating_chain(initial):

@@ -190,6 +190,15 @@ class TestParseComplex:
         with pytest.raises(ValueError):
             parse_complex("1+i+", EXACT)
 
+    @pytest.mark.parametrize("z,text", [
+        ((0.0, -0.0), "0.0+0.0i"),
+        ((1.5, -0.0), "1.5+0.0i"),
+        ((1.0, -2.5), "1.0-2.5i"),
+    ])
+    def test_format_float_signs(self, z, text):
+        # a negative zero imaginary part prints as +0.0
+        assert format_complex(z) == text
+
     @given(st.fractions(max_denominator=1000), st.fractions(max_denominator=1000))
     def test_format_parse_round_trip(self, re_q, im_q):
         z = (re_q, im_q)
