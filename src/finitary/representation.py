@@ -24,12 +24,13 @@ twists:
 A representation stores one step per symbol as ``(scale, M)`` with
 T[a] = scale * M: in exact mode M is a coprime integer matrix and scale a
 ``Fraction``; in float mode scale is 1.0 and M is T[a] itself.  That is its
-only stored form, and one routine, ``_step``, builds it from the rows of
-T[a], each given as a weight times an integer row.  ``compile_hmm`` and
-``compile_pfa`` read those rows off the model's row laws (see
-``models``), so in exact mode the ``Fraction``s they build are one scale
-per symbol and the entries of init and fin.  ``compile_qrw`` takes U
-and psi0 as the walk split them once each with ``linalg.gaussian``
+only stored form, and one routine, ``_step``, builds it: the rows of T[a]
+come as rational weights times integer rows, and the whole matrix is split
+once, by the rule ``linalg.integral`` applies to a vector.  ``compile_hmm``
+and ``compile_pfa`` pass the numerators of the model's row laws (see
+``models``) as those rows, so in exact mode the ``Fraction``s they build
+are one scale per symbol and the entries of init and fin.  ``compile_qrw``
+takes U and psi0 as the walk split them once each with ``linalg.gaussian``
 (``QrwModel.split``): ``(re, im)`` pairs, Gaussian integers over one
 denominator in exact mode and the floats themselves in float mode.  It
 builds the coordinates of the one conjugation Q -> U Q U* from products
@@ -174,43 +175,33 @@ class LinearRepresentation:
                 f"dimension {self.dimension}")
 
 
-def _row_parts(law, mode: str, start: int = 0, stop: int | None = None):
-    """Entries ``start:stop`` of a row law ``(den, nums)`` as a row for
-    ``_step``: ``(content, den, r)`` with ``r`` coprime integers in exact
-    mode, ``(1, 1, entries)`` in float mode."""
-    den, nums = law
-    if mode != EXACT:
-        return 1, 1, nums[start:stop]
-    content, r = primitive(nums[start:stop])
-    return content, den, r
-
-
 def _step(rows, mode: str):
     """``(scale, M)`` for the matrix whose row i is ``num / den * r`` for
-    ``rows[i] == (num, den, r)``, each ``r`` coprime integers in exact
-    mode: the rows go over the lcm of the ``den``, and only the weights
-    ``num`` are made coprime, so an integer row is split once however
-    many steps share it.  In float mode ``den`` is 1 and scale 1.0."""
+    ``rows[i] == (num, den, r)``, ``r`` any integers in exact mode: the
+    rows go over the lcm of the ``den``, and the whole matrix is split once
+    by ``primitive``, the rule ``integral`` applies to a vector.  In float
+    mode scale is 1.0 and row i is ``num * r``."""
     if mode != EXACT:
         return 1.0, tuple([tuple([num * x for x in r]) for num, _, r in rows])
     common = lcm(*[den for _, den, _ in rows])
-    content, weights = primitive([num * (common // den)
-                                  for num, den, _ in rows])
+    weights = [num * (common // den) for num, den, _ in rows]
+    content, flat = primitive([w * x for w, (_, _, r) in zip(weights, rows)
+                               for x in r])
+    width = len(flat) // len(rows)
     return Fraction(content, common), tuple([
-        tuple([w * x for x in r]) for w, (_, _, r) in zip(weights, rows)])
+        flat[i:i + width] for i in range(0, len(flat), width)])
 
 
 def compile_hmm(hmm: HmmModel) -> LinearRepresentation:
-    """T[a][i][j] = E[i][a] * M[i][j].  Row i of M is split once as
-    s_i * r_i, r_i coprime integers (``_row_parts``), so row i of T[a] is
-    E[i][a] * s_i times r_i for every symbol a.  In exact mode the only
-    ``Fraction``s built are the |A| scales, the entries of pi and fin's 1."""
+    """T[a][i][j] = E[i][a] * M[i][j]: row i of T[a] is the numerators of
+    M's row law times E[i][a]'s, over the product of the two laws'
+    denominators.  In exact mode the only ``Fraction``s built are the |A|
+    scales, the entries of pi and fin's 1."""
     mode = hmm.mode
     _, transition, emission = hmm.laws
-    rows = [_row_parts(law, mode) for law in transition]
     steps = tuple(
-        _step([(e_nums[a] * content, e_den * den, r)
-               for (e_den, e_nums), (content, den, r) in zip(emission, rows)],
+        _step([(e_nums[a], e_den * den, nums)
+               for (e_den, e_nums), (den, nums) in zip(emission, transition)],
               mode)
         for a in range(len(hmm.alphabet)))
     fin = (one(mode),) * hmm.num_states
@@ -220,12 +211,12 @@ def compile_hmm(hmm: HmmModel) -> LinearRepresentation:
 def compile_pfa(pfa: PfaModel) -> LinearRepresentation:
     """The acceptance series pi . M_v . F: the probability of reading v and
     then stopping (Tzeng, SIAM J. Comput. 21(2), 1992).  Row i of M_a is a
-    slice of state i's law."""
+    slice of the numerators of state i's law, over its denominator."""
     n = pfa.num_states
     _, states = pfa.laws
     steps = tuple(
-        _step([_row_parts(law, pfa.mode, 1 + a * n, 1 + (a + 1) * n)
-               for law in states], pfa.mode)
+        _step([(1, den, nums[1 + a * n:1 + (a + 1) * n])
+               for den, nums in states], pfa.mode)
         for a in range(len(pfa.alphabet)))
     return LinearRepresentation(pfa.alphabet, steps, pfa.initial,
                                 pfa.final, pfa.mode)
@@ -267,9 +258,8 @@ def compile_qrw(qrw: QrwModel) -> LinearRepresentation:
     for a in range(len(qrw.alphabet)):
         # Pa Q Pa keeps coordinate (p, q) when p and q are both labeled a
         kept = [labels[p] == a == labels[q] for p, q in re_pairs + im_pairs]
-        scale, m = _step([_row_parts(
-            (1, [x if on else 0 for x, on in zip(row, kept)]), mode)
-            for row in rows], mode)
+        scale, m = _step([(1, 1, [x if on else 0 for x, on in zip(row, kept)])
+                          for row in rows], mode)
         steps.append((u2 * scale, m))
 
     w2 = w_scale ** 2

@@ -6,8 +6,7 @@ import pytest
 
 from finitary.basis import compute_basis
 from finitary.model_io import parse_model
-from finitary.representation import (LinearRepresentation, _row_parts, _step,
-                                     compile_model)
+from finitary.representation import LinearRepresentation, _step, compile_model
 from finitary.scalars import EXACT, scalar_law
 
 import criteria
@@ -37,9 +36,10 @@ def from_matrices(alphabet, matrices, init, fin,
                   mode: str) -> LinearRepresentation:
     """The representation with step matrices ``matrices``, one n x n
     matrix per symbol in alphabet order, with entries of ``mode``: each
-    row is read as a law and stored as the compilers store theirs."""
+    row is read as a law and passed to ``_step`` as the compilers pass
+    theirs."""
     return LinearRepresentation(alphabet, tuple(
-        _step([_row_parts(scalar_law(row, mode), mode) for row in m], mode)
+        _step([(1, *scalar_law(row, mode)) for row in m], mode)
         for m in matrices), init, fin, mode)
 
 

@@ -16,7 +16,7 @@ from finitary.model_io import (
 )
 from finitary.models import HmmModel, PfaModel, QrwModel
 from finitary.representation import LinearRepresentation, compile_model
-from finitary.scalars import EXACT, one
+from finitary.scalars import EXACT, FLOAT, one
 
 import generators as g
 from conftest import CORPUS_DIR, corpus_names, load_corpus_model
@@ -536,6 +536,19 @@ class TestParsedEqualsBuilt:
         text = (CORPUS_DIR / name).read_text()
         parsed = parse_model(text)
         self._check(parsed, _built_from_tokens(text, parsed))
+
+    def test_automaton_with_a_factored_row_and_a_zero_step(self):
+        # row 1 of Ma a has the common factor 1/4, and no state reads c
+        text = ("kind: pfa\nmode: exact\nalphabet: a b c\nn: 2\n"
+                "pi: 1 0\nF: 1/2 1/2\nMa a:\n0 2/6\n1/4 1/4\n"
+                "Ma b:\n1/6 0\n0 0\nMa c:\n0 0\n0 0\n")
+        parsed = parse_model(text)
+        self._check(parsed, _built_from_tokens(text, parsed))
+        twin = PfaModel(parsed.alphabet, tuple(map(float, parsed.initial)),
+                        tuple(tuple(tuple(map(float, row)) for row in m)
+                              for m in parsed.transitions),
+                        tuple(map(float, parsed.final)), FLOAT)
+        self._check(parse_model(serialize_model(twin)), twin)
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 2**32 - 1))

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finitary import models, representation
-from finitary.linalg import dot, gaussian, integral, times_conj, vec_mat
+from finitary.linalg import (dot, gaussian, integral, primitive, times_conj,
+                             vec_mat)
 from finitary.model_io import parse_model, serialize_model
 from finitary.models import HmmModel, QrwModel, validate
 from finitary.representation import (
@@ -102,8 +103,8 @@ class TestHmmCompilation:
         assert all(scale == 1.0 for scale, _ in lr.integer_steps)
 
     def test_one_product_per_state_and_symbol(self, monkeypatch):
-        # T[a] = E[., a] * M needs n rational products per symbol: one per
-        # transition row, whose integers carry the rest
+        # T[a] = E[., a] * M is built from the integer numerators of the
+        # two row laws, so no Fraction is multiplied at all
         hmm = g.random_hmm(random.Random(8), 6, 3)
         calls = []
         original = Fraction.__mul__
@@ -114,7 +115,7 @@ class TestHmmCompilation:
 
         monkeypatch.setattr(Fraction, "__mul__", counting)
         compile_hmm(hmm)
-        assert len(calls) <= 3 * 6
+        assert len(calls) == 0
 
     def test_fin_is_all_ones(self):
         lr = corpus_lr("padded_3state.hmm")
@@ -170,6 +171,24 @@ class TestQrwCompilation:
         lr = compile_qrw(copy)
         for w in words:
             assert lr.prob(w) == pytest.approx(walk_prob(copy, w), abs=1e-12)
+
+    @pytest.mark.parametrize("qrw", [
+        load_corpus_model(name) for name in corpus_names()
+        if name.endswith(".qrw")] + [
+        g.random_qrw(r, k, r.randint(1, min(k, len(g.SYMBOLS))))
+        for k in range(1, 6)
+        for r in map(random.Random, range(100 * k, 100 * k + 12))])
+    def test_steps_are_the_integral_of_the_matrices(self, qrw):
+        # each step is the one split of its whole matrix T[a], though a row
+        # of T[a] may have a common factor of its own; a float step is T[a]
+        lr = compile_qrw(qrw)
+        n = lr.dimension
+        for step, t in zip(lr.integer_steps, step_matrices(lr), strict=True):
+            scale, flat = integral([x for row in t for x in row], qrw.mode)
+            assert step == (scale, tuple(tuple(flat[i * n:(i + 1) * n])
+                                         for i in range(n)))
+            if qrw.mode != EXACT:
+                assert step == (1.0, t)
 
     def test_fraction_products_in_compile_and_validate(self, monkeypatch):
         # U and psi0 are split into integers once; each step then needs
@@ -432,6 +451,25 @@ class TestCompileDispatch:
             else:
                 assert all(abs(x - y) < 1e-12
                            for x, y in zip(total, summed)), name
+
+    @pytest.mark.parametrize("model", [
+        g.random_hmm(random.Random(8), 6, 3),
+        g.random_pfa(random.Random(8), 6, 3),
+        g.random_qrw(random.Random(4), 4, 3),
+        g.random_dense_float_hmm(random.Random(8), 6, 3),
+        g.random_float_pfa(random.Random(8), 6, 3),
+        floated(g.random_qrw(random.Random(4), 4, 3))])
+    def test_one_split_per_step(self, model, monkeypatch):
+        # each exact step matrix is split once, as a whole
+        calls = []
+
+        def counting(ints):
+            calls.append(1)
+            return primitive(ints)
+
+        monkeypatch.setattr(representation, "primitive", counting)
+        compile_model(model)
+        assert len(calls) == (3 if model.mode == EXACT else 0)
 
     def test_rejects_non_model(self):
         with pytest.raises(TypeError):
