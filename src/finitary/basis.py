@@ -189,9 +189,14 @@ def reduce_rows(matrix, mode: str = EXACT,
             if tester.try_insert(integral(row, mode)[1])]
 
 
+def basis_from_rows(lr: LinearRepresentation, backwards,
+                    tolerance: float = DEFAULT_TOLERANCE) -> Basis:
+    """The basis of ``lr`` given its row scan's vectors: the column scan
+    and the rows it keeps."""
+    forwards, keep = column_basis(lr, backwards, tolerance)
+    return Basis(tuple(backwards[i] for i in keep), tuple(forwards))
+
+
 def compute_basis(lr: LinearRepresentation,
                   tolerance: float = DEFAULT_TOLERANCE) -> Basis:
-    backwards = row_generator(lr, tolerance)
-    forwards, keep = column_basis(lr, backwards, tolerance)
-    kept = tuple(backwards[i] for i in keep)
-    return Basis(kept, tuple(forwards))
+    return basis_from_rows(lr, row_generator(lr, tolerance), tolerance)

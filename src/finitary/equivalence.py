@@ -15,6 +15,19 @@ witness or value.  In float mode each split rounds differently and is
 judged with a tolerance, so a word is judged at its first split only.
 The check runs in O(|alphabet| * n^4) overall and enumerates no words.
 
+In exact mode x's basis is built first, and y's scans run only as far as
+the words can depend on them.  y's dimension is at most its state count
+n_y, and at most the r_y rows its row scan accepts: those span its
+backward vectors B, so d_y = rank(F B) <= r_y.  When either bound is at
+most d_x, y's basis could never be the strictly larger one, so x's words
+are the words the check would use with both bases built, and the block
+pass runs on them before y's column scan (before its row scan too, when
+n_y <= d_x).  A block that agrees puts x's invertible d_x x d_x block in
+y's Hankel array, so d_y = d_x.  A block that differs builds the rest of
+y's basis, on the row scan if it ran, for the reported dimension.  Float
+mode builds both bases: under a tolerance an agreeing block bounds no
+numerical rank.
+
 Every exact "not equivalent" verdict carries a witness word.  When the
 dimensions differ, the larger basis's block is invertible, of rank the
 larger dimension, while the other model's values on the same words form a
@@ -45,6 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import basis
 from .basis import compute_basis
 from .linalg import dot
 # pfa_to_hmm and compile_hmm are unused here; perfbench/tracing.py wraps them
@@ -87,9 +101,18 @@ def test_equivalence(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
     mode = lr_x.mode
 
     basis_x = compute_basis(lr_x, tolerance)
-    basis_y = compute_basis(lr_y, tolerance)
-    same_dim = basis_x.dim == basis_y.dim
-    words = basis_y if basis_y.dim > basis_x.dim else basis_x
+    dim_x = basis_x.dim
+    # y's scans run only as far as they can change the words (module
+    # docstring); without a basis, dim_y <= dim_x
+    rows_y = basis_y = None
+    if mode == FLOAT:
+        basis_y = compute_basis(lr_y, tolerance)
+    elif lr_y.dimension > dim_x:
+        rows_y = basis.row_generator(lr_y, tolerance)
+        if len(rows_y) > dim_x:
+            basis_y = basis.basis_from_rows(lr_y, rows_y, tolerance)
+    words = (basis_y if basis_y is not None and basis_y.dim > dim_x
+             else basis_x)
 
     def paired(word, rep_x, rep_y):
         """(x's vector, y's vector, f_x, f_y) of a word: with s and t the
@@ -129,6 +152,12 @@ def test_equivalence(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
     # the block is the empty middle; the one-step extensions need equal
     # dimensions, and the rows m v do not depend on the column word
     found = first_difference([()])
+    if basis_y is None and found is not None:
+        basis_y = (compute_basis(lr_y, tolerance) if rows_y is None
+                   else basis.basis_from_rows(lr_y, rows_y, tolerance))
+    # an agreeing block puts x's invertible block in y's Hankel array
+    dim_y = dim_x if basis_y is None else basis_y.dim
+    same_dim = dim_x == dim_y
     if found is None and same_dim:
         found = first_difference([(a,) for a in range(len(lr_x.alphabet))])
     equivalent = found is None and same_dim
@@ -146,7 +175,7 @@ def test_equivalence(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
         else:
             reason = BASIC_MATRIX_MISMATCH
     return EquivalenceVerdict(equivalent, reason, witness, details,
-                              basis_x.dim, basis_y.dim, lr_x.alphabet, mode,
+                              dim_x, dim_y, lr_x.alphabet, mode,
                               tolerance if mode == FLOAT else None)
 
 

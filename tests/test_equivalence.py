@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 # the decision entry points are named test_*, which pytest would otherwise
 # try to collect from this module; keep them behind the module name
+from finitary import basis as basis_module
 from finitary import equivalence, oracle
 from finitary.basis import compute_basis, row_generator
 from finitary.cli import main
@@ -21,7 +22,7 @@ from finitary.equivalence import (
 )
 from finitary.linalg import dot
 from finitary.model_io import serialize_model
-from finitary.models import Alphabet, HmmModel
+from finitary.models import Alphabet, HmmModel, PfaModel
 from finitary.representation import (LinearRepresentation, compile_model,
                                      compile_pfa)
 from finitary.scalars import EXACT, FLOAT, scalars_equal
@@ -517,3 +518,112 @@ def test_zero_heavy_models_agree_with_brute_force():
                 blocks["pairing rerun"] += rows == n > dim
     assert len(reasons) >= 4 and min(blocks.values()) >= 10, \
         (reasons, blocks)
+
+
+def _never_stopping(n):
+    """An automaton of n states over a and b that never stops: the zero
+    acceptance series."""
+    move = tuple(tuple(F(1, 2 * n) for _ in range(n)) for _ in range(n))
+    return PfaModel(g.alphabet(2), (F(1),) + (F(0),) * (n - 1),
+                    (move, move), (F(0),) * n)
+
+
+def _rewritten(model, rewrite, seed):
+    """A model and a rewrite of it, compiled."""
+    return [compile_model(model),
+            compile_model(rewrite(random.Random(seed), model))]
+
+
+def _differ_after_rows(seed):
+    """x and a split copy of another HMM of x's size: y's row scan finds
+    at most x's dimension of rows, and the block differs."""
+    rng = random.Random(seed)
+    x = compile_model(g.random_hmm(rng, 3, 2))
+    return x, compile_model(g.split_hmm_state(rng, g.random_hmm(rng, 3, 2)))
+
+
+def _corpus_pair(a, b):
+    return corpus_lr(a), corpus_lr(b)
+
+
+# name: (pair builder, (row scans, column scans) deciding (x, y) and
+# deciding (y, x)).  x's basis is always built, one scan each; (1, 1)
+# skips y's scans, (2, 1) runs y's row scan only, (2, 2) builds both bases
+SKIP_CASES = {
+    "permuted HMMs": (lambda: _rewritten(
+        g.random_hmm(random.Random(1), 5, 2), g.permute_hmm, 1),
+        (1, 1), (1, 1)),
+    "permuted automata": (lambda: _rewritten(
+        g.random_pfa(random.Random(3), 4, 2), g.permute_pfa, 2),
+        (1, 1), (1, 1)),
+    # a walk's representation has k^2 coordinates and its row scan about
+    # k rows, so y's row scan runs and its column scan does not
+    "rephased walks": (lambda: _rewritten(
+        g.random_qrw(random.Random(3), 2, 2), g.rephase_qrw, 4),
+        (2, 1), (2, 1)),
+    "split HMMs": (lambda: _rewritten(
+        g.random_hmm(random.Random(6), 4, 2), g.split_hmm_state, 6),
+        (2, 1), (1, 1)),
+    "blended HMMs": (lambda: _rewritten(
+        g.random_hmm(random.Random(7), 4, 2), g.blend_hmm_state, 7),
+        (2, 1), (1, 1)),
+    "independent HMMs": (lambda: [compile_model(g.random_hmm(
+        random.Random(seed), 4, 2)) for seed in (8, 9)], (2, 2), (2, 2)),
+    "differ after y's row scan": (lambda: _differ_after_rows(10),
+                                  (2, 2), (2, 2)),
+    "float permuted HMMs": (lambda: _rewritten(
+        g.random_dense_float_hmm(random.Random(12), 4, 2), g.permute_hmm,
+        11), (2, 2), (2, 2)),
+    "constant_a 1 and 2 states": (lambda: _corpus_pair(
+        "constant_a_1state.hmm", "constant_a_2state.hmm"), (2, 1), (1, 1)),
+    "biased and coin": (lambda: _corpus_pair("biased.hmm", "coin.hmm"),
+                        (1, 1), (1, 1)),
+    "distinct_2state and coin": (lambda: _corpus_pair(
+        "distinct_2state.hmm", "coin.hmm"), (2, 2), (2, 2)),
+    "coin and padded_3state": (lambda: _corpus_pair(
+        "coin.hmm", "padded_3state.hmm"), (2, 2), (2, 2)),
+    "never-stopping automata": (lambda: [compile_model(_never_stopping(n))
+                                         for n in (1, 2)], (2, 1), (2, 1)),
+}
+
+# (equivalent, reason, dim_x, dim_y, witness) deciding (x, y)
+CORPUS_VERDICTS = {
+    "constant_a 1 and 2 states": (True, ALL_CHECKS_PASSED, 1, 1, None),
+    "biased and coin": (False, ONE_STEP_MISMATCH, 1, 1, "a"),
+    "distinct_2state and coin": (False, DIMENSION_MISMATCH, 2, 1, "a"),
+    "coin and padded_3state": (False, DIMENSION_MISMATCH, 1, 2, "aa"),
+    "never-stopping automata": (True, ALL_CHECKS_PASSED, 0, 0, None),
+}
+
+
+@pytest.mark.parametrize("case", SKIP_CASES)
+def test_y_scans_run_only_as_far_as_the_verdict_needs(monkeypatch, case):
+    # in exact mode y's scans stop once x's basis bounds y's dimension;
+    # the verdict is the one separate bases, every short word and the
+    # witness's probabilities give, in both orders
+    build, *expected_scans = SKIP_CASES[case]
+    pair = build()
+    for (lr_x, lr_y), expected in zip((pair, pair[::-1]), expected_scans):
+        scans = Counter()
+        for name in ("row_generator", "column_basis"):
+            def counting(*args, _scan=getattr(basis_module, name),
+                         _name=name):
+                scans[_name] += 1
+                return _scan(*args)
+            monkeypatch.setattr(basis_module, name, counting)
+        v = equivalence.test_equivalence(lr_x, lr_y)
+        monkeypatch.undo()
+        assert (scans["row_generator"], scans["column_basis"]) == expected
+        assert (v.dim_x, v.dim_y) == (compute_basis(lr_x).dim,
+                                      compute_basis(lr_y).dim)
+        brute = oracle.brute_equiv(lr_x, lr_y,
+                                   lr_x.dimension + lr_y.dimension - 1)
+        assert v.equivalent == brute.equal_up_to
+        if not v.equivalent:
+            assert v.details == (lr_x.prob(v.witness), lr_y.prob(v.witness))
+            assert not scalars_equal(*v.details, lr_x.mode)
+        if case in CORPUS_VERDICTS and lr_x is pair[0]:
+            witness = (None if v.witness is None
+                       else lr_x.alphabet.format_word(v.witness))
+            assert (v.equivalent, v.reason, v.dim_x, v.dim_y, witness) == \
+                CORPUS_VERDICTS[case]
