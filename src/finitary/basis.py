@@ -54,18 +54,19 @@ J is the first d words whose Hankel columns are independent of those of the
 words before them.  J's columns span all others, so the kept rows are the
 row words whose Hankel rows are independent of those of every earlier word.
 
-The scans carry each vector as ``scale * coords`` (``ScaledVector``); in
-exact mode the coordinates are coprime integers.  Step 2's pairings are
-the integer products dot(coords_w, coords_v), which differ from p(w v) by
-one nonzero factor per row and one per column, so every independence test
-runs on integers with the same outcome; the forward route judges coords_w,
-with about half their bits.  The tester screens each test on residues mod
-a word-size prime and confirms only rejections on the integers
-(``linalg``), so a scan that fills without a late rejection does almost no
-exact elimination.  ``Basis`` keeps only the scans' scaled vectors, which
-carry their words: the block is not stored, and each of its true values,
-scale_w * scale_v * dot, is built from one column vector and one row vector
-when first read.
+The scans carry each vector as ``scale * coords`` (``ScaledVector``, a
+named tuple ``(word, scale, coords)`` from the representation's cache,
+seeded with the root); in exact mode the coordinates are coprime integers.
+Step 2's pairings are the integer products dot(coords_w, coords_v), which
+differ from p(w v) by one nonzero factor per row and one per column, so
+every independence test runs on integers with the same outcome; the
+forward route judges coords_w, with about half their bits.  The tester
+screens each test on residues mod a word-size prime and confirms only
+rejections on the integers (``linalg``), so a scan that fills without a
+late rejection does almost no exact elimination.  ``Basis`` keeps only the
+scans' scaled vectors, which carry their words: the block is not stored,
+and each of its true values, scale_w * scale_v * dot, is built from one
+column vector and one row vector when first read.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def row_generator(lr: LinearRepresentation,
     accepted = _scan(
         IndependenceTester(lr.dimension, lr.mode, tolerance, generators),
         mirror, lambda bv: bv.coords)
-    return [ScaledVector(v.word[::-1], v.scale, v.coords) for v in accepted]
+    return [v._replace(word=v.word[::-1]) for v in accepted]
 
 
 def column_basis(lr: LinearRepresentation, backwards,

@@ -45,12 +45,13 @@ the forward vector of v reversed in the mirror representation ``mirror``,
 (fin, T[a] transposed, init), whose series is p(v reversed) (Berstel &
 Reutenauer, *Noncommutative Rational Series with Applications*, CUP 2011).
 The basis scans and the equivalence check read them as ``ScaledVector``s,
-``scale * coords`` with coprime integer coordinates in exact mode: one
-step multiplies the integer coordinates by M, divides out their content
-and builds one ``Fraction``, the new scale.  Float vectors carry scale
-1.0.  ``scaled_forward`` builds each word's vector once per
-representation, with one step from the cached vector of the word one
-symbol shorter, and keeps it; no other route steps a scaled vector.
+named tuples ``(word, scale, coords)`` equal to ``scale * coords``, with
+coprime integer coordinates in exact mode: one step multiplies the
+integer coordinates by M, divides out their content and builds one
+``Fraction``, the new scale.  Float vectors carry scale 1.0.  A cache
+seeded with the root keeps each word's vector; ``scaled_forward`` builds
+it once, one step from the word one symbol shorter, and no other route
+steps a scaled vector.
 ``prob`` and ``prob_bilinear`` instead compute in the model's scalars
 straight from the stored steps and never reduce a vector;
 ``extend_prefix`` is that step for a row, ``scale * (row . M)``, and
@@ -59,18 +60,18 @@ straight from the stored steps and never reduce a vector;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from typing import NamedTuple
 
 from .linalg import dot, integral, primitive, times_conj, vec_mat
 from .models import HmmModel, Model, PfaModel, QrwModel, Word
 from .scalars import EXACT, one, zero
 
 
-@dataclass(frozen=True)
-class ScaledVector:
+class ScaledVector(NamedTuple):
     """A forward or backward vector equal to ``scale * coords``."""
     word: Word
     scale: object
@@ -84,10 +85,6 @@ class LinearRepresentation:
     init: tuple
     fin: tuple
     mode: str
-    # word -> ScaledVector, filled by scaled_forward; not part of
-    # equality, and ``dataclasses.replace`` starts an empty one
-    _forwards: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
 
     def in_order_of(self, alphabet) -> "LinearRepresentation":
         """This representation with its steps in ``alphabet``'s symbol
@@ -99,6 +96,12 @@ class LinearRepresentation:
         return replace(self, alphabet=alphabet, integer_steps=tuple(
             self.integer_steps[self.alphabet.index(s)]
             for s in alphabet.symbols))
+
+    @cached_property
+    def _forwards(self) -> dict:
+        """word -> ScaledVector, seeded with the root; not a field, so
+        ``dataclasses.replace`` starts a fresh one."""
+        return {(): ScaledVector((), *integral(self.init, self.mode))}
 
     @cached_property
     def mirror(self) -> "LinearRepresentation":
@@ -135,28 +138,21 @@ class LinearRepresentation:
         """The forward vector of ``word``, from the cache: a word missing
         there is built by one step from the cached vector of ``word[:-1]``."""
         cache = self._forwards
-        if () not in cache:
-            cache[()] = ScaledVector((), *integral(self.init, self.mode))
         end = len(word)
         while word[:end] not in cache:
             end -= 1
         sv = cache[word[:end]]
         for a in word[end:]:
             step_scale, m = self.integer_steps[self._symbol(a)]
-            sv = self._scaled(sv.word + (a,), sv.scale, step_scale,
-                              vec_mat(sv.coords, m))
+            scale, coords = 1.0, vec_mat(sv.coords, m)
+            if self.mode == EXACT:
+                content, coords = primitive(coords)
+                scale = Fraction(
+                    sv.scale.numerator * step_scale.numerator * content,
+                    sv.scale.denominator * step_scale.denominator)
+            sv = ScaledVector(sv.word + (a,), scale, coords)
             cache[sv.word] = sv
         return sv
-
-    def _scaled(self, word: Word, scale, step_scale, product) -> ScaledVector:
-        """``scale * step_scale * product`` with ``product`` made coprime."""
-        if self.mode != EXACT:
-            return ScaledVector(word, 1.0, product)
-        content, coords = primitive(product)
-        return ScaledVector(
-            word, Fraction(scale.numerator * step_scale.numerator * content,
-                           scale.denominator * step_scale.denominator),
-            coords)
 
     def prob_bilinear(self, row: tuple, a: int | None, col: tuple):
         """p(w a v) from the prefix row init . T[w] and the suffix column

@@ -56,6 +56,15 @@ class TestIndependenceTester:
         t = IndependenceTester(3)
         assert not t.try_insert((0, 0, 0))
 
+    @pytest.mark.parametrize("args,message", [
+        ((-1,), "dimension must be non-negative"),
+        ((2, "double"), "unknown scalar mode: 'double'"),
+    ])
+    def test_bad_arguments(self, args, message):
+        with pytest.raises(ValueError) as info:
+            IndependenceTester(*args)
+        assert str(info.value) == message
+
     def test_length_checked(self):
         t = IndependenceTester(2)
         with pytest.raises(ValueError):

@@ -60,6 +60,12 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             Alphabet(("a", "a"))
 
+    @pytest.mark.parametrize("symbol", ["a b", "a\tb", "a\nb"])
+    def test_inner_whitespace_rejected(self, symbol):
+        with pytest.raises(ValueError) as info:
+            Alphabet((symbol,))
+        assert str(info.value) == f"bad alphabet symbol: {symbol!r}"
+
     def test_reserved_characters_rejected(self):
         for bad in ("x:y", "x#", "x,y", "□"):
             with pytest.raises(ValueError):
@@ -79,6 +85,23 @@ class TestShapeChecks:
         one = (F(1), F(0))
         with pytest.raises(ValueError, match="label"):
             QrwModel(Alphabet(("a",)), (1,), ((one,),), (one,))
+
+    @pytest.mark.parametrize("labels,evolution,wave,mode,message", [
+        ((), (), (), EXACT, "model needs at least one coordinate"),
+        ((0, 0), ((1, 0),), (1, 0), EXACT, "evolution matrix must be k x k"),
+        ((0, 0), ((1, 0), (0,)), (1, 0), EXACT,
+         "evolution matrix must be k x k"),
+        ((0,), ((1, 0), (0, 1)), (1, 0), EXACT,
+         "labels must assign a symbol to each coordinate"),
+        ((0, 0, 0), ((1, 0), (0, 1)), (1, 0), EXACT,
+         "labels must assign a symbol to each coordinate"),
+        ((0,), ((1,),), (1,), "double", "unknown scalar mode: 'double'"),
+    ])
+    def test_qrw_shape_and_mode_messages(self, labels, evolution, wave,
+                                         mode, message):
+        with pytest.raises(ValueError) as info:
+            QrwModel(Alphabet(("a",)), labels, evolution, wave, mode)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("entry,mode", [
         ((F(1),), EXACT),

@@ -214,7 +214,7 @@ def test_reference_never_takes_the_scans_steps(monkeypatch):
     def refuse(*args):
         raise AssertionError("reference route took a scan step")
 
-    monkeypatch.setattr(LinearRepresentation, "_scaled", refuse)
+    monkeypatch.setattr(LinearRepresentation, "scaled_forward", refuse)
     monkeypatch.setattr(representation, "primitive", refuse)
     monkeypatch.setattr(representation, "integral", refuse)
     for lr, dim in zip(lrs, computed):

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -359,6 +360,19 @@ class TestVectorAlgebra:
         assert lr.mirror.scaled_forward((0,)) is cached
         copy = dataclasses.replace(lr)
         assert copy == lr and hash(copy) == hash(lr)
+
+    def test_word_longer_than_the_recursion_limit(self):
+        # the cache walk and its steps are loops: a word no recursive step
+        # could reach still gets its forward and its backward vector
+        lr = corpus_lr("distinct_2state.hmm")
+        rng = random.Random(3)
+        word = tuple(rng.randrange(len(lr.alphabet))
+                     for _ in range(sys.getrecursionlimit() + 100))
+        p = lr.prob(word)
+        assert p != 0
+        for rep, w in ((lr, word), (lr.mirror, word[::-1])):
+            sv = rep.scaled_forward(w)
+            assert sv.word == w and sv.scale * dot(sv.coords, rep.fin) == p
 
     def test_scaled_step_symbol_checked(self, lr):
         for a in (2, -1):
