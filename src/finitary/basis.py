@@ -28,7 +28,9 @@ rank.  It is found in three steps:
    number of pivots up to row i is the rank of rows 0..i of the accepted
    columns: the pivot rows are exactly the rows independent of their
    predecessors (``reduce_rows``).  In float mode the pivots come from
-   partial pivoting.
+   partial pivoting.  ``column_basis`` runs steps 2 and 3 on the row
+   scan's vectors and returns the ``Basis``; every basis is built there,
+   and every scan builds the tester it fills (``_scan``).
 
 Candidates are processed first-in-first-out: the empty word, then the
 |alphabet| children of each accepted word, in alphabet order, each the word
@@ -106,15 +108,17 @@ class Basis:
                      for bv in self.backwards)
 
 
-def _scan(tester: IndependenceTester, lr: LinearRepresentation,
-          entry) -> list:
+def _scan(lr: LinearRepresentation, dimension: int, entry, tolerance: float,
+          generators=None) -> tuple[list, IndependenceTester]:
     """Breadth-first scan of ``lr``'s cached forward vectors from the empty
-    word: the accepted vectors.
+    word: the accepted vectors and the tester they filled.
 
-    ``entry(vector)`` is what the tester judges, and a child candidate
-    appends one symbol to its parent's word.  The scan stops once the
-    tester is full; the candidates still queued are never built.
+    The tester judges ``entry(vector)`` in ``dimension`` coordinates, given
+    the span ``generators`` when there are some (``linalg``), and a child
+    candidate appends one symbol to its parent's word.  The scan stops once
+    the tester is full; the candidates still queued are never built.
     """
+    tester = IndependenceTester(dimension, lr.mode, tolerance, generators)
     accepted = []
     queue = deque([()])
     while queue and not tester.full:
@@ -123,7 +127,7 @@ def _scan(tester: IndependenceTester, lr: LinearRepresentation,
             accepted.append(candidate)
             queue.extend(candidate.word + (a,)
                          for a in range(len(lr.alphabet)))
-    return accepted
+    return accepted, tester
 
 
 def row_generator(lr: LinearRepresentation,
@@ -140,17 +144,16 @@ def row_generator(lr: LinearRepresentation,
     generators = ((mirror.scaled_forward(()).coords,
                    [m for _, m in lr.integer_steps])
                   if lr.mode == EXACT else None)
-    accepted = _scan(
-        IndependenceTester(lr.dimension, lr.mode, tolerance, generators),
-        mirror, lambda bv: bv.coords)
+    accepted, _ = _scan(mirror, lr.dimension, lambda bv: bv.coords,
+                        tolerance, generators)
     return [v._replace(word=v.word[::-1]) for v in accepted]
 
 
 def column_basis(lr: LinearRepresentation, backwards,
-                 tolerance: float = DEFAULT_TOLERANCE):
-    """Scaled forward vectors of the accepted column words, each carrying
-    its word, and the indices of the rows kept, in scan order, given the
-    row scan's vectors (steps 2 and 3 of the module docstring).
+                 tolerance: float = DEFAULT_TOLERANCE) -> Basis:
+    """The basis of ``lr`` given its row scan's vectors: the column scan's
+    vectors and the rows it keeps, in scan order (steps 2 and 3 of the
+    module docstring).
 
     A square block keeps every row without reading the tester's pivots:
     in exact mode that would put every screened column through exact
@@ -158,30 +161,26 @@ def column_basis(lr: LinearRepresentation, backwards,
     columns: the series is zero.
     """
     r = len(backwards)
-
-    def scan(entry):
-        tester = IndependenceTester(r, lr.mode, tolerance)
-        forwards = _scan(tester, lr, entry)
-        return forwards, tester
-
     if lr.mode == EXACT and r == lr.dimension:
-        forwards, _ = scan(lambda fv: fv.coords)
+        forwards, _ = _scan(lr, r, lambda fv: fv.coords, tolerance)
         if len(forwards) == r:
-            return forwards, list(range(r))
-    forwards, tester = scan(
-        lambda fv: tuple(dot(fv.coords, bv.coords) for bv in backwards))
-    return forwards, (list(range(r)) if len(forwards) == r
-                      else sorted(tester.pivots))
+            return Basis(tuple(backwards), tuple(forwards))
+    forwards, tester = _scan(
+        lr, r, lambda fv: tuple(dot(fv.coords, bv.coords) for bv in backwards),
+        tolerance)
+    keep = range(r) if len(forwards) == r else sorted(tester.pivots)
+    return Basis(tuple(backwards[i] for i in keep), tuple(forwards))
 
 
 def reduce_rows(matrix, mode: str = EXACT,
                 tolerance: float = DEFAULT_TOLERANCE) -> list[int]:
     """Indices of rows independent of their predecessors, in scan order.
 
-    In exact mode these are the rows ``column_basis`` keeps.  The library
-    does not call it: the tests use it as their reference for the kept
-    rows, and ``perfbench/tracing.py`` wraps it.  Each row is split by
-    ``integral``, so its entries may be ``Fraction``.
+    In exact mode these index the row scan's vectors that ``column_basis``
+    keeps as its basis's rows.  The library does not call it: the tests
+    use it as their reference for the kept rows, and
+    ``perfbench/tracing.py`` wraps it.  Each row is split by ``integral``,
+    so its entries may be ``Fraction``.
     """
     if not matrix:
         return []
@@ -190,14 +189,6 @@ def reduce_rows(matrix, mode: str = EXACT,
             if tester.try_insert(integral(row, mode)[1])]
 
 
-def basis_from_rows(lr: LinearRepresentation, backwards,
-                    tolerance: float = DEFAULT_TOLERANCE) -> Basis:
-    """The basis of ``lr`` given its row scan's vectors: the column scan
-    and the rows it keeps."""
-    forwards, keep = column_basis(lr, backwards, tolerance)
-    return Basis(tuple(backwards[i] for i in keep), tuple(forwards))
-
-
 def compute_basis(lr: LinearRepresentation,
                   tolerance: float = DEFAULT_TOLERANCE) -> Basis:
-    return basis_from_rows(lr, row_generator(lr, tolerance), tolerance)
+    return column_basis(lr, row_generator(lr, tolerance), tolerance)

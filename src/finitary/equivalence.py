@@ -23,10 +23,10 @@ most d_x, y's basis could never be the strictly larger one, so x's words
 are the words the check would use with both bases built, and the block
 pass runs on them before y's column scan (before its row scan too, when
 n_y <= d_x).  A block that agrees puts x's invertible d_x x d_x block in
-y's Hankel array, so d_y = d_x.  A block that differs builds the rest of
-y's basis, on the row scan if it ran, for the reported dimension.  Float
-mode builds both bases: under a tolerance an agreeing block bounds no
-numerical rank.
+y's Hankel array, so d_y = d_x.  A block that differs builds y's basis
+for the reported dimension: ``basis.column_basis`` on y's row scan if it
+ran, both scans otherwise.  Float mode builds both bases: under a
+tolerance an agreeing block bounds no numerical rank.
 
 Every exact "not equivalent" verdict carries a witness word.  When the
 dimensions differ, the larger basis's block is invertible, of rank the
@@ -110,7 +110,7 @@ def test_equivalence(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
     elif lr_y.dimension > dim_x:
         rows_y = basis.row_generator(lr_y, tolerance)
         if len(rows_y) > dim_x:
-            basis_y = basis.basis_from_rows(lr_y, rows_y, tolerance)
+            basis_y = basis.column_basis(lr_y, rows_y, tolerance)
     words = (basis_y if basis_y is not None and basis_y.dim > dim_x
              else basis_x)
 
@@ -154,7 +154,7 @@ def test_equivalence(lr_x: LinearRepresentation, lr_y: LinearRepresentation,
     found = first_difference([()])
     if basis_y is None and found is not None:
         basis_y = (compute_basis(lr_y, tolerance) if rows_y is None
-                   else basis.basis_from_rows(lr_y, rows_y, tolerance))
+                   else basis.column_basis(lr_y, rows_y, tolerance))
     # an agreeing block puts x's invertible block in y's Hankel array
     dim_y = dim_x if basis_y is None else basis_y.dim
     same_dim = dim_x == dim_y

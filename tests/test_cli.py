@@ -649,6 +649,14 @@ class TestProb:
         assert res.exit_code == 2
         assert "unknown symbol" in res.stderr
 
+    def test_unknown_symbol_without_utf8_bytes(self, runner):
+        # a lone surrogate has no UTF-8 bytes, so the word is read as the
+        # caller gave it and refused as a symbol
+        res = runner.invoke(main, ["prob", corpus("coin.hmm"), "\ud800"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: unknown symbol: '\\ud800'\n"
+
     def test_json(self, runner):
         res = runner.invoke(main, ["prob", corpus("coin.hmm"), "ab",
                                    "--decimal", "--format", "json"])

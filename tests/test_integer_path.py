@@ -7,15 +7,18 @@ import random
 from collections import deque
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finitary import basis as basis_module
 from finitary import equivalence
 from finitary.basis import (Basis, column_basis, compute_basis, reduce_rows,
                             row_generator)
 from finitary.linalg import IndependenceTester, dot
 from finitary.models import HmmModel, PfaModel
 from finitary.representation import ScaledVector, compile_model, compile_pfa
+from finitary.scalars import EXACT, FLOAT
 
 import generators as g
 from conftest import from_matrices, step_matrices
@@ -64,6 +67,14 @@ def padded_hmm_lr(rng):
                                        step_matrices(hidden)))
     return from_matrices(reachable.alphabet, matrices, reachable.init + pad_a,
                          reachable.fin + hidden.fin, reachable.mode)
+
+
+def unreached_hmm_lr():
+    """Two states, the second never reached: rows (), a; one column."""
+    return compile_model(HmmModel(
+        g.alphabet(2), (Fraction(1), Fraction(0)),
+        ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
+        ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3)))))
 
 
 def split_hmm_lr(rng):
@@ -286,20 +297,16 @@ def test_full_row_rank_forward_route_equals_the_pairing_scan():
     # at full row rank the column scan judges forward coordinates; it must
     # accept the same words with the same vectors and keep the same rows
     # as the scan on pairings, also when the dimension is below the row
-    # count (padded HMMs; two states, the second never reached: rows (),
-    # a; one column).  Walks and dense float HMMs whose dimension is below
-    # their row count run on pairings, and must keep the same rows as
-    # well.
+    # count (padded HMMs, ``unreached_hmm_lr``).  Walks and dense float
+    # HMMs whose dimension is below their row count run on pairings, and
+    # must keep the same rows as well.
     rng = random.Random(21)
     lrs = [compile_model(g.random_hmm(rng, rng.randint(1, 8),
                                       rng.randint(1, 3))) for _ in range(30)]
     lrs += [compile_pfa(g.random_pfa(rng, rng.randint(1, 6),
                                      rng.randint(1, 3))) for _ in range(30)]
     lrs += [padded_hmm_lr(rng) for _ in range(20)]
-    unreached = compile_model(HmmModel(
-        g.alphabet(2), (Fraction(1), Fraction(0)),
-        ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
-        ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3)))))
+    unreached = unreached_hmm_lr()
     full = [lr for lr in lrs + [unreached]
             if len(row_generator(lr)) == lr.dimension]
     walks = [lr for lr in (random_qrw_lr(rng) for _ in range(60))
@@ -315,6 +322,67 @@ def test_full_row_rank_forward_route_equals_the_pairing_scan():
         assert basis == pairing_basis(lr)
     assert compute_basis(unreached).dim == 1
     assert compute_basis(unreached).row_words == ((),)
+
+
+def block_shape(lr) -> str:
+    """Which of the column scan's routes builds ``lr``'s basis: the forward
+    route fills ("forward"), falls back to pairings ("fallback"), or the
+    pairing scan alone leaves a square ("square") or non-square block."""
+    r, d = len(row_generator(lr)), compute_basis(lr).dim
+    if lr.mode == EXACT and r == lr.dimension:
+        return "forward" if d == r else "fallback"
+    return "square" if d == r else "non-square"
+
+
+def block_shape_models(rng, shape: str) -> list:
+    """Representations whose basis ``shape`` builds: random HMMs fill the
+    forward route; padded HMMs and ``unreached_hmm_lr`` fall back; split
+    and blended HMMs leave a square pairing block; walks and dense float
+    HMMs, a non-square one."""
+    if shape == "forward":
+        return [compile_model(g.random_hmm(rng, n, symbols))
+                for n, symbols in ((1, 1), (6, 2), (8, 3))]
+    if shape == "square":
+        return [compile_model(rewrite(rng, g.random_hmm(rng, n, 2)))
+                for rewrite in (g.split_hmm_state, g.blend_hmm_state)
+                for n in (3, 8)]
+    if shape == "fallback":
+        candidates = [padded_hmm_lr(rng) for _ in range(8)]
+        candidates.append(unreached_hmm_lr())
+    else:
+        candidates = [compile_model(g.random_qrw(rng, rng.randint(3, 5), 2))
+                      for _ in range(12)]
+        candidates += [compile_model(g.random_dense_float_hmm(rng, n, 2))
+                       for n in (12, 16, 20)]
+    return [lr for lr in candidates if block_shape(lr) == shape]
+
+
+@pytest.mark.parametrize("shape",
+                         ["forward", "fallback", "square", "non-square"])
+def test_column_basis_is_the_basis(monkeypatch, shape):
+    # the column scan returns the basis itself, kept rows applied, on each
+    # of its routes; every scan builds one tester, so a basis costs two,
+    # or three when the forward route falls back to pairings
+    lrs = block_shape_models(random.Random(5), shape)
+    assert len(lrs) >= 3
+    if shape == "non-square":
+        assert {lr.mode for lr in lrs} == {EXACT, FLOAT}
+    built = []
+    tester = basis_module.IndependenceTester
+
+    def counting(*args):
+        built.append(args)
+        return tester(*args)
+
+    for lr in lrs:
+        assert block_shape(lr) == shape
+        basis = column_basis(lr, row_generator(lr))
+        assert isinstance(basis, Basis) and basis == compute_basis(lr)
+        built.clear()
+        monkeypatch.setattr(basis_module, "IndependenceTester", counting)
+        compute_basis(lr)
+        monkeypatch.undo()
+        assert len(built) == (3 if shape == "fallback" else 2)
 
 
 def test_full_rank_scans_stop_at_the_nth_acceptance(monkeypatch):
@@ -338,6 +406,6 @@ def test_full_rank_scans_stop_at_the_nth_acceptance(monkeypatch):
     assert len(lr.mirror._forwards) == len(results) < \
         1 + len(hmm.alphabet) * n
     results.clear()
-    assert len(column_basis(lr, backwards)[0]) == n
+    assert column_basis(lr, backwards).dim == n
     assert results[-1] and sum(results) == n
     assert len(compute_basis(lr).row_words) == n

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from finitary.scalars import (
     DEFAULT_TOLERANCE,
     EXACT,
     FLOAT,
+    any_digits,
     as_complex,
     as_scalar,
     format_complex,
@@ -113,6 +115,20 @@ class TestFormatScalar:
     def test_float_round_trip(self, x):
         # repr of a float reparses to the identical float
         assert parse_scalar(format_scalar(x), FLOAT) == x
+
+
+class TestAnyDigits:
+    def test_without_a_digit_cap(self, monkeypatch):
+        # before Python 3.10.7 there is no cap to lift: the block runs
+        # once and the process's setting is left as it was
+        monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+        cap = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = cap()
+        runs = []
+        with any_digits():
+            runs.append(cap())
+        assert runs == [before] and cap() == before
+        assert not hasattr(sys, "set_int_max_str_digits")
 
 
 class TestModeGuards:
